@@ -24,11 +24,7 @@ from repro.analysis.runner import (
 )
 from repro.analysis.results import ComparisonTable
 from repro.analysis.speedup import SpeedupReport
-from repro.analysis.parallel import (
-    ParallelWaveEvaluator,
-    run_mc_parallel,
-    run_sscm_parallel,
-)
+from repro.analysis.parallel import ParallelWaveEvaluator
 
 __all__ = [
     "VariationalProblem",
@@ -45,6 +41,4 @@ __all__ = [
     "ComparisonTable",
     "SpeedupReport",
     "ParallelWaveEvaluator",
-    "run_mc_parallel",
-    "run_sscm_parallel",
 ]

@@ -1,11 +1,12 @@
 """Process-parallel sample evaluation.
 
 The paper's conclusion names parallel computing as the planned remedy
-for the "several hours" a typical variational run costs.  Both
-stochastic drivers are embarrassingly parallel over samples, so this
-module fans the deterministic solves out over worker processes; the
-adaptive engine's per-wave batches go through the same pool via
-:class:`ParallelWaveEvaluator`.
+for the "several hours" a typical variational run costs.  Collocation
+is embarrassingly parallel over samples, so the adaptive engine hands
+each refinement wave's batch of points to
+:class:`ParallelWaveEvaluator`, which fans the deterministic solves out
+over a persistent worker pool.  Fixed-grid builds go through the same
+evaluator (one wave holding the whole Smolyak grid).
 
 Workers receive a *picklable problem builder* (e.g.
 ``functools.partial(table1_problem, "both", config)``) rather than the
@@ -15,12 +16,6 @@ paper's per-sample independence.  The per-worker problem also carries
 the solver's per-sample and per-contact-set caches, so within a chunk a
 multi-port problem factorizes each sample once and reuses that factor
 across all of its port drives (see :meth:`AVSolver.solve_ports`).
-
-Per-worker random streams are derived with
-``np.random.SeedSequence(seed).spawn(num_workers)`` rather than
-``seed + k`` offsets: offset seeds collide across runs (worker 1 of
-``seed=0`` would replay worker 0 of ``seed=1``), while spawned child
-sequences are statistically independent for every ``(seed, k)`` pair.
 """
 
 from __future__ import annotations
@@ -33,51 +28,8 @@ import numpy as np
 
 from repro.errors import StochasticError
 from repro.obs.trace import get_tracer
-from repro.stochastic.montecarlo import MonteCarloResult
-from repro.stochastic.sscm import SSCMResult
-from repro.stochastic.hermite import HermiteBasis
-from repro.stochastic.pce import QuadraticPCE
-from repro.stochastic.sparse_grid import smolyak_sparse_grid
-from repro.variation.random_field import stable_cholesky
 
 _WORKER_STATE = {}
-
-
-def _worker_init(problem_builder):
-    problem = problem_builder()
-    factors = {group.name: stable_cholesky(group.covariance)
-               for group in problem.groups}
-    _WORKER_STATE["problem"] = problem
-    _WORKER_STATE["factors"] = factors
-
-
-def _worker_mc_chunk(args):
-    seed, count = args
-    problem = _WORKER_STATE["problem"]
-    factors = _WORKER_STATE["factors"]
-    rng = np.random.default_rng(seed)
-    values = []
-    for _ in range(count):
-        xi = {group.name: factors[group.name]
-              @ rng.standard_normal(group.size)
-              for group in problem.groups}
-        values.append(problem.evaluate_sample(xi))
-    return np.vstack(values)
-
-
-def _worker_collocation_chunk(args):
-    matrices, points = args
-    problem = _WORKER_STATE["problem"]
-    values = []
-    for zeta in points:
-        offset = 0
-        xi = {}
-        for name, matrix in matrices:
-            width = matrix.shape[1]
-            xi[name] = matrix @ zeta[offset:offset + width]
-            offset += width
-        values.append(problem.evaluate_sample(xi))
-    return np.vstack(values)
 
 
 def _wave_worker_init(problem_builder, reduced_space):
@@ -212,93 +164,3 @@ class ParallelWaveEvaluator:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def worker_seed_sequences(seed: int, num_workers: int) -> list:
-    """Independent per-worker seed sequences for a base ``seed``.
-
-    Spawned children of ``SeedSequence(seed)`` never collide across
-    base seeds, unlike the ``seed + k`` scheme this replaced (there,
-    ``seed=0``/worker 1 replayed ``seed=1``/worker 0).
-    """
-    return np.random.SeedSequence(seed).spawn(num_workers)
-
-
-def run_mc_parallel(problem_builder, num_runs: int, seed: int = 0,
-                    num_workers: int = None,
-                    output_names=None) -> MonteCarloResult:
-    """Monte Carlo with worker processes (full-covariance sampling).
-
-    Parameters
-    ----------
-    problem_builder:
-        Zero-argument picklable callable returning the
-        :class:`~repro.analysis.problem.VariationalProblem` (e.g. a
-        ``functools.partial`` over an experiment preset).
-    num_runs:
-        Total sample count, split evenly across workers.
-    seed:
-        Base seed; worker ``k`` draws from the ``k``-th spawned child
-        of ``np.random.SeedSequence(seed)``, so results are
-        reproducible for a fixed worker count and distinct base seeds
-        never share a stream.
-    num_workers:
-        Process count (default: up to 8, bounded by the CPU count).
-    """
-    if num_runs < 2:
-        raise StochasticError(f"num_runs must be >= 2, got {num_runs}")
-    if num_workers is None:
-        num_workers = _default_workers()
-    worker_seeds = worker_seed_sequences(seed, num_workers)
-    chunks = []
-    base = num_runs // num_workers
-    remainder = num_runs % num_workers
-    for k in range(num_workers):
-        count = base + (1 if k < remainder else 0)
-        if count:
-            chunks.append((worker_seeds[k], count))
-
-    start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=num_workers,
-                             initializer=_worker_init,
-                             initargs=(problem_builder,)) as pool:
-        blocks = list(pool.map(_worker_mc_chunk, chunks))
-    wall = time.perf_counter() - start
-    values = np.vstack(blocks)
-    return MonteCarloResult(
-        mean=values.mean(axis=0),
-        std=values.std(axis=0, ddof=1),
-        num_runs=values.shape[0],
-        wall_time=wall,
-        output_names=list(output_names) if output_names else None,
-    )
-
-
-def run_sscm_parallel(problem_builder, reduced_space, num_workers: int = None,
-                      output_names=None, level: int = 2) -> SSCMResult:
-    """Sparse-grid collocation with worker processes.
-
-    The reduction (which needs one nominal solve) is performed by the
-    caller; workers only evaluate collocation points.
-    """
-    if num_workers is None:
-        num_workers = _default_workers()
-    grid = smolyak_sparse_grid(reduced_space.dim, level=level)
-    matrices = [(rg.group.name, rg.reduction.matrix)
-                for rg in reduced_space.groups]
-    point_chunks = np.array_split(grid.points, num_workers)
-    args = [(matrices, chunk) for chunk in point_chunks if len(chunk)]
-
-    start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=num_workers,
-                             initializer=_worker_init,
-                             initargs=(problem_builder,)) as pool:
-        blocks = list(pool.map(_worker_collocation_chunk, args))
-    wall = time.perf_counter() - start
-    values = np.vstack(blocks)
-
-    basis = HermiteBasis(reduced_space.dim, order=2)
-    pce = QuadraticPCE.fit_quadrature(basis, grid.points, grid.weights,
-                                      values, output_names=output_names)
-    return SSCMResult(pce=pce, num_runs=grid.num_points, wall_time=wall,
-                      grid=grid)

@@ -2,8 +2,8 @@
 
 ``plan_campaign`` turns a campaign's member specs into an execution
 plan: members are grouped into *segments* (maximal sets that can
-warm-start each other — same preset, same relaxed reduction signature,
-parameters differing only numerically), and each segment is ordered
+warm-start each other — one :func:`~repro.serving.store.warm_family`
+each), and each segment is ordered
 along a greedy nearest-neighbor chain on the same relative-parameter
 distance :meth:`~repro.serving.store.SurrogateStore.find_warm_start`
 ranks by, so every build's designated warm source is its nearest
@@ -18,14 +18,9 @@ threads without changing any build's seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
-from repro.serving.spec import canonical_json
-from repro.serving.store import (
-    _param_distance,
-    warm_reduction_signature,
-)
+from repro.serving.store import param_distance, warm_family
 
 #: Bump when the serialized plan layout changes (catalog consumers
 #: key off it).
@@ -94,13 +89,6 @@ class CampaignPlan:
         }
 
 
-def _chain_distance(canon: dict, a: str, b: str) -> float:
-    distance = _param_distance(canon[a]["params"], canon[b]["params"])
-    # Unreachable within a segment (the grouping token pins the key
-    # set and every non-numeric value), kept as a defensive ceiling.
-    return math.inf if distance is None else distance
-
-
 def plan_campaign(specs) -> CampaignPlan:
     """Plan a campaign: segment the members and chain each segment.
 
@@ -124,36 +112,22 @@ def plan_campaign(specs) -> CampaignPlan:
     -----
     The distance is exactly the one
     :meth:`~repro.serving.store.SurrogateStore.find_warm_start` ranks
-    candidates by, and the segment compatibility test is exactly its
-    sibling gate (preset, :func:`warm_reduction_signature`,
-    numeric-only parameter difference) — so a planned chain seed is
-    always one the pipeline would accept, and the store-wide fallback
-    only fires when the predecessor's entry is missing or damaged at
-    build time.
+    candidates by, and a segment is exactly one
+    :func:`~repro.serving.store.warm_family` — the store's sibling gate
+    — so a planned chain seed is always one the pipeline would accept,
+    and the store-wide fallback only fires when the predecessor's
+    entry is missing or damaged at build time.
     """
     by_key = {}
     for spec in specs:
         by_key.setdefault(spec.cache_key(), spec)
     canon = {key: spec.canonical() for key, spec in by_key.items()}
 
-    # Group into warm-compatible segments.  The token pins everything
-    # the sibling gate checks: preset, the relaxed reduction
-    # signature, the parameter name set and every non-numeric value
-    # (booleans count as non-numeric, matching _param_distance).
+    # Group into warm-compatible segments: one per warm family, the
+    # same token the store's sibling gate compares.
     groups = {}
     for key in sorted(by_key):
-        doc = canon[key]
-        params = doc["params"]
-        fixed = {name: value for name, value in params.items()
-                 if isinstance(value, bool)
-                 or not isinstance(value, (int, float))}
-        token = canonical_json({
-            "preset": doc["preset"],
-            "names": sorted(params),
-            "fixed": fixed,
-            "reduction": warm_reduction_signature(doc["reduction"]),
-        })
-        groups.setdefault(token, []).append(key)
+        groups.setdefault(warm_family(canon[key]), []).append(key)
 
     members = []
     specs_by_key = {}
@@ -168,7 +142,8 @@ def plan_campaign(specs) -> CampaignPlan:
         # (then smallest-key) candidate and lets the newcomer contest
         # the others' neighbors (strictly nearer, or equally near with
         # a smaller key, wins).
-        nearest = {key: (_chain_distance(canon, key, root), root)
+        nearest = {key: (param_distance(canon[key]["params"],
+                                         canon[root]["params"]), root)
                    for key in keys[1:]}
         while nearest:
             key = min(nearest,
@@ -176,7 +151,8 @@ def plan_campaign(specs) -> CampaignPlan:
             _, parent = nearest.pop(key)
             chain.append((key, parent))
             for other, (best, best_parent) in nearest.items():
-                distance = _chain_distance(canon, other, key)
+                distance = param_distance(canon[other]["params"],
+                                          canon[key]["params"])
                 if distance < best or (distance == best
                                        and key < best_parent):
                     nearest[other] = (distance, key)

@@ -4,9 +4,9 @@ Promotes the batch CLI (`repro build|query`) into a long-running
 system: a JSON-over-HTTP daemon (:mod:`~repro.daemon.server`) wrapping
 ``serve_batch`` with per-request isolation, a single-flight build
 queue so a thundering herd of identical misses costs one solve
-campaign (:mod:`~repro.daemon.singleflight`), a sqlite index over the
-store's sidecars so listings and warm-start lookups stay indexed at
-thousands of entries (:mod:`~repro.daemon.index`), and LRU garbage
+campaign (:mod:`~repro.daemon.singleflight`), an in-process cache of
+the store's sidecar summaries so a hit never scans the store
+(:mod:`~repro.daemon.index`), and LRU garbage
 collection so the store is safe to leave running forever
 (:mod:`~repro.daemon.gc`).  See ``docs/DAEMON.md``.
 
@@ -28,8 +28,6 @@ _EXPORTS = {
     "release_lock": "repro.daemon.singleflight",
     "StoreIndex": "repro.daemon.index",
     "IndexedSurrogateStore": "repro.daemon.index",
-    "open_indexed_store": "repro.daemon.index",
-    "INDEX_DB_NAME": "repro.daemon.index",
     "ReproDaemon": "repro.daemon.server",
     "GcPlan": "repro.daemon.gc",
     "plan_gc": "repro.daemon.gc",

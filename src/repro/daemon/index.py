@@ -1,390 +1,99 @@
-"""Sqlite index over the store's sidecars — fast, never authoritative.
+"""In-process cache of the store's sidecar summaries — never
+authoritative.
 
-A :class:`~repro.serving.store.SurrogateStore` of a few thousand
-entries answers ``store ls`` and ``find_warm_start`` by reading (and
-checksum-validating) every JSON sidecar — thousands of file reads per
-listing.  :class:`StoreIndex` caches each sidecar's derived metadata
-in one sqlite file inside the store directory, so those paths become
-a single indexed query plus one directory scan.
+A plain :class:`~repro.serving.store.SurrogateStore` lists and looks up
+warm starts by reading every JSON sidecar.  A long-lived daemon keeps
+one :class:`~repro.serving.store.EntrySummary` per entry in memory
+instead, so those paths cost one directory scan plus the sidecars that
+changed since the last one.
 
-The contract that keeps this safe:
-
-* **Disk wins.**  The sidecars remain the single source of truth;
-  the index is a cache of them.  Nothing is ever answered from the
-  index that the disk would answer differently: :meth:`refresh`
-  diffs a directory scan (names, mtimes, sizes — no JSON parsing)
-  against the indexed state before every read path, and re-reads
-  exactly the sidecars that changed.  ``find_warm_start`` re-reads
-  its chosen sidecar from disk before returning it.
-* **Self-healing.**  Deleting the index file, corrupting it, or
-  editing sidecars behind the daemon's back costs one rebuild scan,
-  never a wrong answer: every connection re-creates the schema if
-  missing, and a sqlite-level error drops the index file and rebuilds
-  it from the sidecars.
-* **Crash-safe writes.**  The index is the only module allowed to
-  touch sqlite (lint rule RL302) and every connection runs in WAL
-  mode with ``synchronous=NORMAL`` — a torn index write is impossible
-  by construction, and concurrent readers (a live daemon vs a CLI
-  ``store gc``) never block each other.
+* **Disk wins.**  :meth:`StoreIndex.refresh` runs before every cached
+  read and re-reads exactly the sidecars whose ``(st_ino, st_mtime_ns,
+  st_size)`` moved.  Sidecars are only replaced by a tmp-file rename,
+  so a rewrite brings a new inode even when a coarse clock repeats the
+  mtime.  ``find_warm_start`` re-reads its winner from disk.
+* **Nothing on disk**, and hits stay O(1): ``save``, ``touch`` and
+  ``delete`` never scan; the next refresh picks their changes up.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import sqlite3
-from contextlib import closing
-from pathlib import Path
+import threading
 
-from repro.errors import StoreCorruptionError, StoreSchemaError
-from repro.serving.spec import canonical_json
-from repro.serving.store import (
-    _KEY_HEX,
-    SurrogateStore,
-    _param_distance,
-    adaptive_tol,
-    inventory_row,
-    warm_reduction_signature,
-)
-
-#: Index file name inside the store root.  Starts with a dot and has
-#: no ``.json`` suffix, so ``SurrogateStore.keys()`` (globbing
-#: ``*.json`` with 64-hex stems) can never mistake it for an entry.
-INDEX_DB_NAME = ".index.sqlite"
-
-#: Bumped whenever the schema *or any cached derivation* changes —
-#: e.g. when :func:`~repro.serving.store.warm_reduction_signature`
-#: relaxes a new field, every cached ``warm_sig`` is silently wrong
-#: even though the sidecars (and their mtimes) never moved, so the
-#: mtime-diff refresh alone would keep answering from stale rows.  A
-#: version mismatch drops the table and rebuilds from the sidecars.
-_SCHEMA_VERSION = 2
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS entries (
-    key            TEXT PRIMARY KEY,
-    mtime_ns       INTEGER NOT NULL,
-    sidecar_bytes  INTEGER NOT NULL,
-    payload_bytes  INTEGER NOT NULL,
-    last_used      REAL NOT NULL,
-    preset         TEXT,
-    warm_sig       TEXT,
-    adaptive_tol   REAL,
-    params_json    TEXT,
-    has_refinement INTEGER NOT NULL DEFAULT 0,
-    row_json       TEXT NOT NULL,
-    damaged        TEXT
-);
-CREATE INDEX IF NOT EXISTS idx_entries_lru
-    ON entries (last_used DESC, key ASC);
-CREATE INDEX IF NOT EXISTS idx_entries_warm
-    ON entries (preset, has_refinement);
-"""
+from repro.serving.store import _KEY_HEX, SurrogateStore
 
 
 class StoreIndex:
-    """The sqlite cache of one store directory's sidecar metadata.
+    """``key -> EntrySummary`` of one store directory, in memory."""
 
-    Parameters
-    ----------
-    root : str or pathlib.Path
-        The store directory; the index lives at
-        ``<root>/.index.sqlite``.
-    """
-
-    def __init__(self, root):
-        self.root = Path(root)
-        self.path = self.root / INDEX_DB_NAME
-        # Deliberately no eager connect: construction cannot fail, so
-        # the owner's first (error-wrapped) operation is what meets a
-        # corrupt or uncreatable index file — and recovers from it.
-
-    def _connect(self) -> sqlite3.Connection:
-        """A fresh connection with the safety pragmas applied.
-
-        One connection per operation: cheap for an index this size,
-        trivially correct across the daemon's request threads, and
-        the schema is (re)created on every connect so a deleted index
-        file heals on the next touch instead of at the next restart.
-        """
-        con = sqlite3.connect(self.path, timeout=10.0)
-        con.execute("PRAGMA journal_mode=WAL")
-        con.execute("PRAGMA synchronous=NORMAL")
-        version = con.execute("PRAGMA user_version").fetchone()[0]
-        if version != _SCHEMA_VERSION:
-            # Stale schema (or a fresh file at version 0): cached
-            # derivations like warm_sig may no longer match what the
-            # current code would compute, so start over — the next
-            # refresh rebuilds every row from the sidecars.
-            con.execute("DROP TABLE IF EXISTS entries")
-            con.execute(f"PRAGMA user_version = {_SCHEMA_VERSION:d}")
-        con.executescript(_SCHEMA)
-        return con
-
-    def drop(self) -> None:
-        """Delete the index file (recovery path; a refresh rebuilds).
-
-        The WAL and shared-memory sidecar files go with it — sqlite
-        recreates all three.
-        """
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.unlink(f"{self.path}{suffix}")
-            except FileNotFoundError:
-                pass
-
-    # ------------------------------------------------------------------
-    def _scan_disk(self, store: SurrogateStore) -> dict:
-        """Complete entries on disk: key -> (mtime_ns, sidecar_bytes).
-
-        One directory scan, no JSON parsing — this is the cheap
-        "did anything change?" pass that keeps the index honest.
-        """
-        sidecars = {}
-        payloads = set()
-        try:
-            with os.scandir(self.root) as scan:
-                for entry in scan:
-                    name = entry.name
-                    if name.endswith(".npz") \
-                            and len(name) == _KEY_HEX + 4:
-                        payloads.add(name[:-4])
-                    elif name.endswith(".json") \
-                            and len(name) == _KEY_HEX + 5:
-                        try:
-                            stat = entry.stat()
-                        except OSError:
-                            continue
-                        sidecars[name[:-5]] = (stat.st_mtime_ns,
-                                               stat.st_size)
-        except FileNotFoundError:
-            return {}
-        return {key: meta for key, meta in sidecars.items()
-                if key in payloads}
-
-    def _index_row(self, store: SurrogateStore, key: str,
-                   mtime_ns: int, sidecar_bytes: int) -> tuple:
-        """Derive one index row by reading the sidecar from disk."""
-        try:
-            sidecar = store.sidecar(key)
-        except (StoreCorruptionError, StoreSchemaError) as exc:
-            row = {"key": key, "damaged": str(exc)}
-            return (key, mtime_ns, sidecar_bytes, 0, 0.0, None, None,
-                    None, None, 0, canonical_json(row), str(exc))
-        if sidecar is None:
-            return None
-        payload_path = self.root / f"{key}.npz"
-        try:
-            payload_bytes = payload_path.stat().st_size
-        except OSError:
-            payload_bytes = 0
-        row = inventory_row(key, sidecar, payload_bytes)
-        spec = sidecar.get("spec") or {}
-        refinement = sidecar.get("refinement")
-        has_refinement = int(bool(refinement)
-                             and bool(refinement.get("accepted")
-                                      or refinement.get("trace")))
-        reduction = spec.get("reduction") or {}
-        warm_sig = canonical_json(warm_reduction_signature(reduction))
-        return (key, mtime_ns, sidecar_bytes, payload_bytes,
-                row["last_used"], spec.get("preset"), warm_sig,
-                adaptive_tol(reduction),
-                canonical_json(spec.get("params") or {}),
-                has_refinement, canonical_json(row), None)
+    def __init__(self):
+        self._lock = threading.Lock()
+        #: key -> ((st_ino, st_mtime_ns, st_size), EntrySummary)
+        self._entries = {}
 
     def refresh(self, store: SurrogateStore) -> int:
-        """Sync the index with the directory; returns changed rows.
+        """Sync with the directory; returns how many entries changed.
 
-        New and modified sidecars (detected by mtime+size, no content
-        reads) are re-read and re-indexed; rows whose files vanished
-        are dropped.  An unchanged store costs one directory scan and
-        one indexed query — this is what makes calling ``refresh``
-        before every indexed read affordable.
+        An unchanged store costs one ``os.scandir`` pass with a
+        ``stat`` per sidecar and no JSON parsing.
         """
-        disk = self._scan_disk(store)
-        with closing(self._connect()) as con, con:
-            indexed = dict(con.execute(
-                "SELECT key, mtime_ns || ':' || sidecar_bytes "
-                "FROM entries").fetchall())
-            stale = [key for key in sorted(disk)
-                     if indexed.get(key)
-                     != f"{disk[key][0]}:{disk[key][1]}"]
-            gone = [key for key in sorted(indexed) if key not in disk]
+        with self._lock:
+            disk = _scan(store.root)
+            gone = [key for key in self._entries if key not in disk]
             for key in gone:
-                con.execute("DELETE FROM entries WHERE key = ?",
-                            (key,))
+                del self._entries[key]
             changed = len(gone)
-            for key in stale:
-                mtime_ns, sidecar_bytes = disk[key]
-                row = self._index_row(store, key, mtime_ns,
-                                      sidecar_bytes)
-                if row is None:
+            for key, stamp in disk.items():
+                if self._entries.get(key, (None,))[0] == stamp:
                     continue
-                con.execute(
-                    "INSERT OR REPLACE INTO entries VALUES "
-                    "(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", row)
-                changed += 1
-        return changed
+                # Read after the stat: a racing rewrite leaves a newer
+                # summary under an older stamp, re-read next time.
+                summary = store.summary(key)
+                if summary is None:
+                    self._entries.pop(key, None)
+                else:
+                    self._entries[key] = (stamp, summary)
+                    changed += 1
+            return changed
 
-    # ------------------------------------------------------------------
-    def inventory_rows(self) -> list:
-        """The cached listing, LRU-newest first (call refresh first)."""
-        with closing(self._connect()) as con:
-            rows = con.execute(
-                "SELECT row_json FROM entries "
-                "ORDER BY last_used DESC, key ASC").fetchall()
-        return [json.loads(row_json) for (row_json,) in rows]
+    def summaries(self) -> dict:
+        """The cached ``key -> EntrySummary`` (call refresh first)."""
+        with self._lock:
+            return {key: summary
+                    for key, (_, summary) in self._entries.items()}
 
-    def warm_candidates(self, preset: str, warm_sig: str) -> list:
-        """Undamaged refinement-bearing siblings:
-        (key, params_json, adaptive_tol)."""
-        with closing(self._connect()) as con:
-            return con.execute(
-                "SELECT key, params_json, adaptive_tol FROM entries "
-                "WHERE preset = ? AND warm_sig = ? "
-                "AND has_refinement = 1 AND damaged IS NULL "
-                "ORDER BY key ASC", (preset, warm_sig)).fetchall()
 
-    def count(self) -> int:
-        """Number of undamaged indexed entries."""
-        with closing(self._connect()) as con:
-            return con.execute(
-                "SELECT COUNT(*) FROM entries "
-                "WHERE damaged IS NULL").fetchone()[0]
-
-    def remove(self, key: str) -> None:
-        """Drop one row (after the files are gone from disk)."""
-        with closing(self._connect()) as con, con:
-            con.execute("DELETE FROM entries WHERE key = ?", (key,))
+def _scan(root) -> dict:
+    """Complete entries on disk: key -> sidecar stat stamp."""
+    sidecars, payloads = {}, set()
+    try:
+        with os.scandir(root) as scan:
+            for entry in scan:
+                name = entry.name
+                if len(name) == _KEY_HEX + 4 and name.endswith(".npz"):
+                    payloads.add(name[:-4])
+                elif len(name) == _KEY_HEX + 5 and name.endswith(".json"):
+                    try:
+                        stat = entry.stat()
+                    except OSError:
+                        continue
+                    sidecars[name[:-5]] = (stat.st_ino, stat.st_mtime_ns,
+                                           stat.st_size)
+    except FileNotFoundError:
+        return {}
+    return {key: stamp for key, stamp in sidecars.items()
+            if key in payloads}
 
 
 class IndexedSurrogateStore(SurrogateStore):
-    """A :class:`~repro.serving.store.SurrogateStore` with the index.
-
-    Byte-for-byte compatible with the plain store on disk — the index
-    file is pure cache, and every mutation (``save`` / ``touch`` /
-    ``delete``) updates both.  Read paths that scan sidecars in the
-    plain store (``inventory``, ``find_warm_start``) become indexed
-    lookups; entry reads (``get``/``load``) are untouched — they were
-    already O(1) by cache key.
-
-    Any sqlite-level failure degrades to the plain-store scan for
-    that call and schedules a rebuild, so the index can never take
-    the store down with it.
-    """
+    """A store whose listings and warm-start lookups read a
+    :class:`StoreIndex`: the same bytes on disk, the same rows."""
 
     def __init__(self, root):
         super().__init__(root)
-        self.index = StoreIndex(self.root)
-        try:
-            self.index.refresh(self)
-        except sqlite3.Error:
-            self._recover()
+        self.index = StoreIndex()
 
-    def _recover(self) -> None:
-        """Drop a damaged index file and rebuild it from the sidecars."""
-        try:
-            self.index.drop()
-            self.index.refresh(self)
-        except (sqlite3.Error, OSError):
-            pass  # stay degraded; reads fall back to the sidecar scan
-
-    def _reindex(self, key: str) -> None:
-        """Refresh after a single-entry mutation (save/touch)."""
-        try:
-            self.index.refresh(self)
-        except sqlite3.Error:
-            self._recover()
-
-    # -- mutations keep the index current --------------------------------
-    def save(self, record) -> str:
-        key = super().save(record)
-        self._reindex(key)
-        return key
-
-    def touch(self, key: str, when: float = None) -> None:
-        super().touch(key, when)
-        self._reindex(key)
-
-    def delete(self, key: str) -> None:
-        super().delete(key)
-        try:
-            self.index.remove(key)
-        except sqlite3.Error:
-            self._recover()
-
-    # -- indexed read paths ----------------------------------------------
-    def inventory(self) -> list:
-        """Indexed listing — identical rows to the sidecar scan.
-
-        Cost: one directory scan (to catch out-of-band changes) plus
-        one ordered query, instead of reading and checksum-validating
-        every sidecar.  Falls back to the scan if sqlite misbehaves.
-        """
-        try:
-            self.index.refresh(self)
-            return self.index.inventory_rows()
-        except sqlite3.Error:
-            self._recover()
-            return super().inventory()
-
-    def find_warm_start(self, spec):
-        """Indexed sibling lookup; the winning sidecar is re-read from
-        disk (disk wins) so a stale index can cost a retry, never a
-        wrong seed."""
-        target = spec.canonical()
-        if target["reduction"].get("adaptive") is None:
-            return None
-        try:
-            self.index.refresh(self)
-            warm_sig = canonical_json(
-                warm_reduction_signature(target["reduction"]))
-            candidates = self.index.warm_candidates(
-                target["preset"], warm_sig)
-        except sqlite3.Error:
-            self._recover()
-            return super().find_warm_start(spec)
-        own_key = spec.cache_key()
-        target_tol = adaptive_tol(target["reduction"])
-        ranked = []
-        for key, params_json, stored_tol in candidates:
-            if key == own_key:
-                continue
-            distance = _param_distance(target["params"],
-                                       json.loads(params_json))
-            if distance is None:
-                continue
-            # Same rank the plain-store scan uses: nearest first, an
-            # exact-tol sibling before a tol-relaxed one, then key.
-            tol_relaxed = int(stored_tol != target_tol)
-            ranked.append((distance, tol_relaxed, key))
-        for rank in sorted(ranked):
-            key = rank[-1]
-            try:
-                sidecar = self.sidecar(key)
-            except (StoreCorruptionError, StoreSchemaError):
-                continue
-            if sidecar is None:
-                continue
-            refinement = sidecar.get("refinement")
-            if not refinement or not (refinement.get("accepted")
-                                      or refinement.get("trace")):
-                continue
-            return key, sidecar
-        return None
-
-
-def open_indexed_store(path=None) -> SurrogateStore:
-    """Open the store at ``path`` with its index, degrading gracefully.
-
-    A store directory where the index cannot be created (read-only
-    mount, sqlite refusing the filesystem) still opens — as a plain
-    scanning store — so tooling never fails just because the cache
-    layer cannot exist.
-    """
-    from repro.serving.service import DEFAULT_STORE_PATH
-    root = Path(path or DEFAULT_STORE_PATH).expanduser()
-    try:
-        return IndexedSurrogateStore(root)
-    except (sqlite3.Error, OSError):
-        return SurrogateStore(root)
+    def summaries(self) -> dict:
+        self.index.refresh(self)
+        return self.index.summaries()

@@ -29,9 +29,7 @@ from repro.serving.spec import ProblemSpec
 from repro.serving.store import (
     SurrogateRecord,
     SurrogateStore,
-    _param_distance,
     adaptive_tol,
-    warm_reduction_signature,
 )
 
 #: Execution-only observability (process-global registry): cache
@@ -91,46 +89,6 @@ class BuildReport:
         return self.record.cache_key
 
 
-def _chain_candidate(spec: ProblemSpec, store: SurrogateStore,
-                     key: str):
-    """An explicitly designated warm-start predecessor, validated.
-
-    The campaign executor plans its own nearest-neighbor chain and
-    hands each build its predecessor's cache key.  That key is only
-    trusted after passing the exact sibling gates
-    ``find_warm_start`` applies — present, undamaged, refinement-
-    bearing, same preset, same relaxed reduction signature, numeric-
-    only parameter difference — so a stale or incompatible chain seed
-    degrades to the store-wide search, never a wrong seed.  Returns
-    ``(key, sidecar)`` or ``None``.
-    """
-    if key == spec.cache_key():
-        return None
-    try:
-        sidecar = store.sidecar(key)
-    except (StoreCorruptionError, StoreSchemaError):
-        return None
-    if sidecar is None:
-        return None
-    refinement = sidecar.get("refinement")
-    if not refinement or not (refinement.get("accepted")
-                              or refinement.get("trace")):
-        return None
-    target = spec.canonical()
-    if target["reduction"].get("adaptive") is None:
-        return None
-    stored = sidecar.get("spec") or {}
-    if stored.get("preset") != target["preset"]:
-        return None
-    if warm_reduction_signature(stored.get("reduction") or {}) \
-            != warm_reduction_signature(target["reduction"]):
-        return None
-    if _param_distance(target["params"],
-                       stored.get("params") or {}) is None:
-        return None
-    return key, sidecar
-
-
 def _warm_start_for(spec: ProblemSpec, store: SurrogateStore,
                     source_key: str = None):
     """Seed an adaptive build of ``spec`` from its nearest stored
@@ -139,7 +97,7 @@ def _warm_start_for(spec: ProblemSpec, store: SurrogateStore,
     raises: a malformed stored sidecar simply means a cold build."""
     found = None
     if source_key is not None:
-        found = _chain_candidate(spec, store, source_key)
+        found = store.warm_sibling(spec, source_key)
     if found is None:
         found = store.find_warm_start(spec)
     if found is None:
@@ -338,27 +296,23 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
                 spec, progress=progress, store=store,
                 warm_start=warm_start and not rebuild,
                 warm_source=warm_source)
-            solve_names = ("nominal_solve", "collocation", "wave")
             totals = tracer.totals(root=build_span.span_id)
+            stages = {
+                "solve_s": sum(totals.get(name, 0.0) for name in
+                               ("nominal_solve", "collocation", "wave")),
+                "fit_s": totals.get("fit", 0.0),
+            }
             # Persisted (execution-only) breakdown: the sidecar's copy
             # cannot include the write that stores it, so store.save
             # appends its own measured store_write_s.
             record.timings = {
                 "total_s": time.perf_counter() - build_span.start,
-                "solve_s": sum(totals.get(name, 0.0)
-                               for name in solve_names),
-                "fit_s": totals.get("fit", 0.0),
+                **stages,
             }
-            with tracer.span("store_write"):
+            with tracer.span("store_write") as write_span:
                 store.save(record)
-        totals = tracer.totals(root=build_span.span_id)
-        timings = {
-            "total_s": build_span.duration,
-            "solve_s": sum(totals.get(name, 0.0)
-                           for name in solve_names),
-            "fit_s": totals.get("fit", 0.0),
-            "store_write_s": totals.get("store_write", 0.0),
-        }
+        timings = {"total_s": build_span.duration, **stages,
+                   "store_write_s": write_span.duration}
     # One solve per collocation point, plus the nominal solve when the
     # wPFA needed its weights.
     nominal = 1 if spec.resolved_reduction()["method"] == "wpfa" else 0

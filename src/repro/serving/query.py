@@ -16,6 +16,24 @@ import numpy as np
 from repro.errors import ServingError
 from repro.stochastic.pce import DEFAULT_CHUNK_SIZE, PolynomialChaos
 
+#: Monte-Carlo sample count of a distributional query that names none.
+DEFAULT_NUM_SAMPLES = 1000000
+
+#: Most samples one query may draw: 10x the default.  ``num_samples``
+#: arrives from the wire, and a quantile query holds every sample in
+#: memory while a yield streams them, so an unbounded count is
+#: unbounded daemon memory or a handler thread busy for hours.
+MAX_NUM_SAMPLES = 10 * DEFAULT_NUM_SAMPLES
+
+
+def _sample_count(value) -> int:
+    """``value`` as a sample count, rejected above the cap."""
+    if not value <= MAX_NUM_SAMPLES:  # also rejects NaN
+        raise ServingError(
+            f"num_samples={value!r} exceeds the limit of "
+            f"{MAX_NUM_SAMPLES} samples per query")
+    return int(value)
+
 
 class QueryEngine:
     """Answer statistical queries on one surrogate.
@@ -28,14 +46,16 @@ class QueryEngine:
         :class:`~repro.serving.store.SurrogateRecord` (whose PCE is
         used).
     num_samples:
-        Default Monte-Carlo sample count for distributional queries.
+        Default Monte-Carlo sample count for distributional queries
+        (at most :data:`MAX_NUM_SAMPLES`, like every per-query
+        override).
     seed:
         Default sampling seed (fixed so repeated queries agree).
     chunk_size:
         Rows evaluated per chunk (memory bound).
     """
 
-    def __init__(self, surrogate, num_samples: int = 1000000,
+    def __init__(self, surrogate, num_samples: int = DEFAULT_NUM_SAMPLES,
                  seed: int = 0, chunk_size: int = DEFAULT_CHUNK_SIZE):
         pce = getattr(surrogate, "pce", surrogate)
         if not isinstance(pce, PolynomialChaos):
@@ -49,7 +69,7 @@ class QueryEngine:
             raise ServingError(
                 f"chunk_size must be >= 1, got {chunk_size}")
         self.pce = pce
-        self.num_samples = int(num_samples)
+        self.num_samples = _sample_count(num_samples)
         self.seed = int(seed)
         self.chunk_size = int(chunk_size)
         # One-slot sample cache: a multi-query request re-uses the
@@ -74,6 +94,12 @@ class QueryEngine:
         return self.pce.variance
 
     # ------------------------------------------------------------------
+    def _draw(self, num_samples, seed) -> tuple:
+        """``(num_samples, seed)`` of one draw, defaults filled in."""
+        return (self.num_samples if num_samples is None
+                else _sample_count(num_samples),
+                self.seed if seed is None else int(seed))
+
     def sample(self, num_samples: int = None,
                seed: int = None) -> np.ndarray:
         """Raw ``(m, output_dim)`` surrogate samples (chunked eval).
@@ -83,8 +109,7 @@ class QueryEngine:
         a yield, ...) evaluate the surrogate once.  Treat the returned
         array as read-only.
         """
-        m = self.num_samples if num_samples is None else int(num_samples)
-        s = self.seed if seed is None else int(seed)
+        m, s = self._draw(num_samples, seed)
         if self._cached_for != (m, s):
             rng = np.random.default_rng(s)
             self._cached_samples = self.pce.sample_values(
@@ -148,8 +173,7 @@ class QueryEngine:
                seed: int = None) -> np.ndarray:
         limit = np.broadcast_to(
             np.asarray(limit, dtype=float), (self.pce.output_dim,))
-        m = self.num_samples if num_samples is None else int(num_samples)
-        s = self.seed if seed is None else int(seed)
+        m, s = self._draw(num_samples, seed)
         if m < 1:
             raise ServingError(f"num_samples must be >= 1, got {m}")
         if self._cached_for == (m, s):
@@ -259,11 +283,10 @@ class QueryEngine:
             values = {"low": corner["low"].tolist(),
                       "high": corner["high"].tolist()}
         elif kind == "sample_statistics":
-            m = self.num_samples if num_samples is None else int(num_samples)
-            rng = np.random.default_rng(
-                self.seed if seed is None else seed)
+            m, s = self._draw(num_samples, seed)
             mean, std = self.pce.sample_statistics(
-                rng, num_samples=m, chunk_size=self.chunk_size)
+                np.random.default_rng(s), num_samples=m,
+                chunk_size=self.chunk_size)
             values = {"mean": mean.tolist(), "std": std.tolist()}
         else:
             raise ServingError(f"unknown query kind {kind!r}")

@@ -338,12 +338,52 @@ class SurrogateStore:
             sidecar_path,
             (canonical_json(sidecar) + "\n").encode("utf-8"))
 
+    def summary(self, key: str):
+        """The :class:`EntrySummary` of one entry, read from disk.
+
+        ``None`` on a clean miss.  Damage is summarized, never raised:
+        the summary's row is ``{"key", "damaged"}``.
+        """
+        payload_path, _ = self._paths(key)
+        try:
+            sidecar = self._read_sidecar(key)
+        except (StoreCorruptionError, StoreSchemaError) as exc:
+            return EntrySummary({"key": key, "damaged": str(exc)})
+        if sidecar is None:
+            return None
+        try:
+            size_bytes = payload_path.stat().st_size
+        except OSError:
+            size_bytes = 0
+        row = inventory_row(key, sidecar, size_bytes)
+        if not _refined(sidecar):
+            return EntrySummary(row)
+        spec = sidecar["spec"]
+        return EntrySummary(row, family=warm_family(spec),
+                            params=spec.get("params") or {},
+                            tol=adaptive_tol(spec.get("reduction") or {}))
+
+    def summaries(self) -> dict:
+        """``key -> EntrySummary`` of every complete entry.
+
+        The only source :meth:`inventory` and :meth:`find_warm_start`
+        read.  The plain store re-reads every sidecar on each call; the
+        daemon's :class:`~repro.daemon.index.IndexedSurrogateStore`
+        answers from an in-process cache instead.
+        """
+        summaries = {}
+        for key in self.keys():
+            summary = self.summary(key)
+            if summary is not None:
+                summaries[key] = summary
+        return summaries
+
     def inventory(self) -> list:
         """Metadata listing of every complete entry, newest use first.
 
-        Built on :meth:`sidecar` — array payloads are never loaded, so
-        listing a store of thousands of surrogates costs thousands of
-        small JSON reads, not gigabytes of npz.  Each entry carries
+        Built on :meth:`summaries` — array payloads are never loaded,
+        so listing a store of thousands of surrogates costs thousands
+        of small JSON reads, not gigabytes of npz.  Each entry carries
         ``key``, ``preset``, ``reduction`` (``"adaptive"`` or
         ``"level-N"``), ``basis`` (the stored basis identity; order-2
         total-degree is assumed for entries written before basis
@@ -353,21 +393,8 @@ class SurrogateStore:
         raising — an inventory must list the store it has, not the
         store it wishes it had.
         """
-        entries = []
-        for key in self.keys():
-            payload_path, _ = self._paths(key)
-            try:
-                sidecar = self._read_sidecar(key)
-            except (StoreCorruptionError, StoreSchemaError) as exc:
-                entries.append({"key": key, "damaged": str(exc)})
-                continue
-            if sidecar is None:
-                continue
-            try:
-                size_bytes = payload_path.stat().st_size
-            except OSError:
-                size_bytes = 0
-            entries.append(inventory_row(key, sidecar, size_bytes))
+        entries = [dict(summary.row)
+                   for summary in self.summaries().values()]
         entries.sort(key=lambda entry: (-entry.get("last_used", 0.0),
                                         entry["key"]))
         return entries
@@ -419,18 +446,45 @@ class SurrogateStore:
         return record
 
     # ------------------------------------------------------------------
+    def warm_sibling(self, spec: ProblemSpec, key: str):
+        """``(key, sidecar)`` when entry ``key`` may seed a build of
+        ``spec``, else ``None`` — the one warm-start gate.
+
+        The entry is read from disk (disk wins over any cached
+        summary) and must be present, undamaged, refinement-bearing,
+        not ``spec`` itself, and in ``spec``'s :func:`warm_family`.
+        ``spec`` must carry an adaptive block.  The campaign executor's
+        designated chain predecessors pass through this same gate, so
+        a stale or incompatible chain seed falls back to
+        :meth:`find_warm_start`, never to a wrong seed.
+        """
+        target = spec.canonical()
+        if key == spec.cache_key() \
+                or target["reduction"].get("adaptive") is None:
+            return None
+        try:
+            sidecar = self._read_sidecar(key)
+        except (StoreCorruptionError, StoreSchemaError):
+            return None
+        if sidecar is None or not _refined(sidecar) \
+                or warm_family(sidecar["spec"]) != warm_family(target):
+            return None
+        return key, sidecar
+
     def find_warm_start(self, spec: ProblemSpec):
         """Nearest stored adaptive sibling of ``spec`` for warm starts.
 
-        A *sibling* is a stored entry with the same preset and the
-        same canonical reduction block up to the relaxations of
-        :func:`warm_reduction_signature` (same method/energy/caps and
-        the same adaptive budget caps) whose parameters differ only
-        numerically.  Among siblings, nearest means the smallest
-        relative Euclidean distance over the numeric parameters; at
-        equal distance an exact-``tol`` sibling outranks a
-        tol-relaxed one, and remaining ties break on the cache key
-        for determinism.
+        A *sibling* is a stored entry in the same :func:`warm_family`:
+        the same preset, the same canonical reduction block up to the
+        relaxations of :func:`warm_reduction_signature` (same
+        method/energy/caps and the same adaptive budget caps), and
+        parameters that differ only numerically.  Among siblings,
+        nearest means the smallest relative Euclidean distance over
+        the numeric parameters; at equal distance an exact-``tol``
+        sibling outranks a tol-relaxed one, and remaining ties break
+        on the cache key for determinism.  Candidates are ranked from
+        :meth:`summaries`; the winner is re-read through
+        :meth:`warm_sibling`.
 
         The match is relaxed across chaos-``basis`` variants
         (refinement is basis-independent — the basis only changes the
@@ -459,51 +513,40 @@ class SurrogateStore:
         target = spec.canonical()
         if target["reduction"].get("adaptive") is None:
             return None
-        target_signature = warm_reduction_signature(target["reduction"])
+        family = warm_family(target)
         target_tol = adaptive_tol(target["reduction"])
-        own_key = spec.cache_key()
-        best = None
-        for key in self.keys():
-            if key == own_key:
-                continue
-            try:
-                sidecar = self._read_sidecar(key)
-            except (StoreCorruptionError, StoreSchemaError):
-                continue
-            if sidecar is None:
-                continue
-            refinement = sidecar.get("refinement")
-            if not refinement or not (refinement.get("accepted")
-                                      or refinement.get("trace")):
-                continue
-            stored = sidecar["spec"]
-            if stored.get("preset") != target["preset"]:
-                continue
-            stored_reduction = stored.get("reduction") or {}
-            if warm_reduction_signature(stored_reduction) \
-                    != target_signature:
-                continue
-            distance = _param_distance(target["params"],
-                                       stored.get("params") or {})
-            if distance is None:
-                continue
-            tol_relaxed = int(adaptive_tol(stored_reduction)
-                              != target_tol)
-            rank = (distance, tol_relaxed, key)
-            if best is None or rank < best[0]:
-                best = (rank, key, sidecar)
-        if best is None:
-            return None
-        return best[1], best[2]
+        ranked = sorted(
+            (param_distance(target["params"], summary.params),
+             int(summary.tol != target_tol), key)
+            for key, summary in self.summaries().items()
+            if summary.family == family)
+        for *_, key in ranked:
+            found = self.warm_sibling(spec, key)
+            if found is not None:
+                return found
+        return None
+
+
+@dataclass(frozen=True)
+class EntrySummary:
+    """What listings and warm-start lookups need from one sidecar.
+
+    ``row`` is the entry's :func:`inventory_row` (or its
+    ``{"key", "damaged"}`` row).  Refinement-bearing entries also
+    carry their :func:`warm_family`, canonical ``params`` and adaptive
+    ``tol``; every other entry leaves them ``None`` and can never seed
+    a warm start.  Compact on purpose: the daemon keeps one per store
+    entry in memory, never the sidecar itself.
+    """
+
+    row: dict
+    family: str = None
+    params: dict = None
+    tol: float = None
 
 
 def inventory_row(key: str, sidecar: dict, size_bytes: int) -> dict:
-    """One ``inventory()`` listing row from a validated sidecar.
-
-    Shared with the daemon's sqlite index, which caches these rows so
-    an indexed listing is *identical* (not just equivalent) to a full
-    sidecar scan — asserted in tests and in ``bench_daemon``.
-    """
+    """One ``inventory()`` listing row from a validated sidecar."""
     spec = sidecar.get("spec") or {}
     reduction = spec.get("reduction") or {}
     adaptive = reduction.get("adaptive")
@@ -522,13 +565,36 @@ def inventory_row(key: str, sidecar: dict, size_bytes: int) -> dict:
     }
 
 
+def warm_family(spec: dict) -> str:
+    """The warm-start family of a canonical spec, as a token.
+
+    Two specs may warm-start each other exactly when their families
+    are equal.  The token pins the preset, the relaxed reduction block
+    (:func:`warm_reduction_signature`), the parameter names and every
+    non-numeric parameter value (booleans count as non-numeric): those
+    change the problem, not just its numbers.  This is the one sibling
+    predicate — :meth:`SurrogateStore.warm_sibling`,
+    :meth:`SurrogateStore.find_warm_start` and the campaign planner's
+    segments all compare these tokens.
+    """
+    params = spec.get("params") or {}
+    return canonical_json({
+        "preset": spec.get("preset"),
+        "names": sorted(params),
+        "fixed": {name: value for name, value in params.items()
+                  if not _numeric(value)},
+        "reduction": warm_reduction_signature(spec.get("reduction")
+                                              or {}),
+    })
+
+
 def warm_reduction_signature(reduction: dict) -> dict:
     """A canonical reduction block with ``basis`` and ``tol`` relaxed.
 
     Warm starts transfer the *refinement* state (accepted indices +
-    indicators), and this signature — what ``find_warm_start`` (and
-    the daemon's sqlite index) match on — drops exactly the adaptive
-    settings that state transfers across:
+    indicators), and this signature — the reduction part of
+    :func:`warm_family` — drops exactly the adaptive settings that
+    state transfers across:
 
     * ``basis`` — refinement is basis-independent: the ``basis`` mode
       only changes the final projection, never the grids, solves or
@@ -556,35 +622,31 @@ def warm_reduction_signature(reduction: dict) -> dict:
 
 def adaptive_tol(reduction: dict):
     """The adaptive stopping tolerance of a canonical reduction block,
-    as a float, or ``None`` for fixed-grid blocks.  Shared by the
-    warm-start rankers (store scan and sqlite index) so "same tol"
-    means the same thing everywhere."""
+    as a float, or ``None`` for fixed-grid blocks."""
     adaptive = reduction.get("adaptive")
     if not isinstance(adaptive, dict) or adaptive.get("tol") is None:
         return None
     return float(adaptive["tol"])
 
 
-def _param_distance(target: dict, stored: dict):
-    """Relative Euclidean distance between two resolved param dicts.
-
-    ``None`` marks incompatibility: different key sets, or any
-    non-numeric parameter (variant, surface model, ...) that differs —
-    those change the problem family, not just its numbers.  Booleans
-    count as non-numeric.
-    """
-    if set(target) != set(stored):
-        return None
+def param_distance(target: dict, stored: dict) -> float:
+    """Relative Euclidean distance over the numeric parameters of two
+    resolved param dicts of one :func:`warm_family`."""
     total = 0.0
     for name, x in target.items():
-        y = stored[name]
-        x_numeric = isinstance(x, (int, float)) \
-            and not isinstance(x, bool)
-        y_numeric = isinstance(y, (int, float)) \
-            and not isinstance(y, bool)
-        if x_numeric and y_numeric:
+        if _numeric(x):
+            y = stored[name]
             scale = max(abs(float(x)), abs(float(y)), 1.0)
             total += ((float(x) - float(y)) / scale) ** 2
-        elif x != y:
-            return None
     return math.sqrt(total)
+
+
+def _numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _refined(sidecar: dict) -> bool:
+    """Does the entry carry refinement state a warm start can reuse?"""
+    refinement = sidecar.get("refinement")
+    return bool(refinement) and bool(refinement.get("accepted")
+                                     or refinement.get("trace"))

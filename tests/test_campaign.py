@@ -9,11 +9,13 @@ and its built members return as hits).  One small real sweep runs end
 to end through the public CLI.
 """
 
+import hashlib
 import json
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.campaign import (
@@ -30,9 +32,13 @@ from repro.campaign import (
     write_catalog,
 )
 from repro.campaign.catalog import CATALOG_SCHEMA_VERSION
+from repro.daemon import IndexedSurrogateStore
 from repro.errors import CampaignError, ServingError
+from repro.serving import SurrogateRecord
 from repro.serving.spec import ProblemSpec, canonical_json
 from repro.serving.store import SurrogateStore
+from repro.stochastic.hermite import HermiteBasis
+from repro.stochastic.pce import QuadraticPCE
 
 ADAPTIVE = {"tol": 1e-4, "max_level": 2}
 
@@ -182,6 +188,86 @@ class TestCampaignPlan:
         specs = CampaignGrid.from_dict(_grid_dict()).expand()
         plan = plan_campaign(specs + specs)
         assert len(plan.members) == len(specs)
+
+
+class _LegacySpec:
+    """A spec canonicalized under an older table2 preset that had one
+    more parameter (only ``canonical`` and ``cache_key`` are used)."""
+
+    def __init__(self, spec):
+        self.doc = spec.canonical()
+        self.doc["params"]["legacy_knob"] = 1
+
+    def canonical(self):
+        return json.loads(canonical_json(self.doc))
+
+    def cache_key(self):
+        return hashlib.sha256(
+            canonical_json(self.doc).encode("utf-8")).hexdigest()
+
+
+def _sibling_spec(preset="table2", caps=None, adaptive=None, **params):
+    reduction = ({} if adaptive is False
+                 else {"adaptive": adaptive or {"tol": 1e-3}})
+    if caps is not None:
+        reduction["caps"] = caps
+    if preset == "table2":
+        params = {"margin_um": 2.6, **params}
+    return ProblemSpec(preset=preset, params=params, reduction=reduction)
+
+
+_STORED = _sibling_spec(margin_um=2.5)
+
+#: ``(stored spec, target spec, may the stored entry seed the target)``
+_SIBLING_MATRIX = {
+    "numeric-only": (_STORED, _sibling_spec(), True),
+    "bool-flip": (_STORED, _sibling_spec(multi_port=True), False),
+    "string": (_STORED, _sibling_spec(surface_model="naive"), False),
+    "extra-param": (_LegacySpec(_STORED), _sibling_spec(), False),
+    "missing-param": (_STORED, _LegacySpec(_sibling_spec()), False),
+    "other-preset": (_STORED, _sibling_spec(preset="table1"), False),
+    "other-caps": (_STORED, _sibling_spec(caps={"doping": 1}), False),
+    "other-budget": (_STORED, _sibling_spec(
+        adaptive={"tol": 1e-3, "max_level": 3}), False),
+    "other-tol": (_STORED, _sibling_spec(adaptive={"tol": 1e-2}), True),
+    "other-basis": (_STORED, _sibling_spec(
+        adaptive={"tol": 1e-3, "basis": "adaptive"}), True),
+    "fixed-grid-target": (_STORED, _sibling_spec(adaptive=False), False),
+}
+
+
+class TestOneWarmPredicate:
+    """The store scan, the in-process index, the chain-seed gate and
+    the planner's segments answer every sibling question alike."""
+
+    REFINEMENT = {
+        "accepted": [[0], [1]],
+        "accepted_indicators": [[[0], 1.0], [[1], 0.5]],
+        "trace": [],
+        "error_estimate": 1e-5,
+        "termination": "tol",
+    }
+
+    @pytest.mark.parametrize("case", sorted(_SIBLING_MATRIX))
+    def test_every_path_agrees(self, case, tmp_path):
+        stored, target, expected = _SIBLING_MATRIX[case]
+        basis = HermiteBasis(1, order=2)
+        store = SurrogateStore(tmp_path)
+        key = store.save(SurrogateRecord(
+            pce=QuadraticPCE(basis, np.zeros((basis.size, 1))),
+            spec=stored, refinement=self.REFINEMENT))
+        scanned = store.find_warm_start(target)
+        indexed = IndexedSurrogateStore(tmp_path).find_warm_start(target)
+        chained = store.warm_sibling(target, key)
+        plan = plan_campaign([stored, target])
+        verdicts = {
+            "scan": scanned is not None and scanned[0] == key,
+            "index": indexed is not None and indexed[0] == key,
+            "chain": chained is not None and chained[0] == key,
+            "plan": any(member.warm_source is not None
+                        for member in plan.members),
+        }
+        assert verdicts == dict.fromkeys(verdicts, expected)
 
 
 class TestCatalog:

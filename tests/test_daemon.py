@@ -7,7 +7,7 @@ break:
   campaign, both in-process (the daemon's keyed-future table) and
   cross-process (the advisory build lock under ``ensure_surrogate``);
 * **the index is a cache** — indexed listings are identical to the
-  sidecar scan, survive deletion of the sqlite file, and track
+  sidecar scan, a hit never scans the store, and listings track
   out-of-band sidecar edits/deletions (disk wins, always);
 * **GC is live-safe** — strictly LRU, the MRU entry is immortal,
   entries being built or hit since planning are skipped, and the
@@ -20,27 +20,26 @@ break:
 
 import json
 import multiprocessing
+import os
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.daemon import (
-    INDEX_DB_NAME,
     IndexedSurrogateStore,
     ReproDaemon,
     SingleFlight,
-    open_indexed_store,
+    StoreIndex,
     plan_gc,
     release_lock,
     run_gc,
     try_build_lock,
 )
-from repro.daemon.index import StoreIndex
 from repro.errors import ServingError
 from repro.experiments import table1_spec
 from repro.serving import (
@@ -212,7 +211,7 @@ class TestCrossProcessBuildLock:
 
 
 # ----------------------------------------------------------------------
-# The sqlite index
+# The in-process sidecar index
 
 
 class TestStoreIndex:
@@ -228,27 +227,28 @@ class TestStoreIndex:
         scan = SurrogateStore(store.root).inventory()
         assert store.inventory() == scan
         assert len(scan) == 4
+        # The second listing answers from the cache: still identical.
+        assert store.inventory() == scan
 
-    def test_deleting_the_index_file_self_heals(self, tmp_path):
+    def test_index_writes_nothing_to_disk(self, tmp_path):
         store = self._populated(tmp_path)
-        before = store.inventory()
-        (store.root / INDEX_DB_NAME).unlink()
-        # Same handle: the next read recreates schema and rows.
-        assert store.inventory() == before
-        # Fresh handle (daemon restart): same story.
-        reopened = IndexedSurrogateStore(store.root)
-        assert reopened.inventory() == before
-        assert (store.root / INDEX_DB_NAME).exists()
+        before = sorted(path.name for path in store.root.iterdir())
+        store.inventory()
+        assert sorted(path.name for path in store.root.iterdir()) \
+            == before
 
-    def test_corrupted_index_file_self_heals(self, tmp_path):
+    def test_leftover_sqlite_files_are_inert(self, tmp_path):
+        # Older versions kept a sqlite index in the store directory.
+        # A leftover one, even a corrupt one, is simply ignored.
         store = self._populated(tmp_path)
         before = store.inventory()
         for suffix in ("", "-wal", "-shm"):
-            path = Path(f"{store.root / INDEX_DB_NAME}{suffix}")
-            if path.exists():
-                path.write_bytes(b"not a database")
+            (store.root / f".index.sqlite{suffix}").write_bytes(
+                b"not a database")
         reopened = IndexedSurrogateStore(store.root)
         assert reopened.inventory() == before
+        key = reopened.save(fabricated_record(margin_um=9.0))
+        assert key in [row["key"] for row in reopened.inventory()]
 
     def test_manual_sidecar_deletion_is_tracked(self, tmp_path):
         store = self._populated(tmp_path)
@@ -271,6 +271,22 @@ class TestStoreIndex:
                    for row in SurrogateStore(store.root).inventory()}
         assert ("damaged" in scanned[victim]) and len(scanned) == 4
 
+    def test_touch_with_a_repeated_mtime_is_seen(self, tmp_path):
+        # A hit takes ~2 ms and coarse-clock mtimes tick every few ms,
+        # so a same-size touch can leave mtime and size unchanged.  The
+        # rename gives the sidecar a new inode, which the cache sees.
+        store = self._populated(tmp_path)
+        key = store.inventory()[-1]["key"]
+        sidecar_path = store.root / f"{key}.json"
+        stat = sidecar_path.stat()
+        store.touch(key, when=1.0e9 + 7)  # same width as 1.0e9 + 0
+        os.utime(sidecar_path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert sidecar_path.stat().st_size == stat.st_size
+        assert sidecar_path.stat().st_mtime_ns == stat.st_mtime_ns
+        rows = {row["key"]: row for row in store.inventory()}
+        assert rows[key]["last_used"] == 1.0e9 + 7
+        assert store.inventory() == SurrogateStore(store.root).inventory()
+
     def test_indexed_warm_start_matches_scan(self, tmp_path):
         store = IndexedSurrogateStore(tmp_path / "store")
         for margin in (1.0, 2.5):
@@ -288,20 +304,76 @@ class TestStoreIndex:
 
     def test_refresh_is_incremental(self, tmp_path):
         store = self._populated(tmp_path)
-        index = StoreIndex(store.root)
+        index = StoreIndex()
+        assert index.refresh(store) == 4  # first sync reads everything
         assert index.refresh(store) == 0  # nothing changed
         store.save(fabricated_record(margin_um=9.0))
-        assert StoreIndex(store.root).count() == 5
+        assert index.refresh(store) == 1
+        assert len(index.summaries()) == 5
 
-    def test_open_indexed_store_degrades_gracefully(self, tmp_path):
-        # Sqlite cannot open a directory as its database file; the
-        # store must still open and serve every read from the scan.
-        root = tmp_path / "store"
-        root.mkdir()
-        (root / INDEX_DB_NAME).mkdir()
-        store = open_indexed_store(root)
-        key = store.save(fabricated_record(margin_um=1.0))
-        assert [row["key"] for row in store.inventory()] == [key]
+    def test_concurrent_listings_and_writes_converge(self, tmp_path):
+        # Daemon handler threads share one index: listings racing
+        # writes must neither raise nor leave the cache behind disk.
+        store = self._populated(tmp_path)
+        errors = []
+
+        def lister():
+            try:
+                for _ in range(20):
+                    store.inventory()
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        def writer():
+            for i in range(20):
+                key = store.save(fabricated_record(margin_um=10.0 + i))
+                store.touch(key, when=2.0e9 + i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=lister) for _ in range(4)]
+            threads.append(threading.Thread(target=writer))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert store.inventory() == SurrogateStore(store.root).inventory()
+        assert len(store.inventory()) == 24
+
+    def test_hits_never_refresh_and_a_listing_refreshes_once(
+            self, tmp_path, monkeypatch):
+        store = self._populated(tmp_path)
+        spec = fabricated_record(margin_um=1.0).spec
+        refreshes = []
+        original = StoreIndex.refresh
+
+        def counting_refresh(index, store):
+            refreshes.append(1)
+            return original(index, store)
+
+        monkeypatch.setattr(StoreIndex, "refresh", counting_refresh)
+        daemon = ReproDaemon(store_path=store.root, port=0,
+                             build_missing=False)
+        daemon.start()
+        try:
+            host, port = daemon.address
+            url = f"http://{host}:{port}"
+            for _ in range(5):
+                _, payload = _post(url + "/query",
+                                   {"spec": spec.to_dict(),
+                                    "queries": [{"kind": "mean"}]})
+                assert "answers" in payload["responses"][0]
+            assert refreshes == []
+            _, listing = _get(url + "/store")
+            assert len(listing["entries"]) == 4
+            assert refreshes == [1]
+        finally:
+            daemon.shutdown()
 
 
 # ----------------------------------------------------------------------
@@ -503,6 +575,32 @@ class TestDaemonHTTP:
         finally:
             instance.shutdown()
         assert SurrogateStore(tmp_path / "store").keys() == []
+
+    def test_oversized_sample_count_is_a_request_error(
+            self, tmp_path, monkeypatch):
+        from repro.stochastic.pce import PolynomialChaos
+
+        store = SurrogateStore(tmp_path / "store")
+        record = fabricated_record(margin_um=1.0)
+        store.save(record)
+        draws = []
+        monkeypatch.setattr(PolynomialChaos, "sample_values",
+                            lambda *args, **kwargs: draws.append(args))
+        instance = ReproDaemon(store_path=store.root, port=0,
+                               build_missing=False)
+        instance.start()
+        host, port = instance.address
+        try:
+            status, payload = _post(
+                f"http://{host}:{port}/query",
+                {"spec": record.spec.to_dict(),
+                 "queries": [{"kind": "quantiles", "q": [0.5],
+                              "num_samples": 1e12}]})
+        finally:
+            instance.shutdown()
+        assert status == 200
+        assert "exceeds the limit" in payload["responses"][0]["error"]
+        assert draws == []
 
     def test_store_listing_reflects_builds(self, daemon):
         instance, url = daemon

@@ -251,34 +251,3 @@ class TestMultiPortProblem:
         np.testing.assert_allclose(matrix[:, 0], column, rtol=1e-10)
         assert multi.qoi_names[0] == f"C_{TABLE2_CONTACTS[0]}" \
                                      f"_{TABLE2_CONTACTS[0]}"
-
-
-class TestSeedDerivation:
-    def test_no_cross_seed_collision(self):
-        """Regression: ``seed + k`` made seed=0/worker 1 replay
-        seed=1/worker 0; spawned sequences must not."""
-        from repro.analysis.parallel import worker_seed_sequences
-
-        stream_a = np.random.default_rng(
-            worker_seed_sequences(0, 2)[1]).random(64)
-        stream_b = np.random.default_rng(
-            worker_seed_sequences(1, 2)[0]).random(64)
-        assert not np.array_equal(stream_a, stream_b)
-
-    def test_reproducible_for_fixed_worker_count(self):
-        from repro.analysis.parallel import worker_seed_sequences
-
-        first = np.random.default_rng(
-            worker_seed_sequences(3, 4)[2]).random(16)
-        again = np.random.default_rng(
-            worker_seed_sequences(3, 4)[2]).random(16)
-        np.testing.assert_array_equal(first, again)
-
-    def test_workers_get_distinct_streams(self):
-        from repro.analysis.parallel import worker_seed_sequences
-
-        seqs = worker_seed_sequences(0, 4)
-        streams = [np.random.default_rng(s).random(32) for s in seqs]
-        for i in range(len(streams)):
-            for j in range(i + 1, len(streams)):
-                assert not np.array_equal(streams[i], streams[j])

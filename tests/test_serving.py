@@ -310,6 +310,13 @@ class TestEnsureSurrogate:
         assert forced.built
         assert solve_counter["count"] > 0
 
+    def test_report_and_sidecar_timings_agree(self, store):
+        report = ensure_surrogate(tiny_spec(), store)
+        stored = store.sidecar(report.cache_key)["execution"]["timings"]
+        for name in ("solve_s", "fit_s"):
+            assert report.timings[name] == stored[name]
+        assert report.timings["solve_s"] > 0.0
+
     def test_damaged_entry_self_heals(self, store, solve_counter):
         key = ensure_surrogate(tiny_spec(), store).cache_key
         payload = store.root / f"{key}.npz"
@@ -463,6 +470,58 @@ class TestQueryEngine:
         with pytest.raises(StochasticError, match="chunk_size"):
             engine.pce.sample_statistics(np.random.default_rng(0), 10,
                                          chunk_size=-1)
+
+
+class TestSampleBudget:
+    """``num_samples`` arrives from the wire; past the cap it must be a
+    per-request error before any sample is drawn, never an allocation
+    that kills the daemon or a draw that holds a thread for hours."""
+
+    KINDS = ({"kind": "quantiles", "q": [0.5]},
+             {"kind": "yield_above", "limit": 0.0},
+             {"kind": "yield_below", "limit": 0.0},
+             {"kind": "sample_statistics"})
+
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        from repro.stochastic.pce import PolynomialChaos
+        calls = []
+        for name in ("sample_values", "sample_chunks"):
+            original = getattr(PolynomialChaos, name)
+
+            def counting(self, *args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(PolynomialChaos, name, counting)
+        return calls
+
+    def test_oversized_counts_are_request_errors(self, store, draws):
+        from repro.serving.query import MAX_NUM_SAMPLES
+
+        basis = HermiteBasis(2)
+        spec = ProblemSpec(preset="table2", params={"margin_um": 2.5})
+        store.save(SurrogateRecord(
+            pce=QuadraticPCE(basis, np.ones((basis.size, 1))), spec=spec))
+        for num_samples in (1e12, MAX_NUM_SAMPLES + 1):
+            for query in self.KINDS:
+                result = serve_batch(
+                    {"spec": spec.to_dict(),
+                     "queries": [{**query, "num_samples": num_samples}]},
+                    store, build_missing=False)
+                (response,) = result["responses"]
+                assert "exceeds the limit" in response["error"]
+        assert draws == []
+
+    def test_engine_default_is_capped_too(self):
+        from repro.serving.query import MAX_NUM_SAMPLES
+
+        basis = HermiteBasis(1)
+        pce = QuadraticPCE(basis, np.ones((basis.size, 1)))
+        with pytest.raises(ServingError, match="exceeds the limit"):
+            QueryEngine(pce, num_samples=MAX_NUM_SAMPLES + 1)
+        with pytest.raises(ServingError, match="exceeds the limit"):
+            QueryEngine(pce).quantiles([0.5], num_samples=float("nan"))
 
 
 class TestServeBatch:

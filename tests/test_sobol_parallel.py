@@ -1,4 +1,4 @@
-"""Tests for Sobol variance decomposition and parallel drivers."""
+"""Tests for Sobol variance decomposition."""
 
 
 import numpy as np
@@ -103,57 +103,3 @@ class TestSobolOnPipeline:
         assert total == pytest.approx(1.0, abs=1e-8)
         for value in shares.values():
             assert value[0] >= -1e-12
-
-
-def _builder():
-    from repro.experiments import Table1Config, table1_problem
-    from repro.geometry import MetalPlugDesign
-    from repro.units import um
-
-    return table1_problem("doping", Table1Config(
-        design=MetalPlugDesign(max_step=um(2.0)), rdf_nodes=8))
-
-
-class TestParallelDrivers:
-    def test_parallel_mc_matches_serial_statistics(self):
-        from repro.analysis import run_mc_analysis
-        from repro.analysis.parallel import run_mc_parallel
-
-        problem = _builder()
-        serial = run_mc_analysis(problem, num_runs=24, seed=3)
-        parallel = run_mc_parallel(_builder, num_runs=24, seed=3,
-                                   num_workers=2,
-                                   output_names=["J"])
-        assert parallel.num_runs == 24
-        # Different sample streams, same distribution: agree loosely.
-        assert parallel.mean[0] == pytest.approx(serial.mean[0],
-                                                 rel=0.01)
-
-    def test_parallel_sscm_matches_serial(self):
-        from repro.analysis import nominal_weights
-        from repro.analysis.parallel import run_sscm_parallel
-        from repro.stochastic.reduction import reduce_groups
-        from repro.stochastic import run_sscm as serial_sscm
-
-        problem = _builder()
-        weights = nominal_weights(problem)
-        space = reduce_groups(problem.groups, method="wpfa",
-                              weights_by_group=weights, energy=1.0,
-                              max_variables_by_group={"doping": 2})
-        parallel = run_sscm_parallel(_builder, space, num_workers=2,
-                                     output_names=["J"])
-
-        def solve_fn(zeta):
-            return problem.evaluate_sample(space.split(zeta))
-
-        serial = serial_sscm(solve_fn, space.dim, output_names=["J"])
-        assert parallel.num_runs == serial.num_runs
-        np.testing.assert_allclose(parallel.mean, serial.mean,
-                                   rtol=1e-9)
-        np.testing.assert_allclose(parallel.std, serial.std, rtol=1e-9)
-
-    def test_parallel_mc_validation(self):
-        from repro.analysis.parallel import run_mc_parallel
-
-        with pytest.raises(StochasticError):
-            run_mc_parallel(_builder, num_runs=1)
