@@ -21,11 +21,18 @@ import json
 import os
 from pathlib import Path
 
-import pytest
+# One BLAS thread per process, set before numpy loads it: pool workers
+# fork from the bench process, and threaded BLAS in each of them
+# starves the cores (2 workers ran 0.26x of serial on a 2-core host).
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+              "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from repro.experiments import Table1Config, Table2Config
-from repro.geometry import MetalPlugDesign, TsvDesign
-from repro.units import um
+import pytest  # noqa: E402
+
+from repro.experiments import Table1Config, Table2Config  # noqa: E402
+from repro.geometry import MetalPlugDesign, TsvDesign  # noqa: E402
+from repro.units import um  # noqa: E402
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 

@@ -151,10 +151,7 @@ def _overlay_adaptive(spec, args):
     ``--basis``) overlay (and win over) whatever adaptive block the
     request file carries, producing a new spec — and hence a new cache
     key, so adaptive and fixed builds of the same problem never alias.
-    ``--workers`` is different: it is an execution knob for *both*
-    collocation modes (the fixed level-2 grid parallelizes as one
-    wave), lands at the reduction level and never enters the cache key
-    — the same surrogate is built bit for bit on any core count.
+    (``--workers`` is not a spec overlay: it goes to the build call.)
     """
     from repro.serving.spec import ProblemSpec
     overrides = {}
@@ -166,15 +163,12 @@ def _overlay_adaptive(spec, args):
         overrides["max_level"] = args.max_level
     if args.basis is not None:
         overrides["basis"] = args.basis
-    if not args.adaptive and not overrides and args.workers is None:
+    if not args.adaptive and not overrides:
         return spec
     reduction = dict(spec.reduction)
-    if args.adaptive or overrides:
-        adaptive = dict(reduction.get("adaptive") or {})
-        adaptive.update(overrides)
-        reduction["adaptive"] = adaptive
-    if args.workers is not None:
-        reduction["workers"] = args.workers
+    adaptive = dict(reduction.get("adaptive") or {})
+    adaptive.update(overrides)
+    reduction["adaptive"] = adaptive
     return ProblemSpec(preset=spec.preset, params=spec.params,
                        reduction=reduction)
 
@@ -230,7 +224,8 @@ def cmd_build(args) -> int:
         for spec in specs:
             report = ensure_surrogate(
                 spec, store, rebuild=args.rebuild,
-                warm_start=not args.no_warm_start)
+                warm_start=not args.no_warm_start,
+                workers=args.workers)
             entry = {
                 "cache_key": report.cache_key,
                 "preset": spec.preset,
@@ -569,8 +564,8 @@ def main(argv=None) -> int:
                          help="evaluate collocation points on N worker "
                               "processes — refinement waves and the "
                               "fixed level-2 grid alike "
-                              "(bitwise-identical result, never part "
-                              "of the cache key)")
+                              "(bitwise-identical result; a build "
+                              "argument, never part of the spec)")
     p_build.add_argument("--no-warm-start", action="store_true",
                          help="adaptive: refine from the root index "
                               "even when a stored sibling surrogate "
@@ -670,8 +665,8 @@ def main(argv=None) -> int:
              "(default ~/.cache/repro/surrogates)")
     p_campaign_run.add_argument(
         "--workers", type=int, default=None,
-        help="per-build collocation worker processes (execution "
-             "only, never part of any cache key)")
+        help="collocation worker processes for every member build "
+             "(a build argument, never part of the grid or any spec)")
     p_campaign_run.add_argument(
         "--segment-workers", type=int, default=None,
         help="fan independent chain segments over up to N threads; "

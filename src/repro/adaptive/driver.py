@@ -7,8 +7,8 @@ refining the direction with the largest surplus indicator, until the
 global error estimate drops under ``tol`` or the solve budget runs
 out.  Each accepted index opens a *wave* of admissible neighbors; the
 wave's new collocation points are collected and handed to the
-``solve_many`` hook in a single call when one is supplied (the
-``workers`` stopping-control fans exactly that call over the
+``solve_many`` hook in a single call when one is supplied (a build
+run with ``workers=N`` fans exactly that call over the
 ``analysis.parallel`` process pool — see
 :class:`~repro.analysis.parallel.ParallelWaveEvaluator`), falling back
 to a per-point loop in which every solve still rides the
@@ -65,16 +65,14 @@ BASIS_MODES = ("order2", "adaptive")
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Stopping and execution controls of the adaptive refinement loop.
+    """Stopping controls of the adaptive refinement loop.
 
-    The first three fields are the *identity* of the build: two builds
-    with the same ``tol``/``max_solves``/``max_level`` produce the same
-    surrogate — bitwise for cold builds, within ``tol`` when one of
-    them was warm-certified from a seed — and therefore share a cache
-    key.  ``workers`` is pure
-    execution policy — it changes wall time, never a single bit of the
-    result — and is deliberately excluded from :meth:`to_dict`'s
-    default (cache-key) form.
+    Every field is part of the *identity* of the build: two builds
+    with the same config produce the same surrogate — bitwise for
+    cold builds, within ``tol`` when one of them was warm-certified
+    from a seed — and therefore share a cache key.  Execution policy
+    (the worker process count) is not a field: it is an argument of
+    the call that runs the build.
 
     Parameters
     ----------
@@ -100,18 +98,12 @@ class AdaptiveConfig:
         so ``max_level > 2`` buys representational accuracy, not just
         certification.  Part of the build identity (and cache key);
         the refinement *path* itself is basis-independent.
-    workers : int or None, default None
-        Fan each refinement wave's never-seen collocation points over
-        this many worker processes (``None`` or 1 keeps the serial
-        path).  Results are bitwise-identical regardless of the value;
-        it never enters a spec cache key.
     """
 
     tol: float = 1e-4
     max_solves: int = None
     max_level: int = None
     basis: str = "order2"
-    workers: int = None
 
     def __post_init__(self) -> None:
         tol = self.tol
@@ -123,7 +115,7 @@ class AdaptiveConfig:
             raise StochasticError(
                 f"basis must be one of {list(BASIS_MODES)}, "
                 f"got {self.basis!r}")
-        for name in ("max_solves", "max_level", "workers"):
+        for name in ("max_solves", "max_level"):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -134,18 +126,8 @@ class AdaptiveConfig:
                     f"got {value!r}")
 
     # ------------------------------------------------------------------
-    def to_dict(self, include_workers: bool = False) -> dict:
-        """Fully-resolved wire form.
-
-        Parameters
-        ----------
-        include_workers : bool, default False
-            The default (identity) form participates in spec cache
-            keys and therefore omits ``workers`` — the same surrogate
-            is built regardless of core count.  Pass ``True`` for the
-            execution form that round-trips the knob (what
-            :meth:`~repro.serving.spec.ProblemSpec.resolved_reduction`
-            carries to the build).
+    def to_dict(self) -> dict:
+        """Fully-resolved wire form (the spec cache keys hash it).
 
         Returns
         -------
@@ -160,8 +142,6 @@ class AdaptiveConfig:
             # order-2 spec keeps the exact canonical form (and cache
             # key) it had before order-adaptive bases existed.
             data["basis"] = self.basis
-        if include_workers:
-            data["workers"] = self.workers
         return data
 
     @classmethod
@@ -172,7 +152,7 @@ class AdaptiveConfig:
         ----------
         data : dict or AdaptiveConfig
             Any subset of ``tol``/``max_solves``/``max_level``/
-            ``workers``; missing names take the defaults, int-valued
+            ``basis``; missing names take the defaults, int-valued
             floats are normalized.  A live config passes through.
 
         Returns
@@ -186,14 +166,13 @@ class AdaptiveConfig:
                 f"adaptive config must be a mapping, "
                 f"got {type(data).__name__}")
         unknown = set(data) - {"tol", "max_solves", "max_level",
-                               "basis", "workers"}
+                               "basis"}
         if unknown:
             raise StochasticError(
                 f"unknown adaptive settings {sorted(unknown)}; "
-                f"valid: ['basis', 'max_level', 'max_solves', 'tol', "
-                f"'workers']")
+                f"valid: ['basis', 'max_level', 'max_solves', 'tol']")
         kwargs = {}
-        for name in ("tol", "max_solves", "max_level", "workers"):
+        for name in ("tol", "max_solves", "max_level"):
             if name in data and data[name] is not None:
                 value = data[name]
                 if name != "tol" and isinstance(value, float) \
@@ -353,8 +332,8 @@ class AdaptiveResult:
         Returns
         -------
         dict
-            The stopping config (identity form — independent of the
-            worker count), the full and accepted index sets, the
+            The stopping config (identity form — what the cache key
+            hashes), the full and accepted index sets, the
             per-acceptance trace, the error estimate and termination
             reason, the solve count, the combined-quadrature grid size
             with its zero-weight point count (grid-efficiency
@@ -508,10 +487,9 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         Number of reduced variables.
     config:
         Stopping controls; defaults to :class:`AdaptiveConfig`.
-        ``config.workers`` is *not* acted on here — pass a parallel
-        ``solve_many`` (e.g. a
+        Pass a parallel ``solve_many`` (e.g. a
         :class:`~repro.analysis.parallel.ParallelWaveEvaluator`) to
-        actually fan waves out; the runner wires the two together.
+        fan waves out; the runner wires one in for ``workers > 1``.
     output_names:
         QoI component labels.
     order:

@@ -138,16 +138,11 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
     nominal_solution : ACSolution, optional
         Reuse an existing nominal solve for the wPFA weights.
     refinement : AdaptiveConfig or dict, optional
-        Switches collocation to the dimension-adaptive engine.  Its
-        ``workers`` field fans each refinement wave over a
-        :class:`~repro.analysis.parallel.ParallelWaveEvaluator`
-        process pool (bitwise-identical results, ~cores less wall
-        time); that requires ``problem_builder``.
+        Switches collocation to the dimension-adaptive engine.
     problem_builder : callable, optional
         Zero-argument *picklable* callable rebuilding ``problem`` in
         worker processes (e.g. ``functools.partial`` over a preset, or
-        ``spec.build_problem``).  Only consulted when
-        ``refinement.workers > 1``.
+        ``spec.build_problem``).  Only consulted when ``workers > 1``.
     warm_start : WarmStart, optional
         Seed the adaptive build from a previous build's accepted index
         set (see :class:`~repro.adaptive.driver.WarmStart`); requires
@@ -155,14 +150,12 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         from the surrogate store's nearest stored sibling spec.
     workers : int, optional
         Fan the deterministic solves over this many worker processes
-        — for *both* collocation modes.  The fixed level-``level``
-        grid is evaluated as one
-        :class:`~repro.analysis.parallel.ParallelWaveEvaluator` wave
-        (bitwise-identical to the serial loop); adaptive builds treat
-        it as the default when ``refinement.workers`` is unset.  Pure
-        execution policy — never part of a spec cache key — and, like
-        ``refinement.workers``, it requires ``problem_builder`` when
-        above 1.
+        — for *both* collocation modes: each refinement wave, or the
+        whole fixed level-``level`` grid, is one
+        :class:`~repro.analysis.parallel.ParallelWaveEvaluator` call
+        (bitwise-identical to the serial loop).  Pure execution
+        policy, so it is an argument here and never part of a spec;
+        above 1 it requires ``problem_builder``.
     progress : callable, optional
         ``(completed, total)`` callback for the collocation loop.
 
@@ -190,10 +183,6 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         raise StochasticError(
             f"workers must be a positive integer or None, "
             f"got {workers!r}")
-    if refinement is not None and refinement.workers is not None:
-        # The adaptive block's own knob wins over the reduction-level
-        # one (they are the same execution policy at two scopes).
-        workers = refinement.workers
     if workers is not None and workers > 1 and problem_builder is None:
         raise StochasticError(
             "workers > 1 needs a picklable problem_builder "

@@ -35,7 +35,7 @@ from repro.errors import ReproError
 from repro.obs.metrics import counter
 from repro.obs.trace import span
 from repro.serving.pipeline import ensure_surrogate
-from repro.serving.spec import ProblemSpec, canonical_json
+from repro.serving.spec import canonical_json
 
 #: Execution-only observability (process-global registry): campaign
 #: volume, member outcomes and the solves the sweeps spent.
@@ -90,20 +90,6 @@ def _flush_locked(state: _RunState) -> None:
     write_catalog(state.store, state.catalog)
 
 
-def _member_spec(state: _RunState, member) -> ProblemSpec:
-    """The member's spec, with the execution-time worker override.
-
-    ``workers`` is execution-only (stripped from every cache key), so
-    the override changes wall time, never identity.
-    """
-    spec = state.plan.specs[member.key]
-    if state.workers is None:
-        return spec
-    return ProblemSpec(preset=spec.preset, params=dict(spec.params),
-                       reduction={**spec.reduction,
-                                  "workers": state.workers})
-
-
 def _run_member(state: _RunState, member) -> None:
     """Resolve one plan member and commit its catalog row."""
     row = state.rows[member.key]
@@ -111,10 +97,11 @@ def _run_member(state: _RunState, member) -> None:
         with span("campaign_member", cache_key=member.key,
                   segment=member.segment):
             report = ensure_surrogate(
-                _member_spec(state, member), state.store,
+                state.plan.specs[member.key], state.store,
                 rebuild=state.rebuild,
                 warm_start=state.warm_start,
-                warm_source=member.warm_source)
+                warm_source=member.warm_source,
+                workers=state.workers)
     except ReproError as exc:
         # One diverged or misconfigured member must not sink the
         # sweep: record the failure and let the chain fall back to
@@ -161,8 +148,9 @@ def run_campaign(grid, store, workers: int = None,
         Store to resolve members against; the catalog is written into
         its ``campaigns/`` directory after every member.
     workers : int, optional
-        Per-build collocation worker count, overriding the grid's
-        reduction block at execution time only (never the identity).
+        Collocation worker processes for every member build, handed
+        to :func:`~repro.serving.pipeline.ensure_surrogate` (execution
+        policy: member specs and keys are the same for every value).
     segment_workers : int, optional
         Fan independent chain segments over up to this many threads.
         Members *within* a segment always run sequentially — chained

@@ -9,8 +9,8 @@ is pure data (JSON in, JSON out), so grids cross process boundaries
 and live in request files, and the *sorted canonical member list*
 hashes into a deterministic campaign id: the same grid written with
 different dict orderings, a different axes declaration of the same
-point set, duplicated points, a different worker count or a different
-human-readable ``name`` is the same campaign.
+point set, duplicated points or a different human-readable ``name``
+is the same campaign.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ class CampaignGrid:
         The sha256 of the *sorted canonical member list* — exactly the
         identities the member cache keys hash — so the id is invariant
         under dict ordering, axes-vs-points phrasing, member
-        permutation, duplicate members, worker counts and the human
-        ``name``.  A re-run of the same grid therefore finds (and
-        resumes) its own catalog.
+        permutation, duplicate members and the human ``name``.  A
+        re-run of the same grid therefore finds (and resumes) its own
+        catalog.
         """
         members = sorted((spec.canonical() for spec in self.expand()),
                          key=canonical_json)

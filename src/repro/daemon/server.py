@@ -268,7 +268,8 @@ class ReproDaemon:
         ``ensure_surrogate`` (which holds the cross-process build
         lock), followers block on the flight and share its report —
         a coalesced response therefore reports the build it waited
-        for, including its solve count.
+        for, including its solve count.  Builds run serially: the
+        worker count is a build argument, and no request can set it.
         """
         key = spec.cache_key()
         if not self.build_missing:
@@ -335,7 +336,16 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_bytes(status, body, "application/json")
 
     def _read_body(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # Reading would raise (a non-number) or block until the
+            # client hangs up (a negative count); the unread body also
+            # makes the rest of the connection unparseable.
+            self.close_connection = True
+            raise ServingError(
+                f"Content-Length must be a non-negative integer, "
+                f"got {header!r}")
+        length = int(header)
         if length > MAX_BODY_BYTES:
             raise ServingError(
                 f"request body of {length} bytes exceeds the "

@@ -13,8 +13,8 @@ Rule families (full catalog in ``docs/LINT.md``):
 - **RL0xx** meta: parse errors and suppression hygiene (reasons are
   mandatory, stale suppressions are flagged).
 - **RL1xx** identity/execution separation: execution-only knobs never
-  reach ``canonical()``/``to_dict()`` forms, declared strip sites must
-  keep existing, hash-fed ``json.dumps`` must sort keys.
+  reach ``canonical()``/``to_dict()`` forms, hash-fed ``json.dumps``
+  must sort keys.
 - **RL2xx** determinism: no wall clocks / global RNG state outside
   the ``created_at``/``last_used`` stamping allowlist; no iteration
   over raw sets into ordered output.

@@ -11,8 +11,6 @@ docs/LINT.md catalogues the rules built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Fields that change how a surrogate is *built* but not what is
 #: built.  They must never reach an identity form (``canonical()`` /
 #: ``to_dict()`` default) or any hash-fed JSON: a leaked knob splits
@@ -25,37 +23,9 @@ EXECUTION_ONLY_FIELDS = {
 }
 
 #: Function names that produce identity forms.  Execution-only fields
-#: may only appear inside them in strip idioms (``del d[f]`` /
-#: ``d.pop(f)`` / a ``!= f`` comprehension guard) or under an explicit
-#: ``include_<field>`` opt-in branch (the sanctioned wire-form escape
-#: hatch, e.g. ``AdaptiveConfig.to_dict(include_workers=True)``).
+#: may not be written inside them at all: they are arguments of the
+#: build call, never members of an identity document.
 IDENTITY_FUNCTIONS = ("canonical", "to_dict", "cache_key")
-
-
-@dataclass(frozen=True)
-class StripContract:
-    """A declared strip obligation: ``cls.func`` must remove ``field``
-    at ``min_sites`` distinct places.  Deleting any one strip site in
-    the source drops the count below the contract and fails the lint
-    run — the machine-checked version of "the ``workers`` knob must
-    be stripped from ``canonical()``" (CHANGES.md, PR 4).
-    """
-
-    cls: str
-    func: str
-    field: str
-    min_sites: int
-    where: str
-
-
-#: The strip sites the current architecture requires.
-STRIP_CONTRACTS = (
-    StripContract(
-        cls="ProblemSpec", func="canonical", field="workers",
-        min_sites=2,
-        where="the top-level reduction dict (del) and the nested "
-              "adaptive block (comprehension filter)"),
-)
 
 #: The only slots wall-clock time may flow into: usage/provenance
 #: stamps that are deliberately *not* part of any identity or result.

@@ -2,10 +2,9 @@
 
 The store's headline guarantee — one surrogate per cache key,
 bitwise-stable across processes and core counts — holds only while
-(a) execution-only knobs never leak into identity forms, (b) the
-declared strip sites keep existing, and (c) every hash-fed
-``json.dumps`` sorts its keys.  These three rules machine-check the
-conventions PRs 2/4/5 established by hand.
+(a) execution-only knobs never leak into identity forms and (b) every
+hash-fed ``json.dumps`` sorts its keys.  These two rules machine-check
+the conventions PRs 2/4/5 established by hand.
 """
 
 from __future__ import annotations
@@ -17,11 +16,10 @@ from repro.lint.contracts import (
     EXECUTION_ONLY_FIELDS,
     HASH_CONSTRUCTORS,
     IDENTITY_FUNCTIONS,
-    STRIP_CONTRACTS,
 )
-from repro.lint.diagnostics import ERROR, Diagnostic
-from repro.lint.engine import ancestors, call_qual
-from repro.lint.registry import file_rule, get_rule, project_rule
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.engine import call_qual
+from repro.lint.registry import file_rule, get_rule
 
 _HASHY_NAME_RE = re.compile(r"canonical|cache_key|_hash|hash_|hashed")
 
@@ -31,24 +29,6 @@ def _identity_functions(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                 and node.name in IDENTITY_FUNCTIONS:
             yield node
-
-
-def _guarded_by_include(node, field: str) -> bool:
-    """True when an ``include_<field>`` opt-in test guards the node.
-
-    ``AdaptiveConfig.to_dict(include_workers=True)`` is the sanctioned
-    wire-form escape hatch: adding the field back is explicit at every
-    call site, so the default identity form stays clean.
-    """
-    opt_in = f"include_{field}"
-    for parent in ancestors(node):
-        if isinstance(parent, (ast.If, ast.IfExp)):
-            for name in ast.walk(parent.test):
-                if isinstance(name, ast.Name) and name.id == opt_in:
-                    return True
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return False
-    return False
 
 
 @file_rule(
@@ -82,8 +62,6 @@ def check_execution_field_in_identity(ctx):
                             in EXECUTION_ONLY_FIELDS:
                         hits.append((target, target.slice.value))
             for hit, field in hits:
-                if _guarded_by_include(hit, field):
-                    continue
                 yield Diagnostic(
                     file=ctx.path, line=hit.lineno, col=hit.col_offset,
                     rule=rule.id, severity=rule.severity,
@@ -91,83 +69,8 @@ def check_execution_field_in_identity(ctx):
                             f"written into identity form "
                             f"{func.name}(); it would split the "
                             f"cache key across "
-                            f"{EXECUTION_ONLY_FIELDS[field]} — strip "
-                            f"it, or gate it behind an "
-                            f"include_{field}= opt-in parameter")
-
-
-def _strip_sites(func, field: str) -> int:
-    """Count recognized strip idioms for ``field`` inside ``func``."""
-    count = 0
-    for node in ast.walk(func):
-        if isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript) \
-                        and isinstance(target.slice, ast.Constant) \
-                        and target.slice.value == field:
-                    count += 1
-        elif isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "pop" and node.args \
-                and isinstance(node.args[0], ast.Constant) \
-                and node.args[0].value == field:
-            count += 1
-        elif isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            if any(isinstance(op, (ast.Eq, ast.NotEq, ast.In,
-                                   ast.NotIn)) for op in node.ops) \
-                    and any(isinstance(operand, ast.Constant)
-                            and operand.value == field
-                            for operand in operands):
-                count += 1
-    return count
-
-
-@project_rule(
-    "RL102", "missing-strip-site",
-    "a declared identity function no longer strips an execution-only "
-    "field at every registered site")
-def check_strip_contracts(index):
-    """Verify every :data:`~repro.lint.contracts.STRIP_CONTRACTS`."""
-    rule = get_rule("RL102")
-    for contract in STRIP_CONTRACTS:
-        for ctx in index.values():
-            for node in ast.walk(ctx.tree):
-                if not (isinstance(node, ast.ClassDef)
-                        and node.name == contract.cls):
-                    continue
-                funcs = [item for item in node.body
-                         if isinstance(item, (ast.FunctionDef,
-                                              ast.AsyncFunctionDef))
-                         and item.name == contract.func]
-                if not funcs:
-                    yield Diagnostic(
-                        file=ctx.path, line=node.lineno,
-                        col=node.col_offset, rule=rule.id,
-                        severity=rule.severity,
-                        message=f"{contract.cls} no longer defines "
-                                f"{contract.func}(), which is "
-                                f"contracted to strip "
-                                f"{contract.field!r}; update the "
-                                f"strip contract in "
-                                f"repro/lint/contracts.py if the "
-                                f"identity boundary moved")
-                    continue
-                for func in funcs:
-                    found = _strip_sites(func, contract.field)
-                    if found < contract.min_sites:
-                        yield Diagnostic(
-                            file=ctx.path, line=func.lineno,
-                            col=func.col_offset, rule=rule.id,
-                            severity=rule.severity,
-                            message=f"{contract.cls}.{contract.func}"
-                                    f"() must strip execution-only "
-                                    f"field {contract.field!r} at "
-                                    f"{contract.min_sites} site(s) "
-                                    f"({contract.where}); found "
-                                    f"{found} — a missing strip "
-                                    f"splits the cache key on core "
-                                    f"count")
+                            f"{EXECUTION_ONLY_FIELDS[field]} — pass "
+                            f"it to the build call instead")
 
 
 def _dumps_calls(ctx, root):

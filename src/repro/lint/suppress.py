@@ -3,7 +3,7 @@
 Syntax (trailing on the offending line, or as a standalone comment on
 the line directly above it)::
 
-    canonical["workers"] = n  # repro-lint: disable=RL101 -- wire form, stripped downstream
+    for name in set(names):  # repro-lint: disable=RL202 -- order-free membership count
     # repro-lint: disable=RL201,RL202 -- replaying a recorded trace
     statement_on_next_line()
 

@@ -139,15 +139,16 @@ def _warm_start_for(spec: ProblemSpec, store: SurrogateStore,
 def build_surrogate(spec: ProblemSpec, progress=None,
                     store: SurrogateStore = None,
                     warm_start: bool = True,
-                    warm_source: str = None) -> SurrogateRecord:
+                    warm_source: str = None,
+                    workers: int = None) -> SurrogateRecord:
     """Run the SSCM pipeline for a spec and wrap the result.
 
     One nominal solve (wPFA weights) plus one deterministic solve per
     collocation point; each point reuses PR 1's batched factorization
-    paths through the problem's ``evaluate_sample``.  Adaptive builds
-    additionally get the spec's ``workers`` fan-out (the spec itself is
-    the picklable problem builder handed to the worker pool) and — when
-    a ``store`` is supplied — a warm start from the nearest stored
+    paths through the problem's ``evaluate_sample``.  ``workers`` fans
+    the collocation solves over a process pool (the spec itself is the
+    picklable problem builder handed to it), and adaptive builds —
+    when a ``store`` is supplied — warm-start from the nearest stored
     sibling spec.
 
     Parameters
@@ -168,6 +169,9 @@ def build_surrogate(spec: ProblemSpec, progress=None,
         missing, damaged or incompatible the store-wide
         ``find_warm_start`` search is the fallback.  Ignored when
         ``warm_start`` is ``False``.
+    workers : int, optional
+        Collocation worker processes (``None`` or 1: serial).  The
+        surrogate is bitwise the same for every value.
 
     Returns
     -------
@@ -187,7 +191,8 @@ def build_surrogate(spec: ProblemSpec, progress=None,
                                    source_key=warm_source)
     analysis = run_sscm_analysis(problem, progress=progress,
                                  problem_builder=spec.build_problem,
-                                 warm_start=seed, **kwargs)
+                                 warm_start=seed, workers=workers,
+                                 **kwargs)
     return SurrogateRecord(
         pce=analysis.sscm.pce,
         spec=spec,
@@ -203,7 +208,7 @@ def build_surrogate(spec: ProblemSpec, progress=None,
 def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
                      rebuild: bool = False, warm_start: bool = True,
                      warm_source: str = None,
-                     progress=None) -> BuildReport:
+                     progress=None, workers: int = None) -> BuildReport:
     """Return the stored surrogate for ``spec``, building it on a miss.
 
     Parameters
@@ -229,6 +234,11 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
     progress : callable, optional
         ``(completed, total)`` callback for the collocation loop of a
         cold build.
+    workers : int, optional
+        Collocation worker processes for a build (see
+        :func:`build_surrogate`).  Execution policy, not identity: the
+        cache key and the stored bytes are the same for every value,
+        and a hit ignores it.
 
     Returns
     -------
@@ -295,7 +305,7 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
             record = build_surrogate(
                 spec, progress=progress, store=store,
                 warm_start=warm_start and not rebuild,
-                warm_source=warm_source)
+                warm_source=warm_source, workers=workers)
             totals = tracer.totals(root=build_span.span_id)
             stages = {
                 "solve_s": sum(totals.get(name, 0.0) for name in

@@ -10,8 +10,9 @@ form hashes to a deterministic cache key: two specs describe the same
 surrogate if and only if their keys match.  ("Same" means same
 identity and tolerance class: a warm-certified adaptive build stores
 a tol-equivalent — not bitwise-identical — surrogate compared to a
-cold build of the same key; only the ``workers`` knob is exactly
-result-neutral.)
+cold build of the same key.)  Execution policy such as the worker
+process count is not part of a spec at all: it is an argument of the
+call that runs the build.
 """
 
 from __future__ import annotations
@@ -31,14 +32,10 @@ SPEC_VERSION = 1
 #: explicit default and an omitted field hash identically).
 #: ``adaptive`` is ``None`` (the paper's fixed level-2 grid) or a
 #: mapping of stopping controls (``tol``, ``max_solves``,
-#: ``max_level``, the chaos ``basis`` mode, plus the execution-only
-#: ``workers``) handed to the dimension-adaptive engine; the stopping
-#: controls and the basis are part of the canonical form, so adaptive
-#: / fixed / order-adaptive builds of the same problem never alias in
-#: the store.  ``workers`` — at the reduction level (fixed-grid
-#: parallel collocation) and inside the adaptive block alike — is
-#: *stripped* from the canonical form, because the worker count
-#: changes wall time but not one bit of the surrogate.
+#: ``max_level`` and the chaos ``basis`` mode) handed to the
+#: dimension-adaptive engine; the stopping controls and the basis are
+#: part of the canonical form, so adaptive / fixed / order-adaptive
+#: builds of the same problem never alias in the store.
 #: ``solver`` is ``None`` (the direct ``"lu"`` backend) or a
 #: linear-solver backend block (``backend``, ``tol``, ``maxiter``,
 #: ``method`` — see :class:`repro.solver.backends.SolverConfig`).  A
@@ -55,7 +52,6 @@ REDUCTION_DEFAULTS = {
     "fit": "quadrature",
     "adaptive": None,
     "solver": None,
-    "workers": None,
 }
 
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -86,8 +82,7 @@ class ProblemSpec:
     boundaries, and its canonical form hashes to a deterministic cache
     key: two specs describe the same surrogate if and only if their
     keys match (up to the adaptive engine's tolerance for
-    warm-certified builds — see ``docs/ADAPTIVE.md``; the ``workers``
-    knob alone is exactly result-neutral).
+    warm-certified builds — see ``docs/ADAPTIVE.md``).
 
     Parameters
     ----------
@@ -98,16 +93,15 @@ class ProblemSpec:
         rejected at resolve time; omitted names take preset defaults.
     reduction : dict, optional
         Analysis overrides: ``method``, ``energy``, ``caps`` (mapping
-        of group name to hard cap), ``level``, ``fit``, ``workers``
-        (fan the collocation solves over worker processes — an
-        execution knob that never enters the cache key) and
-        ``adaptive`` — ``None`` for the fixed level-2 grid, or the
+        of group name to hard cap), ``level``, ``fit``, ``solver``
+        and ``adaptive`` — ``None`` for the fixed level-2 grid, or the
         dimension-adaptive stopping controls (``tol`` /
         ``max_solves`` / ``max_level`` / ``basis``; a live
         :class:`~repro.adaptive.driver.AdaptiveConfig` is accepted and
-        normalized to its dict form).  The adaptive block may also
-        carry its own ``workers``, which wins over the reduction-level
-        one; neither enters the cache key.
+        normalized to its dict form).  Any other name, ``workers``
+        included, is rejected: the worker count is an argument of the
+        build call (``ensure_surrogate(..., workers=)``), never part
+        of the spec.
     """
 
     preset: str
@@ -125,13 +119,6 @@ class ProblemSpec:
             raise ServingError(
                 f"unknown reduction settings {sorted(unknown)}; "
                 f"valid: {sorted(REDUCTION_DEFAULTS)}")
-        workers = self.reduction.get("workers")
-        if workers is not None and (not isinstance(workers, int)
-                                    or isinstance(workers, bool)
-                                    or workers < 1):
-            raise ServingError(
-                f"reduction['workers'] must be a positive integer or "
-                f"None, got {workers!r}")
         adaptive = self.reduction.get("adaptive")
         if adaptive is not None:
             # Accept a live AdaptiveConfig for convenience; the wire
@@ -139,8 +126,7 @@ class ProblemSpec:
             from repro.adaptive.driver import AdaptiveConfig
             from repro.errors import StochasticError
             if isinstance(adaptive, AdaptiveConfig):
-                self.reduction["adaptive"] = adaptive.to_dict(
-                    include_workers=True)
+                self.reduction["adaptive"] = adaptive.to_dict()
             else:
                 try:
                     AdaptiveConfig.from_dict(adaptive)
@@ -193,9 +179,7 @@ class ProblemSpec:
 
         The adaptive block (when present) is expanded to its full
         form, so ``{"tol": 1e-3}`` and ``{"tol": 1e-3, "max_level":
-        None, ...}`` hash to the same cache key.  The expansion keeps
-        the execution-only ``workers`` knob (the build needs it);
-        :meth:`canonical` strips it again before hashing.
+        None, ...}`` hash to the same cache key.
 
         Returns
         -------
@@ -206,7 +190,7 @@ class ProblemSpec:
         if reduction["adaptive"] is not None:
             from repro.adaptive.driver import AdaptiveConfig
             reduction["adaptive"] = AdaptiveConfig.from_dict(
-                reduction["adaptive"]).to_dict(include_workers=True)
+                reduction["adaptive"]).to_dict()
         if reduction["solver"] is not None:
             from repro.solver.backends import SolverConfig
             reduction["solver"] = SolverConfig.from_dict(
@@ -229,9 +213,6 @@ class ProblemSpec:
         level down: the default ``"order2"`` is omitted (by
         ``AdaptiveConfig.to_dict``), so pre-existing adaptive keys
         survive byte-for-byte while order-adaptive specs hash apart.
-        The ``workers`` knobs (reduction-level and adaptive-block) are
-        stripped: the same surrogate is built (bitwise) regardless of
-        core count, so core count must not split the cache.
 
         The ``solver`` block follows the adaptive precedent: the
         default ``"lu"`` selection (``None`` or an explicit
@@ -242,17 +223,11 @@ class ProblemSpec:
         recorded in the store sidecar.
         """
         reduction = self.resolved_reduction()
-        del reduction["workers"]
         if reduction["solver"] is None \
                 or reduction["solver"]["backend"] == "lu":
             del reduction["solver"]
         if reduction["adaptive"] is None:
             del reduction["adaptive"]
-        else:
-            reduction["adaptive"] = {
-                name: value
-                for name, value in reduction["adaptive"].items()
-                if name != "workers"}
         return {
             "spec_version": SPEC_VERSION,
             "preset": self.preset,
@@ -303,7 +278,6 @@ class ProblemSpec:
             "level": reduction["level"],
             "fit": reduction["fit"],
             "refinement": refinement,
-            "workers": reduction["workers"],
         }
 
     # ------------------------------------------------------------------

@@ -118,29 +118,15 @@ class PolynomialChaos:
     def std(self) -> np.ndarray:
         return np.sqrt(self.variance)
 
-    def evaluate(self, zeta: np.ndarray,
-                 chunk_size: int = None) -> np.ndarray:
+    def evaluate(self, zeta: np.ndarray) -> np.ndarray:
         """Evaluate the surrogate at standard-normal points.
 
         ``zeta`` of shape ``(dim,)`` or ``(m, dim)``; returns
-        ``(output_dim,)`` or ``(m, output_dim)``.  With ``chunk_size``
-        set, rows are evaluated in blocks so the ``(m, basis.size)``
-        design matrix is never materialized at once (identical values,
-        bounded memory).
+        ``(output_dim,)`` or ``(m, output_dim)``.  Large draws stream
+        through :meth:`sample_chunks`, which bounds the design matrix.
         """
         zeta = np.asarray(zeta, dtype=float)
         single = zeta.ndim == 1
-        if not single and chunk_size is not None \
-                and zeta.shape[0] > chunk_size:
-            if chunk_size < 1:
-                raise StochasticError(
-                    f"chunk_size must be >= 1, got {chunk_size}")
-            out = np.empty((zeta.shape[0], self.output_dim))
-            for start in range(0, zeta.shape[0], chunk_size):
-                block = zeta[start:start + chunk_size]
-                out[start:start + chunk_size] = \
-                    self.basis.evaluate(block) @ self.coefficients
-            return out
         design = self.basis.evaluate(zeta)
         out = design @ self.coefficients
         return out[0] if single else out

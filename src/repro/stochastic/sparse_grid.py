@@ -31,7 +31,6 @@ from repro.stochastic.gauss_hermite import (
     _LEVEL_SIZES,
     NodeTable,
     gauss_hermite_rule,
-    rule_size_for_level,
 )
 
 
@@ -168,10 +167,6 @@ def smolyak_sparse_grid(dim: int, level: int = 2) -> SparseGrid:
     keep = np.abs(weights) > 1e-14
     return SparseGrid(points=points[keep], weights=weights[keep],
                       level=level)
-
-
-def _size_for_level(level: int) -> int:
-    return rule_size_for_level(level)
 
 
 def tensor_grid(dim: int, points_per_axis: int = 3) -> SparseGrid:

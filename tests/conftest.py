@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from repro.geometry import (
+# One BLAS thread per process, set before numpy loads it.  Pool
+# workers are forked from this process and inherit its BLAS: with one
+# thread per core each, a 2-worker pool on a 2-core host runs four
+# spin-waiting BLAS threads, and a pool build ran 2-26x slower than
+# with one.  Pinning only the workers would break the bitwise
+# serial/pool tests: results agree only at equal thread counts.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+              "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from repro.geometry import (  # noqa: E402
     MetalPlugDesign,
     TsvDesign,
     build_metalplug_structure,
     build_tsv_structure,
 )
-from repro.mesh import CartesianGrid, LinkSet, compute_geometry
-from repro.units import um
+from repro.mesh import CartesianGrid, LinkSet, compute_geometry  # noqa: E402
+from repro.units import um  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -300,25 +300,19 @@ class TestSpecKeys:
         assert grown.canonical()["reduction"]["adaptive"]["basis"] \
             == "adaptive"
 
-    def test_reduction_workers_stripped_from_key(self):
-        assert _spec(workers=4).cache_key() == _spec().cache_key()
-        assert "workers" not in _spec(workers=4).canonical()["reduction"]
-
     def test_reduction_workers_validated(self):
-        for bad in (0, -2, True, 1.5):
-            with pytest.raises(ServingError):
-                _spec(workers=bad)
+        """The worker count is a build argument: a spec naming it, with
+        any value, is rejected as an unknown setting."""
+        for value in (4, None, 0, -2, True, 1.5):
+            with pytest.raises(ServingError, match="workers"):
+                _spec(workers=value)
+        assert "workers" not in _spec().analysis_kwargs()
 
     def test_fixed_grid_canonical_form_still_unchanged(self):
-        """The workers default must not leak into pre-existing keys."""
+        """No execution knob leaks into pre-existing keys."""
         reduction = _spec().canonical()["reduction"]
         assert set(reduction) == {"method", "energy", "caps", "level",
                                   "fit"}
-
-    def test_analysis_kwargs_carry_workers(self):
-        kwargs = _spec(workers=3).analysis_kwargs()
-        assert kwargs["workers"] == 3
-        assert _spec().analysis_kwargs()["workers"] is None
 
 
 class TestStoreRoundTrip:

@@ -87,10 +87,7 @@ class TestCampaignGrid:
             points=[{"sigma_m": value}
                     for value in (0.12, 0.09, 0.11, 0.1)],
             name="renamed"))
-        with_workers = CampaignGrid.from_dict(_grid_dict(
-            reduction={"adaptive": dict(ADAPTIVE), "workers": 4}))
         assert as_points.campaign_id() == as_axes.campaign_id()
-        assert with_workers.campaign_id() == as_axes.campaign_id()
 
     def test_different_grids_hash_apart(self):
         base = CampaignGrid.from_dict(_grid_dict())
@@ -122,7 +119,7 @@ class TestCampaignPlan:
             axes={}, name=None,
             points=[{"sigma_m": value}
                     for value in (0.11, 0.09, 0.12, 0.1)],
-            reduction={"workers": 3, "adaptive": dict(ADAPTIVE)},
+            reduction={"adaptive": dict(ADAPTIVE)},
         ))
         assert canonical_json(plan.to_dict()) \
             == canonical_json(plan_campaign(permuted.expand())
@@ -337,7 +334,7 @@ class TestExecutor:
         calls = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None):
+                        warm_source=None, progress=None, workers=None):
             calls.append((spec.cache_key(), warm_source))
             return _fake_report(
                 True, num_solves=5, warm_source=warm_source,
@@ -362,7 +359,7 @@ class TestExecutor:
     def test_one_failure_never_sinks_the_sweep(
             self, tmp_path, monkeypatch):
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None):
+                        warm_source=None, progress=None, workers=None):
             if spec.params["sigma_m"] == 0.11:
                 raise ServingError("diverged")
             return _fake_report(True, num_solves=3)
@@ -383,7 +380,7 @@ class TestExecutor:
         built = set()
 
         def dying_ensure(spec, store, rebuild=False, warm_start=True,
-                         warm_source=None, progress=None):
+                         warm_source=None, progress=None, workers=None):
             if len(built) == 2:
                 raise KeyboardInterrupt
             built.add(spec.cache_key())
@@ -391,7 +388,7 @@ class TestExecutor:
 
         def resuming_ensure(spec, store, rebuild=False,
                             warm_start=True, warm_source=None,
-                            progress=None):
+                            progress=None, workers=None):
             if spec.cache_key() in built:
                 return _fake_report(False)
             built.add(spec.cache_key())
@@ -422,7 +419,7 @@ class TestExecutor:
         order = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None):
+                        warm_source=None, progress=None, workers=None):
             order.append(spec.cache_key())
             return _fake_report(True, num_solves=1)
 
@@ -450,17 +447,30 @@ class TestExecutor:
         seen = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None):
-            seen.append(spec)
+                        warm_source=None, progress=None, workers=None):
+            seen.append((spec, workers))
             return _fake_report(True, num_solves=1)
 
         monkeypatch.setattr("repro.campaign.executor.ensure_surrogate",
                             fake_ensure)
         store = SurrogateStore(tmp_path)
         catalog = run_campaign(_grid_dict(), store, workers=2)
-        assert all(spec.reduction["workers"] == 2 for spec in seen)
-        assert {spec.cache_key() for spec in seen} \
-            == {member["key"] for member in catalog["members"]}
+        plan = plan_campaign(
+            CampaignGrid.from_dict(_grid_dict()).expand())
+        assert [workers for _, workers in seen] == [2] * len(seen)
+        # The member specs go through as planned, untouched.
+        assert [spec for spec, _ in seen] \
+            == [plan.specs[member.key] for member in plan.members]
+        assert [spec.cache_key() for spec, _ in seen] \
+            == [member["key"] for member in catalog["members"]]
+
+    def test_grid_naming_workers_is_rejected(self, tmp_path):
+        grid = _grid_dict(
+            reduction={"adaptive": dict(ADAPTIVE), "workers": 4})
+        with pytest.raises(ServingError, match="workers"):
+            CampaignGrid.from_dict(grid).campaign_id()
+        with pytest.raises(ServingError, match="workers"):
+            run_campaign(grid, SurrogateStore(tmp_path))
 
 
 class TestQueryHelpers:

@@ -21,6 +21,7 @@ break:
 import json
 import multiprocessing
 import os
+import socket
 import sys
 import threading
 import time
@@ -40,7 +41,7 @@ from repro.daemon import (
     run_gc,
     try_build_lock,
 )
-from repro.errors import ServingError
+from repro.errors import ServingError, StochasticError
 from repro.experiments import table1_spec
 from repro.serving import (
     ProblemSpec,
@@ -602,6 +603,23 @@ class TestDaemonHTTP:
         assert "exceeds the limit" in payload["responses"][0]["error"]
         assert draws == []
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, daemon, length):
+        """Answered before any body read: int() of a non-number
+        raises, and reading a negative count blocks until the client
+        hangs up."""
+        instance, url = daemon
+        host, port = instance.address
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(
+                f"POST /query HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}".encode())
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400", status_line
+        status, health = _get(url + "/health")
+        assert status == 200 and health["status"] == "ok"
+
     def test_store_listing_reflects_builds(self, daemon):
         instance, url = daemon
         _post(url + "/query", {"spec": tiny_spec().to_dict(),
@@ -620,6 +638,62 @@ class TestDaemonHTTP:
         assert payload["status"] == "shutting down"
         instance._thread.join(timeout=10.0)
         assert not instance._thread.is_alive()
+
+
+class TestWireCannotSizeAPool:
+    """The worker count is a build argument, so no request can pick
+    the daemon's process count: a spec naming ``workers`` at either
+    level is a per-request error, and no pool is ever constructed."""
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        import repro.analysis.runner as runner
+
+        constructed = []
+
+        class StubEvaluator:
+            def __init__(self, *args, **kwargs):
+                constructed.append(kwargs)
+                raise StochasticError("stub pool")
+
+        monkeypatch.setattr(runner, "ParallelWaveEvaluator",
+                            StubEvaluator)
+        return constructed
+
+    @staticmethod
+    def _batch():
+        spec = tiny_spec().to_dict()
+        reduction = spec["reduction"]
+        flat = {**reduction, "workers": 10**6}
+        nested = {**reduction,
+                  "adaptive": {"tol": 1e-3, "workers": 10**6}}
+        return {"requests": [
+            {"spec": {**spec, "reduction": block},
+             "queries": [{"kind": "mean"}]}
+            for block in (flat, nested)]}
+
+    @staticmethod
+    def _assert_rejected(responses):
+        assert len(responses) == 2
+        for response in responses:
+            assert "workers" in response["error"], response
+
+    def test_serve_batch(self, tmp_path, pools):
+        from repro.serving.service import serve_batch
+
+        store = SurrogateStore(tmp_path / "store")
+        result = serve_batch(self._batch(), store)
+        self._assert_rejected(result["responses"])
+        assert pools == []
+        assert store.keys() == []
+
+    def test_post_query(self, daemon, pools):
+        instance, url = daemon
+        status, payload = _post(url + "/query", self._batch())
+        assert status == 200
+        self._assert_rejected(payload["responses"])
+        assert pools == []
+        assert instance.stats()["builds"] == 0
 
 
 # ----------------------------------------------------------------------

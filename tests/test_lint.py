@@ -7,8 +7,9 @@ Three layers:
 * **fixture pairs** — for every rule family, one snippet that must
   trigger the rule and one (the sanctioned idiom) that must not;
 * **mutation tests** — the actual ``spec.py``/``store.py`` sources
-  with one invariant deliberately broken (a strip site deleted, an
-  atomic write replaced by bare ``open``) must fail the lint;
+  with one invariant deliberately broken (an execution-only field
+  written into ``canonical()``, an atomic write replaced by bare
+  ``open``) must fail the lint;
 * **integration** — ``src/repro`` lints clean, the CLI's exit codes
   and ``--json`` document hold, and the checker imports without the
   scientific stack (the CI lint job installs none of it).
@@ -67,7 +68,9 @@ class TestExecutionFieldInIdentity:
         """)
         assert rules_of(diagnostics) == ["RL101", "RL101"]
 
-    def test_include_guard_is_the_sanctioned_escape(self):
+    def test_include_guard_is_no_escape(self):
+        """An opt-in flag still writes the field into the identity
+        form; execution policy belongs to the build call."""
         diagnostics = lint_snippet("""
             def to_dict(self, include_workers=False):
                 data = {"tol": self.tol}
@@ -75,7 +78,7 @@ class TestExecutionFieldInIdentity:
                     data["workers"] = self.workers
                 return data
         """)
-        assert diagnostics == []
+        assert rules_of(diagnostics) == ["RL101"]
 
     def test_outside_identity_functions_nothing_fires(self):
         diagnostics = lint_snippet("""
@@ -83,42 +86,6 @@ class TestExecutionFieldInIdentity:
                 return {"workers": self.workers}
         """)
         assert diagnostics == []
-
-
-class TestStripContract:
-    def test_both_strip_sites_pass(self):
-        diagnostics = lint_snippet("""
-            class ProblemSpec:
-                def canonical(self):
-                    reduction = dict(self.reduction)
-                    del reduction["workers"]
-                    reduction["adaptive"] = {
-                        name: value
-                        for name, value in self.adaptive.items()
-                        if name != "workers"}
-                    return reduction
-        """)
-        assert diagnostics == []
-
-    def test_single_strip_site_is_flagged(self):
-        diagnostics = lint_snippet("""
-            class ProblemSpec:
-                def canonical(self):
-                    reduction = dict(self.reduction)
-                    del reduction["workers"]
-                    return reduction
-        """)
-        assert rules_of(diagnostics) == ["RL102"]
-        assert "found 1" in diagnostics[0].message
-
-    def test_missing_canonical_method_is_flagged(self):
-        diagnostics = lint_snippet("""
-            class ProblemSpec:
-                def to_wire(self):
-                    return dict(self.reduction)
-        """)
-        assert rules_of(diagnostics) == ["RL102"]
-        assert "no longer defines" in diagnostics[0].message
 
 
 class TestUnsortedHashJson:
@@ -681,16 +648,15 @@ class TestRealSourceMutations:
     def test_spec_and_store_lint_clean_as_written(self):
         assert lint_files([SPEC_PY, STORE_PY]) == []
 
-    def test_deleting_the_workers_strip_site_fails(self):
+    def test_writing_workers_into_canonical_fails(self):
         source = SPEC_PY.read_text()
-        target = 'del reduction["workers"]'
-        assert target in source
-        mutated = "\n".join(
-            line for line in source.splitlines()
-            if target not in line) + "\n"
+        target = '            del reduction["adaptive"]\n'
+        assert source.count(target) == 1
+        mutated = source.replace(
+            target, target + '        reduction["workers"] = 4\n')
         diagnostics = lint_source(mutated, path=str(SPEC_PY))
-        assert "RL102" in rules_of(diagnostics)
-        assert any("core count" in d.message for d in diagnostics)
+        assert rules_of(diagnostics) == ["RL101"]
+        assert "canonical()" in diagnostics[0].message
 
     def test_replacing_the_atomic_write_with_bare_open_fails(self):
         source = STORE_PY.read_text()
@@ -730,11 +696,12 @@ class TestCli:
     def test_list_rules_names_every_family(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL000", "RL001", "RL101", "RL102", "RL103",
+        for rule_id in ("RL000", "RL001", "RL101", "RL103",
                         "RL201", "RL202", "RL301", "RL401", "RL501",
                         "RL502", "RL601", "RL602", "RL701"):
             assert rule_id in out
         assert "RL302" not in out  # retired with the sqlite index
+        assert "RL102" not in out  # retired with the strip sites
 
     def test_clean_tree_exits_zero(self, capsys):
         assert lint_main([str(SRC_TREE / "units.py")]) == 0

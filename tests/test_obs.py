@@ -356,8 +356,9 @@ class TestPoolSpans:
 
         tracer = Tracer()
         with activate(tracer):
+            # d=1: the smallest grid that still splits over two workers.
             run_sscm_analysis(_builder(), energy=1.0,
-                              max_variables_by_group={"doping": 3},
+                              max_variables_by_group={"doping": 1},
                               workers=2, problem_builder=_builder)
         waves = [node for node in tracer.spans
                  if node.name == "parallel_wave"]

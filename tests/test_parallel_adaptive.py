@@ -47,23 +47,20 @@ def _builder():
 
 class TestAdaptiveConfigWorkers:
     def test_workers_validated(self):
-        for bad in (0, -1, True, 1.5):
-            with pytest.raises(StochasticError):
-                AdaptiveConfig(workers=bad)
-        assert AdaptiveConfig(workers=None).workers is None
-        assert AdaptiveConfig(workers=4).workers == 4
+        """The worker count is a build argument, not a config field:
+        every spelling of it is rejected."""
+        with pytest.raises(TypeError):
+            AdaptiveConfig(workers=4)
+        for data in ({"tol": 1e-3, "workers": 2.0}, {"workers": None},
+                     {"wrokers": 2}):
+            with pytest.raises(StochasticError, match="unknown"):
+                AdaptiveConfig.from_dict(data)
 
     def test_to_dict_excludes_workers_by_default(self):
-        config = AdaptiveConfig(tol=1e-3, workers=4)
+        config = AdaptiveConfig(tol=1e-3)
         assert "workers" not in config.to_dict()
-        assert config.to_dict(include_workers=True)["workers"] == 4
-
-    def test_from_dict_accepts_workers(self):
-        config = AdaptiveConfig.from_dict({"tol": 1e-3, "workers": 2.0})
-        assert config.workers == 2
-        assert AdaptiveConfig.from_dict({"workers": None}).workers is None
-        with pytest.raises(StochasticError):
-            AdaptiveConfig.from_dict({"wrokers": 2})
+        with pytest.raises(TypeError):
+            config.to_dict(include_workers=True)
 
 
 class TestSpecWorkersNotInCacheKey:
@@ -72,22 +69,12 @@ class TestSpecWorkersNotInCacheKey:
         return table2_spec(adaptive=adaptive, rdf_nodes=8)
 
     def test_same_cache_key_any_worker_count(self):
+        """No worker count can reach a key: a spec naming one is
+        rejected outright."""
+        with pytest.raises(ServingError, match="workers"):
+            self._spec({"tol": 1e-3, "workers": 4})
         plain = self._spec({"tol": 1e-3})
-        wide = self._spec({"tol": 1e-3, "workers": 4})
-        assert plain.cache_key() == wide.cache_key()
-        assert plain.canonical() == wide.canonical()
         assert "workers" not in plain.canonical()["reduction"]["adaptive"]
-
-    def test_workers_survive_to_analysis_kwargs(self):
-        spec = self._spec({"tol": 1e-3, "workers": 4})
-        refinement = spec.analysis_kwargs()["refinement"]
-        assert refinement.workers == 4
-        assert refinement.tol == 1e-3
-
-    def test_live_config_round_trips_workers(self):
-        spec = self._spec(AdaptiveConfig(tol=1e-3, workers=3))
-        assert spec.reduction["adaptive"]["workers"] == 3
-        assert spec.analysis_kwargs()["refinement"].workers == 3
 
     def test_different_stopping_controls_still_split_keys(self):
         assert self._spec({"tol": 1e-3}).cache_key() \
@@ -282,8 +269,8 @@ class TestParallelWaveEvaluator:
             run_sscm_analysis(
                 _builder(), energy=1.0,
                 max_variables_by_group={"doping": 2},
-                refinement=AdaptiveConfig(tol=1e-3, max_level=2,
-                                          workers=2))
+                refinement=AdaptiveConfig(tol=1e-3, max_level=2),
+                workers=2)
 
     def test_evaluator_validates_worker_count(self):
         from repro.analysis import ParallelWaveEvaluator
@@ -337,9 +324,8 @@ class TestParallelWaveEvaluator:
         parallel = run_sscm_analysis(
             _builder(), energy=1.0,
             max_variables_by_group={"doping": 3},
-            refinement=AdaptiveConfig(tol=1e-3, max_level=2,
-                                      workers=2),
-            problem_builder=_builder)
+            refinement=AdaptiveConfig(tol=1e-3, max_level=2),
+            workers=2, problem_builder=_builder)
         assert parallel.num_runs == serial.num_runs
         assert np.array_equal(parallel.sscm.pce.coefficients,
                               serial.sscm.pce.coefficients)
@@ -350,6 +336,26 @@ class TestParallelWaveEvaluator:
         assert parallel_meta["indices"] == serial_meta["indices"]
         # Same sidecar too: the worker count is pure execution policy.
         assert parallel_meta["config"] == serial_meta["config"]
+
+    def test_pool_build_stores_the_serial_bytes(self, tmp_path):
+        """ensure_surrogate(workers=2) lands under the serial build's
+        cache key with the serial build's payload bytes."""
+        from repro.experiments import table1_spec
+        from repro.serving import SurrogateStore, ensure_surrogate
+
+        spec = table1_spec("doping",
+                           reduction={"caps": {"doping": 2},
+                                      "energy": 1.0},
+                           max_step_um=2.0, rdf_nodes=8)
+        digests = []
+        for name, workers in (("serial", None), ("pool", 2)):
+            store = SurrogateStore(tmp_path / name)
+            report = ensure_surrogate(spec, store, workers=workers)
+            assert report.built
+            assert report.cache_key == spec.cache_key()
+            assert store.keys() == [spec.cache_key()]
+            digests.append(store.sidecar(spec.cache_key())["npz_sha256"])
+        assert digests[0] == digests[1]
 
 
 class TestCliOverlay:
@@ -362,18 +368,18 @@ class TestCliOverlay:
 
     def test_workers_flag_stays_execution_only(self):
         """--workers parallelizes whatever build the spec asks for —
-        it lands at the reduction level and no longer flips a
-        fixed-grid spec into an adaptive build."""
+        it is no spec overlay, so it neither flips a fixed-grid spec
+        into an adaptive build nor lands in the spec at all."""
         from repro.__main__ import _overlay_adaptive
         from repro.experiments import table2_spec
 
         spec = table2_spec(rdf_nodes=8)
         overlaid = _overlay_adaptive(spec, self._args(workers=4))
+        assert overlaid is spec
         assert "adaptive" not in overlaid.reduction
-        assert overlaid.reduction["workers"] == 4
         kwargs = overlaid.analysis_kwargs()
         assert kwargs["refinement"] is None
-        assert kwargs["workers"] == 4
+        assert "workers" not in kwargs
 
     def test_workers_flag_keeps_cache_key(self):
         from repro.__main__ import _overlay_adaptive
@@ -383,18 +389,30 @@ class TestCliOverlay:
         overlaid = _overlay_adaptive(spec, self._args(workers=4))
         assert overlaid.cache_key() == spec.cache_key()
 
-    def test_workers_flag_reaches_adaptive_builds(self):
-        """An adaptive spec + --workers: the knob flows through the
-        reduction level into the build (the adaptive block's own
-        workers entry, when present, wins)."""
-        from repro.__main__ import _overlay_adaptive
+    def test_workers_flag_reaches_adaptive_builds(self, tmp_path,
+                                                  monkeypatch):
+        """An adaptive spec + --workers: the count reaches the build
+        call, next to the request's own spec."""
+        import repro.serving
+        from repro.__main__ import main
         from repro.experiments import table2_spec
+        from repro.serving.pipeline import BuildReport
 
         spec = table2_spec(rdf_nodes=8, adaptive={"tol": 1e-3})
-        overlaid = _overlay_adaptive(spec, self._args(workers=4))
-        kwargs = overlaid.analysis_kwargs()
-        assert kwargs["refinement"].workers is None
-        assert kwargs["workers"] == 4
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps(spec.to_dict()))
+        seen = {}
+
+        def fake_ensure(spec, store, workers=None, **kwargs):
+            seen.update(key=spec.cache_key(), workers=workers)
+            return BuildReport(record=_tiny_record(spec), built=False,
+                               num_solves=0, wall_time=0.0)
+
+        monkeypatch.setattr(repro.serving, "ensure_surrogate",
+                            fake_ensure)
+        assert main(["build", str(request), "--workers", "4",
+                     "--store", str(tmp_path / "store")]) == 0
+        assert seen == {"key": spec.cache_key(), "workers": 4}
 
     def test_basis_flag_implies_adaptive(self):
         from repro.__main__ import _overlay_adaptive
@@ -460,17 +478,6 @@ class TestFindWarmStart:
         key, sidecar = store.find_warm_start(target)
         assert key == near.cache_key()
         assert sidecar["refinement"]["accepted"] == [[0], [1]]
-
-    def test_worker_count_does_not_block_matching(self, tmp_path):
-        from repro.serving import SurrogateStore
-
-        store = SurrogateStore(tmp_path)
-        stored = self._spec(adaptive={"tol": 1e-3}, margin_um=2.5)
-        store.save(_tiny_record(stored, refinement=self.REFINEMENT))
-        target = self._spec(adaptive={"tol": 1e-3, "workers": 4},
-                            margin_um=2.6)
-        found = store.find_warm_start(target)
-        assert found is not None and found[0] == stored.cache_key()
 
     def test_basis_variant_does_not_block_matching(self, tmp_path):
         # The accepted index set is basis-independent, so a surrogate
@@ -662,7 +669,7 @@ class TestFindWarmStart:
         seen = {}
 
         def fake_build(spec, progress=None, store=None,
-                       warm_start=True, warm_source=None):
+                       warm_start=True, warm_source=None, workers=None):
             seen["warm_start"] = warm_start
             return _tiny_record(spec)
 
@@ -683,27 +690,25 @@ class TestFindWarmStart:
 
 @pytest.fixture(scope="module")
 def warm_store(tmp_path_factory):
-    """A store holding one adaptive table2 build, plus its spec."""
+    """A store holding one adaptive table1 build, plus its spec."""
     from repro.serving import SurrogateStore, ensure_surrogate
 
-    spec = _table2_adaptive_spec(margin_um=2.5)
+    spec = _doping_adaptive_spec(rdf_nodes=6)
     store = SurrogateStore(tmp_path_factory.mktemp("store"))
     report = ensure_surrogate(spec, store)
     assert report.built and report.warm_start_source is None
     return store, spec, report
 
 
-def _table2_adaptive_spec(**overrides):
-    from repro.experiments import table2_spec
+def _doping_adaptive_spec(**overrides):
+    from repro.experiments import table1_spec
 
-    params = {"max_step_um": 3.0, "margin_um": 2.5, "rdf_nodes": 6}
+    params = {"max_step_um": 2.0, "rdf_nodes": 6}
     params.update(overrides)
-    probe = table2_spec(**params).build_problem()
-    caps = {group.name: 1 for group in probe.groups}
-    # tol tight enough that refinement accepts a real interior (at
-    # 1e-3 this problem certifies right at the root, leaving nothing
-    # for a warm start to seed).
-    return table2_spec(reduction={"caps": caps},
+    # The smallest problem that shows a warm start: two reduced doping
+    # variables (18 solves cold), and a tol tight enough that
+    # refinement accepts a real interior for a warm start to seed.
+    return table1_spec("doping", reduction={"caps": {"doping": 2}},
                        adaptive={"tol": 1e-5, "max_level": 2},
                        **params)
 
@@ -714,7 +719,7 @@ class TestServingWarmStart:
         from repro.serving import SurrogateStore, ensure_surrogate
 
         store, base_spec, base_report = warm_store
-        perturbed = _table2_adaptive_spec(margin_um=2.6)
+        perturbed = _doping_adaptive_spec(rdf_nodes=7)
         assert perturbed.cache_key() != base_spec.cache_key()
 
         cold_store = SurrogateStore(tmp_path / "cold")

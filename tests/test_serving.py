@@ -368,12 +368,6 @@ class TestQueryEngine:
         np.testing.assert_allclose(
             engine.yield_above(limit) + engine.yield_below(limit), 1.0)
 
-    def test_chunked_evaluate_bitwise_equal(self, pce):
-        rng = np.random.default_rng(0)
-        zeta = rng.standard_normal((1000, pce.basis.dim))
-        np.testing.assert_array_equal(
-            pce.evaluate(zeta, chunk_size=77), pce.evaluate(zeta))
-
     def test_sample_values_chunk_invariant(self, pce):
         a = pce.sample_values(np.random.default_rng(5), 3000,
                               chunk_size=256)
