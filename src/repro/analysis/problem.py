@@ -83,11 +83,10 @@ class VariationalProblem:
     full_wave: bool = False
     ports: list = None
     #: Linear-solver backend designation forwarded to the
-    #: :class:`AVSolver` (``None`` = resolve the ambient default; the
-    #: serving layer pins an explicit pure-data
-    #: :class:`~repro.solver.backends.SolverConfig` here so builds are
-    #: environment-immune and the choice survives pickling into
-    #: workers).
+    #: :class:`AVSolver` (``None`` = ``"lu"``; the serving layer pins
+    #: an explicit pure-data
+    #: :class:`~repro.solver.backends.SolverConfig` here so the choice
+    #: survives pickling into workers).
     solver_backend: object = None
 
     def __post_init__(self) -> None:

@@ -3,7 +3,7 @@
 The backend seam (:mod:`repro.solver.backends`) is the only place an
 iterative linear solver is allowed to run, because it is the only
 place that *certifies* one: every Krylov solution is checked against
-the explicit row-equilibrated residual ``‖R(Ax − b)‖ ≤ tol·‖Rb‖``
+the explicit row-scaled residual ``‖R(Ax − b)‖ ≤ tol·‖Rb‖``
 with an LU fallback on non-convergence, the tolerance is part of the
 serving cache key, and
 the solve is counted under a bounded backend label.  A ``gmres`` call

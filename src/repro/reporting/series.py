@@ -1,6 +1,6 @@
 """Figure data series.
 
-No plotting backend is assumed (the benchmark environment is headless);
+No plotting backend is assumed (benchmarks run headless);
 figures are reproduced as printable / CSV-exportable data series whose
 shape can be compared against the paper's plots.
 """

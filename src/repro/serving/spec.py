@@ -251,10 +251,8 @@ class ProblemSpec:
 
         The solver backend is pinned *explicitly* — even when it is
         the default ``"lu"`` — as a pure-data
-        :class:`~repro.solver.backends.SolverConfig`, so a build is
-        immune to the ``REPRO_SOLVER_BACKEND`` environment variable
-        (which steers only direct, spec-less solver use) and the
-        pinned choice survives pickling into pool workers.
+        :class:`~repro.solver.backends.SolverConfig`, so the pinned
+        choice survives pickling into pool workers.
         """
         from repro.serving.presets import get_preset
         from repro.solver.backends import SolverConfig

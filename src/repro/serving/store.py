@@ -1,6 +1,6 @@
 """Content-addressed persistent store for fitted surrogates.
 
-Each entry is one fitted :class:`~repro.stochastic.pce.QuadraticPCE`
+Each entry is one fitted :class:`~repro.stochastic.pce.PolynomialChaos`
 plus its provenance, addressed by the deterministic cache key of the
 :class:`~repro.serving.spec.ProblemSpec` that built it.  On disk an
 entry is an ``.npz`` payload (the arrays) and a ``.json`` sidecar (the
@@ -31,7 +31,7 @@ from repro.errors import (
     StoreSchemaError,
 )
 from repro.serving.spec import ProblemSpec, canonical_json
-from repro.stochastic.pce import QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 
 #: On-disk layout version.  Entries written under an unsupported
 #: version are rejected on load (StoreSchemaError) rather than
@@ -95,7 +95,7 @@ class SurrogateRecord:
         for records built before the tracer existed.
     """
 
-    pce: QuadraticPCE
+    pce: PolynomialChaos
     spec: ProblemSpec
     reduction: list = field(default_factory=list)
     num_runs: int = 0
@@ -420,7 +420,7 @@ class SurrogateStore:
                 f"{sidecar['npz_sha256'][:12]}..., found {digest[:12]}...")
         try:
             with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
-                pce = QuadraticPCE.from_arrays(dict(npz.items()))
+                pce = PolynomialChaos.from_arrays(dict(npz.items()))
         except Exception as exc:
             raise StoreCorruptionError(
                 f"undecodable payload for {key}: {exc}") from exc

@@ -1,7 +1,7 @@
 """The coupled A-V solver.
 
-* :mod:`repro.solver.linear` — equilibrated sparse LU.
-* :mod:`repro.solver.backends` — pluggable linear-solver backends
+* :mod:`repro.solver.linear` — max-scaled sparse LU.
+* :mod:`repro.solver.backends` — the two linear-solver backends
   (the ``"lu"`` reference path and the factor-reuse-preconditioned
   ``"krylov"`` path; see ``docs/SOLVER.md``).
 * :mod:`repro.solver.newton` — damped Newton-Raphson (paper eq. 8).
@@ -17,11 +17,7 @@ from repro.solver.backends import (
     LUBackend,
     SolverBackend,
     SolverConfig,
-    get_backend,
-    list_backends,
-    register_backend,
     resolve_backend,
-    unregister_backend,
 )
 from repro.solver.newton import NewtonOptions, damped_newton
 from repro.solver.dc import EquilibriumState, solve_equilibrium
@@ -35,10 +31,6 @@ __all__ = [
     "SolverConfig",
     "LUBackend",
     "KrylovBackend",
-    "register_backend",
-    "unregister_backend",
-    "get_backend",
-    "list_backends",
     "resolve_backend",
     "NewtonOptions",
     "damped_newton",

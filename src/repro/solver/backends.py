@@ -1,12 +1,16 @@
-"""Pluggable linear-solver backends (the ``SolverBackend`` seam).
+"""Linear-solver backends (the ``SolverBackend`` seam).
 
-Every deterministic solve in the repo funnels through one seam: a
-*backend* turns a square sparse matrix into a *factor* — an object
-answering ``solve(rhs)`` for ``(n,)`` and ``(n, k)`` right-hand sides —
-and the callers (:class:`~repro.solver.ac.ACSystem`,
+A *backend* turns a square sparse matrix into a *factor* — an object
+answering ``solve(rhs)`` for ``(n,)`` and ``(n, k)`` right-hand sides.
+The AC and Ampere factorizations go through it: the callers
+(:class:`~repro.solver.ac.ACSystem`,
 :class:`~repro.solver.ampere.AmpereSystem`,
-:func:`~repro.solver.sweep.frequency_sweep`) never know which one they
-got.  Two backends ship:
+:func:`~repro.solver.sweep.frequency_sweep`) never know which backend
+they got.  Two solves bypass the seam and call
+:func:`~repro.solver.linear.solve_sparse` directly: every DC Newton
+step (:func:`~repro.solver.newton.damped_newton`) and Ampere's
+frequency-dependent admittance-feedback solve.  The backend set is the
+fixed table :data:`_BACKENDS`:
 
 * ``"lu"`` — the reference: :class:`~repro.solver.linear.SparseFactor`
   exactly as before the seam existed.  Bitwise-identical results, by
@@ -18,47 +22,39 @@ got.  Two backends ship:
   to reuse yet); later calls under the same key run the iterative
   solver with that LU as the preconditioner and the LU-applied RHS as
   the initial guess.  Every solution is *certified*: the explicit
-  row-equilibrated residual ``‖R(Ax − b)‖ ≤ tol·‖Rb‖`` is checked
-  (``R`` normalizes each equation by its largest coefficient — the
-  scaling the direct path factors under), and on non-convergence the
-  backend falls back to a fresh LU (which also becomes the new seed)
-  — a stale seed costs time, never correctness.
+  row-scaled residual ``‖R(Ax − b)‖ ≤ tol·‖Rb‖`` is checked (``R``
+  normalizes each equation by its largest coefficient — the scaling
+  the direct path factors under), and on non-convergence the backend
+  falls back to a fresh LU (which also becomes the new seed) — a stale
+  seed costs time, never correctness.
 
-The registry (:func:`register_backend` / :func:`get_backend`) is the
-extension point for the ROADMAP's multi-fidelity mesh ladder; the
-conformance suite in ``tests/test_solver_backends.py`` auto-enrolls
-every registered backend.
+A new backend (the ROADMAP's multi-fidelity mesh ladder, say) is one
+more table entry; the conformance suite in
+``tests/test_solver_backends.py`` runs over every entry.
 
 Identity rule (see ``docs/SOLVER.md``): the default ``"lu"`` backend is
 *omitted* from a spec's canonical form, so every pre-seam cache key
 survives byte-for-byte; any other backend (or tolerance) hashes apart
-and is recorded in the store sidecar.  The ``REPRO_SOLVER_BACKEND``
-environment variable only steers *direct* solver use where no backend
-was chosen — serving builds always pin an explicit resolved backend,
-so the store can never be split by an environment leak.
+and is recorded in the store sidecar.  Serving builds pin an explicit
+:class:`SolverConfig`; direct library use picks with ``backend=`` and
+defaults to ``"lu"``.
 """
 
 from __future__ import annotations
 
 import inspect
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.errors import SingularSystemError, SolverBackendError
 from repro.obs.metrics import counter
-from repro.solver.linear import SparseFactor, _max_abs_rows
-
-#: Environment variable naming the default backend for *direct* solver
-#: use (``resolve_backend(None)``).  Serving/store builds ignore it.
-BACKEND_ENV_VAR = "REPRO_SOLVER_BACKEND"
+from repro.solver.linear import SparseFactor, max_scaled
 
 #: Execution-only observability.  Factorizations are labeled by the
-#: backend that performed them — label values are registered backend
-#: names, so the cardinality is bounded by the registry.
+#: backend that performed them — label values are the names in
+#: :data:`_BACKENDS`, so the cardinality is bounded by that table.
 _BACKEND_FACTORIZATIONS = counter(
     "repro_solver_backend_factorizations_total",
     "Direct LU factorizations performed, labeled by solver backend")
@@ -84,9 +80,10 @@ class SolverConfig:
     Parameters
     ----------
     backend:
-        Registered backend name (``"lu"`` or ``"krylov"``).
+        Backend name, a key of :data:`_BACKENDS` (``"lu"`` or
+        ``"krylov"``).
     tol:
-        Krylov: certified row-equilibrated relative residual
+        Krylov: certified row-scaled relative residual
         ``‖R(Ax − b)‖ / ‖Rb‖``.
     maxiter:
         Krylov: inner-iteration budget before the LU fallback.
@@ -103,7 +100,7 @@ class SolverConfig:
         if self.backend not in _BACKENDS:
             raise SolverBackendError(
                 f"unknown solver backend {self.backend!r}; "
-                f"registered: {list_backends()}")
+                f"valid: {sorted(_BACKENDS)}")
         if not isinstance(self.tol, float) or not 0.0 < self.tol < 1.0:
             raise SolverBackendError(
                 f"tol must be a float in (0, 1), got {self.tol!r}")
@@ -179,7 +176,7 @@ class SolverBackend:
 
 
 class LUBackend(SolverBackend):
-    """The reference backend: equilibrated SuperLU, exactly pre-seam.
+    """The reference backend: max-scaled SuperLU, exactly pre-seam.
 
     ``factorize`` returns the :class:`SparseFactor` itself — no
     wrapper, no extra arithmetic — so results are bitwise-identical to
@@ -208,7 +205,7 @@ class KrylovBackend(SolverBackend):
     wrong size) do a direct LU and record it as the new seed.
 
     Correctness is certified per right-hand side: the explicit
-    row-equilibrated residual must satisfy ``‖R(Ax − b)‖ ≤ tol·‖Rb‖``
+    row-scaled residual must satisfy ``‖R(Ax − b)‖ ≤ tol·‖Rb‖``
     or the factor falls back to a fresh LU of the *current* matrix,
     which replaces the seed
     (``repro_solver_krylov_solves_total{outcome="fallback"}``
@@ -310,28 +307,23 @@ class _KrylovFactor:
         return self._direct.solve(b)
 
     def _scaled_system(self):
-        """The matrix in equilibrated coordinates, computed once.
+        """The matrix in max-scaled coordinates, computed once.
 
         The coupled A-V matrix mixes entries across ~30 orders of
         magnitude; a Krylov recurrence on the raw matrix breaks down
         in floating point no matter how good the preconditioner is.
-        The iteration therefore runs on the same row/col max-scaled
-        system the direct path factors: ``Ã = R A C`` with
-        ``R = diag(row_scale)``, ``C = diag(col_scale)``.  Returns
-        ``None`` for a structurally singular matrix (empty row) —
-        the fallback's ``SparseFactor`` then raises the proper error.
+        The iteration therefore runs on the same system the direct
+        path factors, :func:`~repro.solver.linear.max_scaled`'s
+        ``Ã = R A C``.  Returns ``None`` for a structurally singular
+        matrix (empty row) — the fallback's ``SparseFactor`` then
+        raises the proper error.
         """
         if self._scaled is None:
-            row_max = _max_abs_rows(self._matrix)
-            if np.any(row_max == 0.0):
+            try:
+                scaled, row_scale, col_scale = max_scaled(self._matrix)
+            except SingularSystemError:
                 return None
-            row_scale = 1.0 / row_max
-            scaled = sp.diags(row_scale) @ self._matrix
-            col_max = _max_abs_rows(scaled.T.tocsr())
-            col_max[col_max == 0.0] = 1.0
-            col_scale = 1.0 / col_max
-            scaled = (scaled @ sp.diags(col_scale)).tocsr()
-            self._scaled = (scaled, row_scale, col_scale)
+            self._scaled = (scaled.tocsr(), row_scale, col_scale)
         return self._scaled
 
     def _try_krylov(self, b: np.ndarray):
@@ -379,7 +371,7 @@ class _KrylovFactor:
         _KRYLOV_ITERATIONS.inc(iterations[0])
         if info != 0:
             return None
-        # Certify against a recomputed row-equilibrated residual
+        # Certify against a recomputed row-scaled residual
         # ``‖R(Ax − b)‖ ≤ tol·‖Rb‖`` — each equation normalized by its
         # largest coefficient, the tightest norm the *direct* path
         # itself satisfies on these matrices (whose raw entries span
@@ -400,78 +392,27 @@ def _tolerance_kwargs(solver, tol: float) -> dict:
     return {"tol": tol, "atol": 0.0}
 
 
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_BACKENDS = {}
-
-
-def register_backend(name: str, factory) -> None:
-    """Register a backend factory under ``name``.
-
-    ``factory`` is called as ``factory(config)`` with a
-    :class:`SolverConfig` (or ``None`` for defaults) and must return a
-    :class:`SolverBackend`.  Registering a name twice is rejected —
-    silently replacing a backend would change what existing call sites
-    solve with.
-    """
-    if not name or not isinstance(name, str):
-        raise SolverBackendError(f"backend name must be a string, "
-                                 f"got {name!r}")
-    if name in _BACKENDS:
-        raise SolverBackendError(
-            f"backend {name!r} is already registered")
-    _BACKENDS[name] = factory
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (test harness hygiene)."""
-    if name in ("lu", "krylov"):
-        raise SolverBackendError(
-            f"the built-in backend {name!r} cannot be unregistered")
-    _BACKENDS.pop(name, None)
-
-
-def get_backend(name: str):
-    """The registered factory for ``name``."""
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise SolverBackendError(
-            f"unknown solver backend {name!r}; registered: "
-            f"{list_backends()}") from None
-
-
-def list_backends() -> list:
-    """Sorted names of every registered backend."""
-    return sorted(_BACKENDS)
+#: The backend table: every backend there is, by name.
+_BACKENDS = {"lu": LUBackend, "krylov": KrylovBackend}
 
 
 def resolve_backend(backend=None) -> SolverBackend:
-    """Normalize any backend designation to a live instance.
+    """Normalize a backend designation to a live instance.
 
-    Accepts ``None`` (the :data:`BACKEND_ENV_VAR` environment variable
-    if set, else ``"lu"``), a registered name, a config mapping, a
+    Accepts ``None`` (``"lu"``), a backend name, a
     :class:`SolverConfig`, or an already-live :class:`SolverBackend`
     (returned unchanged — this is how one stateful instance is shared
-    across the systems of a sweep).  Anything resolved from a spec is
-    a :class:`SolverConfig`, so the environment variable can never
-    reach a serving build.
+    across the systems of a sweep).  A mapping is rejected; turn it
+    into a config with :meth:`SolverConfig.from_dict` first.
     """
     if isinstance(backend, SolverBackend):
         return backend
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "lu"
+        backend = "lu"
     if isinstance(backend, str):
         backend = SolverConfig(backend=backend)
-    elif isinstance(backend, dict):
-        backend = SolverConfig.from_dict(backend)
     if not isinstance(backend, SolverConfig):
         raise SolverBackendError(
             f"cannot interpret solver backend designation "
             f"{backend!r} of type {type(backend).__name__}")
-    return get_backend(backend.backend)(backend)
-
-
-register_backend("lu", LUBackend)
-register_backend("krylov", KrylovBackend)
+    return _BACKENDS[backend.backend](backend)

@@ -3,8 +3,9 @@
 The coupled system mixes metal conductances (~1e8 S/m), dielectric
 admittances (~1e-2 S/m at 1 GHz) and carrier-flux coefficients scaled by
 densities of 1e21 m^-3, so the raw matrix spans ~30 orders of magnitude.
-Row/column max-equilibration before the LU keeps SuperLU's pivoting
-healthy; the scaling is undone on the solution so callers never see it.
+Row/column max-scaling (:func:`max_scaled`) before the LU keeps
+SuperLU's pivoting healthy; the scaling is undone on the solution so
+callers never see it.
 
 Two entry points:
 
@@ -48,10 +49,44 @@ def _max_abs_rows(matrix: sp.csr_matrix) -> np.ndarray:
     return out
 
 
-class SparseFactor:
-    """Reusable equilibrated sparse LU factorization of a square matrix.
+def max_scaled(matrix: sp.csr_matrix):
+    """Row/column max-scaling ``R A C`` of a square CSR matrix.
 
-    Factorizes once in ``__init__`` (row/column max-equilibration plus a
+    ``R`` divides each row by its largest |entry|; ``C`` then divides
+    each column of ``R A`` by *its* largest (an all-zero column keeps
+    scale 1).  Both the direct LU and the Krylov iteration run in these
+    coordinates.
+
+    Returns
+    -------
+    tuple
+        ``(scaled, row_scale, col_scale)``: the scaled sparse matrix
+        (format left to the caller) and the diagonals of ``R`` and
+        ``C``.
+
+    Raises
+    ------
+    SingularSystemError
+        When a row is empty: some unknown has no equation.
+    """
+    row_max = _max_abs_rows(matrix)
+    if np.any(row_max == 0.0):
+        empty = int(np.count_nonzero(row_max == 0.0))
+        raise SingularSystemError(
+            f"{empty} empty matrix rows: some unknowns have "
+            f"no equation (check boundary conditions)")
+    row_scale = 1.0 / row_max
+    scaled = sp.diags(row_scale) @ matrix
+    col_max = _max_abs_rows(scaled.T.tocsr())
+    col_max[col_max == 0.0] = 1.0
+    col_scale = 1.0 / col_max
+    return scaled @ sp.diags(col_scale), row_scale, col_scale
+
+
+class SparseFactor:
+    """Reusable max-scaled sparse LU factorization of a square matrix.
+
+    Factorizes once in ``__init__`` (row/column max-scaling plus a
     SuperLU decomposition) and answers any number of :meth:`solve` calls
     against the same matrix — the expensive part of a multi-port or
     multi-excitation study is thereby paid once per matrix instead of
@@ -61,8 +96,6 @@ class SparseFactor:
     ----------
     matrix:
         Square sparse matrix (real or complex).
-    equilibrate:
-        Apply row & column max-scaling before factorizing (default on).
 
     Raises
     ------
@@ -72,7 +105,7 @@ class SparseFactor:
         missing boundary condition.
     """
 
-    def __init__(self, matrix: sp.spmatrix, equilibrate: bool = True):
+    def __init__(self, matrix: sp.spmatrix):
         matrix = matrix.tocsr()
         if matrix.shape[0] != matrix.shape[1]:
             raise SingularSystemError(
@@ -87,28 +120,9 @@ class SparseFactor:
             return
 
         with span("factorize", n=n):
-            if equilibrate:
-                row_max = _max_abs_rows(matrix)
-                if np.any(row_max == 0.0):
-                    empty = int(np.count_nonzero(row_max == 0.0))
-                    raise SingularSystemError(
-                        f"{empty} empty matrix rows: some unknowns have "
-                        f"no equation (check boundary conditions)")
-                row_scale = 1.0 / row_max
-                scaled = sp.diags(row_scale) @ matrix
-                col_max = _max_abs_rows(scaled.T.tocsr())
-                col_max[col_max == 0.0] = 1.0
-                col_scale = 1.0 / col_max
-                scaled = (scaled @ sp.diags(col_scale)).tocsc()
-            else:
-                scaled = matrix.tocsc()
-                row_scale = None
-                col_scale = None
-            self._row_scale = row_scale
-            self._col_scale = col_scale
-
+            scaled, self._row_scale, self._col_scale = max_scaled(matrix)
             try:
-                self._lu = spla.splu(scaled)
+                self._lu = spla.splu(scaled.tocsc())
             except RuntimeError as exc:
                 raise SingularSystemError(
                     f"sparse LU failed: {exc}") from exc
@@ -152,27 +166,20 @@ class SparseFactor:
 
         num_rhs = 1 if rhs.ndim == 1 else int(rhs.shape[1])
         with span("back_substitute", n=n, num_rhs=num_rhs):
-            if self._row_scale is not None:
-                scale = (self._row_scale if rhs.ndim == 1
-                         else self._row_scale[:, None])
-                scaled_rhs = scale * rhs
-            else:
-                scaled_rhs = rhs
-            y = self._lu.solve(np.asarray(scaled_rhs))
+            scale = (self._row_scale if rhs.ndim == 1
+                     else self._row_scale[:, None])
+            y = self._lu.solve(np.asarray(scale * rhs))
             if not np.all(np.isfinite(y)):
                 raise SingularSystemError(
                     "solution contains non-finite values")
             _SOLVES.inc()
-            if self._col_scale is not None:
-                scale = (self._col_scale if y.ndim == 1
-                         else self._col_scale[:, None])
-                return scale * y
-            return y
+            scale = (self._col_scale if y.ndim == 1
+                     else self._col_scale[:, None])
+            return scale * y
 
 
-def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
-                 equilibrate: bool = True) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` via equilibrated sparse LU.
+def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ x = rhs`` via max-scaled sparse LU.
 
     Thin one-shot wrapper over :class:`SparseFactor`; callers that solve
     the same matrix repeatedly should hold a :class:`SparseFactor`
@@ -184,8 +191,6 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
         Square sparse matrix (real or complex).
     rhs:
         Right-hand side, shape ``(n,)`` or ``(n, k)``.
-    equilibrate:
-        Apply row & column max-scaling before factorizing (default on).
 
     Raises
     ------
@@ -199,4 +204,4 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray,
         # Factor in complex arithmetic up front: the one-shot path knows
         # its RHS, so this beats two real solves.
         matrix = matrix.astype(complex)
-    return SparseFactor(matrix, equilibrate=equilibrate).solve(rhs)
+    return SparseFactor(matrix).solve(rhs)

@@ -7,9 +7,8 @@ eq. 4); the mean is the zeroth coefficient and the variance is
 and Monte-Carlo-sampled at negligible cost, which the ablation benches
 use.
 
-The paper's model is the order-2 total-degree chaos
-(:class:`QuadraticPCE`, kept as an alias so every stored surrogate and
-serving path keeps working); the class itself carries *any*
+The paper's model is the order-2 total-degree chaos, the default
+basis of :class:`PolynomialChaos`; the class carries *any*
 :class:`~repro.stochastic.hermite.HermiteBasis`, including the
 explicit order-adaptive truncations the dimension-adaptive engine
 derives from its accepted index set.
@@ -249,8 +248,7 @@ class PolynomialChaos:
         return cls(basis, coefficients, output_names=names)
 
 
-#: The paper's order-2 chaos by its historical name.  Every module that
-#: grew up against the quadratic model (serving, stores, benches) keeps
-#: importing ``QuadraticPCE``; it *is* :class:`PolynomialChaos`, which
-#: defaults to the order-2 total-degree basis.
+#: The paper's order-2 chaos by its historical name, kept for code that
+#: still imports it; it *is* :class:`PolynomialChaos`, which defaults to
+#: the order-2 total-degree basis.
 QuadraticPCE = PolynomialChaos

@@ -19,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StochasticError
-from repro.stochastic.pce import QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 
 
-def _term_variances(pce: QuadraticPCE) -> np.ndarray:
+def _term_variances(pce: PolynomialChaos) -> np.ndarray:
     """Variance contribution of every basis term, ``(terms, outputs)``."""
     coef = pce.coefficients
     norms = pce.basis.norms_squared[:, None]
@@ -31,7 +31,7 @@ def _term_variances(pce: QuadraticPCE) -> np.ndarray:
     return contrib
 
 
-def main_effect_indices(pce: QuadraticPCE) -> np.ndarray:
+def main_effect_indices(pce: PolynomialChaos) -> np.ndarray:
     """First-order (main effect) Sobol indices, ``(dim, outputs)``.
 
     Entry ``[i, k]`` is the fraction of output ``k``'s variance
@@ -48,7 +48,7 @@ def main_effect_indices(pce: QuadraticPCE) -> np.ndarray:
     return out / variance
 
 
-def total_effect_indices(pce: QuadraticPCE) -> np.ndarray:
+def total_effect_indices(pce: PolynomialChaos) -> np.ndarray:
     """Total-effect Sobol indices, ``(dim, outputs)``.
 
     Entry ``[i, k]`` counts every variance term in which variable ``i``
@@ -66,7 +66,7 @@ def total_effect_indices(pce: QuadraticPCE) -> np.ndarray:
     return out / variance
 
 
-def group_indices(pce: QuadraticPCE, groups: dict) -> dict:
+def group_indices(pce: PolynomialChaos, groups: dict) -> dict:
     """Closed (group) Sobol indices for disjoint variable sets.
 
     Parameters
@@ -120,8 +120,8 @@ def group_indices(pce: QuadraticPCE, groups: dict) -> dict:
     return {name: vals / variance for name, vals in out.items()}
 
 
-def group_indices_from_reduced_space(pce: QuadraticPCE,
-                                     reduced_space) -> dict:
+def group_indices_from_reduced_space(pce: PolynomialChaos,
+                                      reduced_space) -> dict:
     """Group Sobol indices keyed by perturbation-group name.
 
     Convenience wrapper mapping the slices of a

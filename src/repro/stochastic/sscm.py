@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import StochasticError
 from repro.obs.trace import span
 from repro.stochastic.hermite import HermiteBasis
-from repro.stochastic.pce import QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 from repro.stochastic.sparse_grid import SparseGrid, smolyak_sparse_grid
 
 
@@ -27,7 +27,7 @@ class SSCMResult:
     Attributes
     ----------
     pce:
-        The fitted :class:`~repro.stochastic.pce.QuadraticPCE`.
+        The fitted :class:`~repro.stochastic.pce.PolynomialChaos`.
     num_runs:
         Deterministic solver evaluations used (the sparse-grid size).
     wall_time:
@@ -36,7 +36,7 @@ class SSCMResult:
         The sparse grid used.
     """
 
-    pce: QuadraticPCE
+    pce: PolynomialChaos
     num_runs: int
     wall_time: float
     grid: SparseGrid
@@ -117,12 +117,12 @@ def run_sscm(solve_fn, dim: int, output_names=None, order: int = 2,
     basis = HermiteBasis(dim, order=order)
     with span("fit", method=fit, terms=len(basis.indices)):
         if fit == "quadrature":
-            pce = QuadraticPCE.fit_quadrature(basis, grid.points,
-                                              grid.weights, values,
-                                              output_names=output_names)
+            pce = PolynomialChaos.fit_quadrature(
+                basis, grid.points, grid.weights, values,
+                output_names=output_names)
         elif fit == "regression":
-            pce = QuadraticPCE.fit_regression(basis, grid.points, values,
-                                              output_names=output_names)
+            pce = PolynomialChaos.fit_regression(
+                basis, grid.points, values, output_names=output_names)
         else:
             raise StochasticError(f"unknown fit method {fit!r}")
     return SSCMResult(pce=pce, num_runs=total, wall_time=wall, grid=grid)

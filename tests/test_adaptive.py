@@ -303,6 +303,21 @@ class TestAdaptiveConfig:
         with pytest.raises(StochasticError):
             AdaptiveConfig.from_dict(7)
 
+    def test_zero_tol_needs_a_cap(self):
+        # tol=0 never certifies: without a level cap or a budget the
+        # run would never stop.
+        with pytest.raises(StochasticError, match="max_level"):
+            AdaptiveConfig(tol=0.0)
+        with pytest.raises(StochasticError, match="max_solves"):
+            AdaptiveConfig.from_dict({"tol": 0})
+        AdaptiveConfig(tol=0.0, max_level=2)
+        AdaptiveConfig(tol=0.0, max_solves=10)
+
+
+def pure_interaction(z):
+    """f = z0 z1: std 1, no response along any single axis."""
+    return np.array([z[0] * z[1]])
+
 
 class TestAdaptiveDriver:
     def test_exhausting_level2_matches_fixed_grid_exactly(self):
@@ -329,6 +344,25 @@ class TestAdaptiveDriver:
         assert result.num_runs * 2 <= fixed
         assert result.mean[0] == pytest.approx(mean, rel=1e-9)
         assert result.std[0] == pytest.approx(np.sqrt(var), rel=1e-3)
+
+    @pytest.mark.parametrize("d, solves", [(2, 17), (3, 31)])
+    def test_zero_tol_exhausts_a_pure_interaction(self, d, solves):
+        # Every surplus before the (1, 1, ...) pair index is exactly 0
+        # here, so an error estimate of 0 must not count as "tol met"
+        # at tol 0: the run exhausts the level-2 simplex.
+        result = run_adaptive_sscm(pure_interaction, d,
+                                   AdaptiveConfig(tol=0.0, max_level=2))
+        reference = run_sscm(pure_interaction, d)
+        assert result.num_runs == reference.num_runs == solves
+        assert result.termination == "exhausted"
+        assert abs(result.std[0] - reference.std[0]) <= 1e-12
+        assert reference.std[0] == pytest.approx(1.0)
+
+    def test_zero_tol_budget_stop_is_not_converged(self):
+        result = run_adaptive_sscm(pure_interaction, 2,
+                                   AdaptiveConfig(tol=0.0, max_solves=3))
+        assert result.termination == "max_solves"
+        assert not result.converged
 
     def test_max_solves_is_a_hard_cap(self):
         d = 6
@@ -521,6 +555,25 @@ class TestServingIntegration:
             self._spec(adaptive={"tol": -2.0})
         with pytest.raises(ServingError, match="adaptive"):
             self._spec(adaptive={"solves": 5})
+
+    def test_uncapped_zero_tol_is_a_per_request_error(self, tmp_path):
+        from repro.serving.service import serve_batch
+
+        spec = self._spec().to_dict()
+        spec["reduction"]["adaptive"] = {"tol": 0}
+        builds = []
+
+        def ensure(spec):  # the build-on-miss hook
+            builds.append(spec)
+            raise ServingError("no build expected")
+
+        store = SurrogateStore(tmp_path / "store")
+        result = serve_batch({"spec": spec,
+                              "queries": [{"kind": "mean"}]},
+                             store, ensure=ensure)
+        (response,) = result["responses"]
+        assert "tol" in response["error"]
+        assert builds == []
 
     def test_analysis_kwargs_carry_refinement(self):
         spec = self._spec(adaptive={"tol": 1e-4, "max_level": 2})

@@ -1,18 +1,17 @@
 """Backend-conformance harness for the ``SolverBackend`` seam.
 
-One matrix of contracts runs against *every* registered backend —
-residual bounds, multi-RHS == stacked single-RHS, complex/real dtype
-promotion, the ``n == 0`` early return, the singular-matrix error
-shape — so a backend added later (the module registers a throwaway one
-itself to prove it) is enrolled automatically at collection time.
+One matrix of contracts runs against *every* entry of the backend
+table — residual bounds, multi-RHS == stacked single-RHS, complex/real
+dtype promotion, the ``n == 0`` early return, the singular-matrix
+error shape — so a backend added to the table later is enrolled
+automatically at collection time.
 
 Beyond the shared contracts: the ``"lu"`` backend must stay
 bitwise-identical to the pre-seam :func:`repro.solver.solve_sparse`
 path, the ``"krylov"`` backend's seed reuse / certified fallback are
 exercised directly, and the end-to-end identity rule is checked
 through real store builds (explicit ``"lu"`` == omitted byte-for-byte;
-``"krylov"`` hashes apart with its tolerance in the sidecar, immune to
-the ``REPRO_SOLVER_BACKEND`` environment variable).
+``"krylov"`` hashes apart with its tolerance in the sidecar).
 """
 
 import json
@@ -27,38 +26,16 @@ from repro.serving import SurrogateStore, ensure_surrogate
 from repro.solver import (
     KrylovBackend,
     LUBackend,
-    SolverBackend,
     SolverConfig,
     SparseFactor,
-    get_backend,
-    list_backends,
-    register_backend,
     resolve_backend,
     solve_sparse,
-    unregister_backend,
 )
-from repro.solver.backends import _KrylovFactor
+from repro.solver.backends import _BACKENDS, _KrylovFactor
 
-
-class _PlainLUBackend(SolverBackend):
-    """Unequilibrated LU, registered here to prove auto-enrollment."""
-
-    name = "plainlu-test"
-
-    def factorize(self, matrix, key=None):
-        return SparseFactor(matrix, equilibrate=False)
-
-
-register_backend("plainlu-test", _PlainLUBackend)
-
-#: Snapshot at collection time: every backend registered by now —
-#: including the module's own throwaway — gets the full contract
-#: matrix below, with no per-backend test code.
-BACKENDS = list_backends()
-
-
-def teardown_module(module):
-    unregister_backend("plainlu-test")
+#: Every entry of the backend table gets the full contract matrix
+#: below, with no per-backend test code.
+BACKENDS = sorted(_BACKENDS)
 
 
 # ----------------------------------------------------------------------
@@ -89,12 +66,6 @@ def _relative_residual(matrix, x, rhs):
 # The shared contract matrix (parametrized over every backend)
 # ----------------------------------------------------------------------
 class TestConformance:
-    def test_new_backend_auto_enrolls(self):
-        # The throwaway backend registered above must be in the
-        # collection-time snapshot driving every parametrized test.
-        assert "plainlu-test" in BACKENDS
-        assert {"lu", "krylov"} <= set(BACKENDS)
-
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("complex_matrix", [False, True])
     def test_residual_bound(self, name, complex_matrix):
@@ -196,7 +167,8 @@ class TestLUBitwiseIdentity:
 class TestKrylovBackend:
     def test_warm_call_returns_preconditioned_factor(self):
         matrix, rhs = _system(complex_matrix=True)
-        backend = resolve_backend({"backend": "krylov", "tol": 1.0e-10})
+        backend = resolve_backend(SolverConfig(backend="krylov",
+                                               tol=1.0e-10))
         cold = backend.factorize(matrix, key="sweep")
         assert isinstance(cold, SparseFactor)
         # A nearby matrix (next frequency of a sweep): the seed is a
@@ -222,7 +194,7 @@ class TestKrylovBackend:
     def test_fallback_refreshes_seed_and_stays_exact(self):
         matrix, rhs = _system(complex_matrix=True, seed=7)
         backend = resolve_backend(
-            {"backend": "krylov", "tol": 1.0e-12, "maxiter": 1})
+            SolverConfig(backend="krylov", tol=1.0e-12, maxiter=1))
         backend.factorize(matrix, key="k")
         # A completely different matrix under the same key: one
         # iteration cannot reach 1e-12, so the factor must fall back
@@ -252,23 +224,23 @@ class TestKrylovBackend:
         snapshot = _BACKEND_FACTORIZATIONS.snapshot()
         labels = {sample["labels"]["backend"]
                   for sample in snapshot["samples"]}
-        assert labels <= set(list_backends())
+        assert labels <= set(_BACKENDS)
         assert {"lu", "krylov"} <= labels
 
 
 class TestResolutionAndRegistry:
-    def test_default_is_lu(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
+    def test_default_is_lu(self):
         assert isinstance(resolve_backend(None), LUBackend)
 
-    def test_environment_steers_direct_use(self, monkeypatch):
+    def test_environment_is_ignored(self, monkeypatch):
+        # No environment variable picks the default backend.
         monkeypatch.setenv("REPRO_SOLVER_BACKEND", "krylov")
-        assert isinstance(resolve_backend(None), KrylovBackend)
+        assert isinstance(resolve_backend(None), LUBackend)
 
     def test_designation_forms(self):
         assert isinstance(resolve_backend("krylov"), KrylovBackend)
         assert isinstance(
-            resolve_backend({"backend": "krylov", "tol": 1.0e-6}),
+            resolve_backend(SolverConfig(backend="krylov", tol=1.0e-6)),
             KrylovBackend)
         config = SolverConfig(backend="krylov", maxiter=50)
         assert resolve_backend(config).config is config
@@ -279,7 +251,9 @@ class TestResolutionAndRegistry:
         with pytest.raises(SolverBackendError):
             resolve_backend("cholesky")
         with pytest.raises(SolverBackendError):
-            resolve_backend({"backend": "krylov", "typo": 1})
+            SolverConfig.from_dict({"backend": "krylov", "typo": 1})
+        with pytest.raises(SolverBackendError):
+            resolve_backend({"backend": "krylov"})
         with pytest.raises(SolverBackendError):
             resolve_backend(3.14)
         with pytest.raises(SolverBackendError):
@@ -290,15 +264,6 @@ class TestResolutionAndRegistry:
             SolverConfig(backend="krylov", method="jacobi")
         with pytest.raises(SolverBackendError):
             SolverConfig(backend="krylov", maxiter=0)
-
-    def test_registry_guards(self):
-        with pytest.raises(SolverBackendError):
-            register_backend("lu", LUBackend)
-        with pytest.raises(SolverBackendError):
-            unregister_backend("lu")
-        with pytest.raises(SolverBackendError):
-            get_backend("no-such-backend")
-        assert get_backend("lu") is LUBackend
 
 
 # ----------------------------------------------------------------------
@@ -339,18 +304,6 @@ class TestEndToEndIdentity:
         assert explicit[2]["npz_sha256"] == sidecar["npz_sha256"]
         assert explicit[2]["spec"] == sidecar["spec"]
         assert "solver" not in sidecar["spec"]["reduction"]
-
-    def test_environment_variable_cannot_reach_a_build(self, tmp_path,
-                                                       lu_build,
-                                                       monkeypatch):
-        # The spec pins its backend at build_problem time, so the env
-        # var that steers direct solver use must not even change a
-        # bit of a spec-driven build.
-        monkeypatch.setenv("REPRO_SOLVER_BACKEND", "krylov")
-        _, payload, sidecar = lu_build
-        env_build = _build(tmp_path, "env", _spec())
-        assert env_build[1] == payload
-        assert env_build[2]["npz_sha256"] == sidecar["npz_sha256"]
 
     def test_krylov_hashes_apart_with_tol_in_provenance(self, tmp_path,
                                                         lu_build):
