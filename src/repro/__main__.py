@@ -39,10 +39,6 @@ STRUCTURES = {
     "tsv": build_tsv_structure,
 }
 
-#: Length of a cache key / campaign id (sha256 hex digits); used to
-#: tell a literal campaign id apart from a grid file path.
-_KEY_HEX = 64
-
 #: Contact names per structure, kept static so the ``structures``
 #: inventory command answers without building full meshes (tested
 #: against the builders in tests/test_cli.py).
@@ -363,8 +359,8 @@ def _resolve_campaign_id(target: str, store) -> str:
     read as a grid JSON file and hashed — so the same file that ran a
     campaign also addresses its catalog.
     """
-    if len(target) == _KEY_HEX and all(c in "0123456789abcdef"
-                                       for c in target):
+    from repro.serving.store import is_cache_key
+    if is_cache_key(target):
         return target
     from repro.campaign import CampaignGrid
     from repro.serving.service import load_request_file

@@ -48,6 +48,7 @@ from repro.obs.trace import span
 from repro.stochastic.hermite import HermiteBasis
 from repro.stochastic.pce import PolynomialChaos
 from repro.stochastic.sparse_grid import SparseGrid
+from repro.stochastic.sscm import evaluate_points
 from repro.adaptive.grid import IncrementalGrid
 from repro.adaptive.indices import MultiIndexSet
 from repro.adaptive.indices import combination_coefficients
@@ -488,8 +489,7 @@ def _warm_drift(warm_start: WarmStart, seeds, surpluses,
 
 
 def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
-                      output_names=None, order: int = 2,
-                      solve_many=None, progress=None,
+                      output_names=None, solve_many=None,
                       warm_start: WarmStart = None) -> AdaptiveResult:
     """Build the quadratic chaos by dimension-adaptive collocation.
 
@@ -506,15 +506,11 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         fan waves out; the runner wires one in for ``workers > 1``.
     output_names:
         QoI component labels.
-    order:
-        Chaos order of the fitted expansion (2, as in the paper).
     solve_many:
         Optional batched evaluator ``(n, dim) points -> (n, outputs)``;
-        each refinement wave goes through it in one call.  Defaults to
+        each refinement wave goes through it in one call (see
+        :func:`~repro.stochastic.sscm.evaluate_points`).  Defaults to
         a row loop over ``solve_fn``.
-    progress:
-        Optional callable ``(solves_done, max_solves or -1)`` invoked
-        after every evaluated wave.
     warm_start:
         Optional :class:`WarmStart` seeding the index set with a
         previous build's accepted indices.  When the seeded surpluses
@@ -531,7 +527,7 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
     config = config or AdaptiveConfig()
     grid = IncrementalGrid(dim)
     index_set = MultiIndexSet(dim)
-    values_rows = []
+    value_blocks = []
     trace = []
     start = time.perf_counter()
 
@@ -539,25 +535,13 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         if points.shape[0] == 0:
             return
         with span("wave", points=int(points.shape[0])):
-            if solve_many is not None:
-                block = np.asarray(solve_many(points), dtype=float)
-                block = np.atleast_2d(block)
-                if block.shape[0] != points.shape[0]:
-                    raise StochasticError(
-                        f"solve_many returned {block.shape[0]} rows "
-                        f"for {points.shape[0]} points")
-                values_rows.extend(block)
-            else:
-                for point in points:
-                    values_rows.append(np.atleast_1d(
-                        np.asarray(solve_fn(point), dtype=float)))
-        if progress is not None:
-            progress(len(values_rows), config.max_solves or -1)
+            value_blocks.append(
+                evaluate_points(points, solve_fn, solve_many))
 
     # Root index: the nominal collocation point.
     root = (0,) * dim
     evaluate_wave(grid.register(root))
-    values = np.vstack(values_rows)
+    values = np.vstack(value_blocks)
     pivot = values[0].copy()
 
     def augmented(block: np.ndarray) -> np.ndarray:
@@ -615,7 +599,7 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         if wave:
             evaluate_wave(np.vstack(
                 [grid.register(candidate) for candidate in wave]))
-            values = np.vstack(values_rows)
+            values = np.vstack(value_blocks)
             watched = augmented(values)
         for candidate in wave:
             surplus = difference_quadrature(grid, watched, candidate)
@@ -646,7 +630,7 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         new_blocks = [block for block in new_blocks if block.shape[0]]
         if new_blocks:
             evaluate_wave(np.vstack(new_blocks))
-            values = np.vstack(values_rows)
+            values = np.vstack(value_blocks)
             watched = augmented(values)
         for index in seeds:
             surplus = difference_quadrature(grid, watched, index)
@@ -726,7 +710,7 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
             basis = HermiteBasis(
                 dim, indices=adaptive_basis_indices(indices))
         else:
-            basis = HermiteBasis(dim, order=order)
+            basis = HermiteBasis(dim, order=2)
         pce = PolynomialChaos(basis,
                               combination_projection(grid, values,
                                                      indices, basis),

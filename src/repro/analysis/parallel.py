@@ -39,6 +39,9 @@ def _wave_worker_init(problem_builder, reduced_space):
 
 
 def _worker_wave_chunk(points):
+    # The chunk's rows plus its perf_counter window, which the parent
+    # ingests as a span: perf_counter is system-wide on our platforms.
+    start = time.perf_counter()
     problem = _WORKER_STATE["problem"]
     reduced_space = _WORKER_STATE["reduced_space"]
     values = []
@@ -47,23 +50,10 @@ def _worker_wave_chunk(points):
         # (reduced_space.split then evaluate_sample), so a chunk of
         # size one is bitwise-identical to the serial evaluation.
         values.append(problem.evaluate_sample(reduced_space.split(zeta)))
-    return np.vstack(values)
-
-
-def _worker_wave_chunk_traced(points):
-    # Same arithmetic as _worker_wave_chunk, plus a perf_counter
-    # window the parent ingests as a per-worker span.  perf_counter is
-    # a system-wide monotonic clock on our platforms, so the window is
-    # directly comparable with the parent tracer's origin.
-    start = time.perf_counter()
-    block = _worker_wave_chunk(points)
     end = time.perf_counter()
-    return block, {"start": start, "end": end, "pid": os.getpid(),
-                   "points": int(points.shape[0])}
-
-
-def _default_workers() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
+    return np.vstack(values), {"start": start, "end": end,
+                               "pid": os.getpid(),
+                               "points": int(points.shape[0])}
 
 
 class ParallelWaveEvaluator:
@@ -93,7 +83,7 @@ class ParallelWaveEvaluator:
         (the reduction is *not* recomputed per worker — every process
         maps collocation points through the same matrices).
     num_workers:
-        Process count (default: up to 8, bounded by the CPU count).
+        Process count (the build's ``workers`` argument).
 
     Notes
     -----
@@ -102,10 +92,7 @@ class ParallelWaveEvaluator:
     evaluator.
     """
 
-    def __init__(self, problem_builder, reduced_space,
-                 num_workers: int = None):
-        if num_workers is None:
-            num_workers = _default_workers()
+    def __init__(self, problem_builder, reduced_space, num_workers: int):
         if num_workers < 1:
             raise StochasticError(
                 f"num_workers must be >= 1, got {num_workers}")
@@ -137,17 +124,13 @@ class ParallelWaveEvaluator:
                   np.array_split(points,
                                  min(self.num_workers, points.shape[0]))
                   if chunk.shape[0]]
+        # One ingested span per worker chunk, parented under this
+        # call's span, so the Chrome trace shows real per-worker lanes.
+        # With no tracer active both are no-ops.
         tracer = get_tracer()
-        if not tracer.enabled:
-            blocks = list(self._pool.map(_worker_wave_chunk, chunks))
-            return np.vstack(blocks)
-        # Traced path: identical values, plus one ingested span per
-        # worker chunk parented under this call's span so the Chrome
-        # trace shows real per-worker lanes.
         with tracer.span("parallel_wave", chunks=len(chunks),
                          points=int(points.shape[0])) as parent:
-            results = list(self._pool.map(_worker_wave_chunk_traced,
-                                          chunks))
+            results = list(self._pool.map(_worker_wave_chunk, chunks))
             for _, info in results:
                 tracer.add_span(
                     "worker_chunk", info["start"], info["end"],

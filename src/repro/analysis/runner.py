@@ -97,12 +97,10 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
                       energy: float = 0.95,
                       max_variables_by_group: dict = None,
                       level: int = 2, fit: str = "quadrature",
-                      nominal_solution=None,
                       refinement: AdaptiveConfig = None,
                       problem_builder=None,
                       warm_start: WarmStart = None,
-                      workers: int = None,
-                      progress=None) -> AnalysisResult:
+                      workers: int = None) -> AnalysisResult:
     """Full SSCM pipeline (paper Sections II.B + III.C).
 
     1. Solve the nominal structure and derive the wPFA weights.
@@ -135,8 +133,6 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
     fit : {"quadrature", "regression"}, default "quadrature"
         Chaos-fit strategy of the fixed-grid path; must stay
         ``"quadrature"`` under ``refinement``.
-    nominal_solution : ACSolution, optional
-        Reuse an existing nominal solve for the wPFA weights.
     refinement : AdaptiveConfig or dict, optional
         Switches collocation to the dimension-adaptive engine.
     problem_builder : callable, optional
@@ -156,8 +152,6 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         (bitwise-identical to the serial loop).  Pure execution
         policy, so it is an argument here and never part of a spec;
         above 1 it requires ``problem_builder``.
-    progress : callable, optional
-        ``(completed, total)`` callback for the collocation loop.
 
     Returns
     -------
@@ -191,7 +185,7 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
     weights = None
     if method == "wpfa":
         with span("nominal_solve"):
-            weights = nominal_weights(problem, solution=nominal_solution)
+            weights = nominal_weights(problem)
     with span("reduction", method=method):
         reduced_space = reduce_groups(
             problem.groups, method=method, weights_by_group=weights,
@@ -211,16 +205,14 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
                                      config=refinement,
                                      output_names=problem.qoi_names,
                                      solve_many=evaluator,
-                                     warm_start=warm_start,
-                                     progress=progress)
+                                     warm_start=warm_start)
         else:
             # The fixed grid is one big wave: the same evaluator that
             # fans adaptive refinement waves digests it whole,
             # bitwise-identical to the serial loop.
             sscm = run_sscm(solve_fn, reduced_space.dim,
                             output_names=problem.qoi_names, level=level,
-                            fit=fit, progress=progress,
-                            solve_many=evaluator)
+                            fit=fit, solve_many=evaluator)
     finally:
         if evaluator is not None:
             evaluator.close()
@@ -233,8 +225,8 @@ run_problem = run_sscm_analysis
 
 
 def run_mc_analysis(problem: VariationalProblem, num_runs: int,
-                    seed: int = 0, keep_samples: bool = False,
-                    progress=None) -> MonteCarloResult:
+                    seed: int = 0,
+                    keep_samples: bool = False) -> MonteCarloResult:
     """Monte-Carlo reference on the *full* correlated variables.
 
     Unlike the SSCM path this samples every group from its complete
@@ -256,4 +248,4 @@ def run_mc_analysis(problem: VariationalProblem, num_runs: int,
 
     return run_monte_carlo(sample_fn, num_runs, seed=seed,
                            output_names=problem.qoi_names,
-                           keep_samples=keep_samples, progress=progress)
+                           keep_samples=keep_samples)

@@ -37,23 +37,21 @@ def _node_mean_link_magnitude(solution: ACSolution, node_ids: np.ndarray,
     return (totals / counts)[node_ids]
 
 
-def nominal_weights(problem, solution: ACSolution = None) -> dict:
+def nominal_weights(problem) -> dict:
     """wPFA weight vectors for every group of ``problem``.
 
     Parameters
     ----------
     problem:
-        A :class:`~repro.analysis.problem.VariationalProblem`.
-    solution:
-        Optional pre-computed nominal solution (saves one solve).
+        A :class:`~repro.analysis.problem.VariationalProblem` (its
+        nominal solve is the one extra wPFA solve).
 
     Returns
     -------
     dict
         ``{group name: (n,) weights}``.
     """
-    if solution is None:
-        solution = problem.nominal_solution()
+    solution = problem.nominal_solution()
     node_volumes = solution.geometry.node_volumes
     current = solution.link_total_current()
     flux = solution.link_dielectric_flux()

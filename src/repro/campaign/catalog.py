@@ -20,6 +20,7 @@ from pathlib import Path
 
 from repro.errors import CampaignError
 from repro.serving.spec import canonical_json
+from repro.serving.store import is_cache_key
 
 #: Catalog document layout version; mismatched documents are rejected
 #: rather than reinterpreted.
@@ -29,28 +30,19 @@ CATALOG_SCHEMA_VERSION = 1
 #: surrogate entries, so GC tooling and backups see one tree.
 CAMPAIGN_DIR = "campaigns"
 
-_ID_HEX = 64
-
-
-def campaign_dir(store) -> Path:
-    """The store's catalog directory (created on demand)."""
-    path = Path(store.root) / CAMPAIGN_DIR
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
 
 def catalog_path(store, campaign_id: str) -> Path:
     """Where ``campaign_id``'s catalog lives inside ``store``.
 
     The id is validated as 64-hex first, so a hostile or mistyped id
-    can never escape the campaigns directory.
+    can never escape the campaigns directory.  Nothing is created:
+    reading a catalog never writes to the store.
     """
-    if not isinstance(campaign_id, str) or len(campaign_id) != _ID_HEX \
-            or any(c not in "0123456789abcdef" for c in campaign_id):
+    if not is_cache_key(campaign_id):
         raise CampaignError(
             f"malformed campaign id {campaign_id!r} (expected 64 hex "
             f"digits — see 'repro campaign status' for known ids)")
-    return campaign_dir(store) / f"{campaign_id}.json"
+    return Path(store.root) / CAMPAIGN_DIR / f"{campaign_id}.json"
 
 
 def _atomic_write_catalog(path: Path, text: str) -> None:
@@ -77,6 +69,7 @@ def write_catalog(store, catalog: dict) -> Path:
     """Persist a catalog document atomically; returns its path."""
     campaign_id = catalog.get("campaign")
     path = catalog_path(store, campaign_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_catalog(path, canonical_json(catalog) + "\n")
     return path
 
@@ -127,7 +120,7 @@ def list_catalogs(store) -> list:
     rows = []
     directory = Path(store.root) / CAMPAIGN_DIR
     for path in sorted(directory.glob("*.json")):
-        if len(path.stem) != _ID_HEX:
+        if not is_cache_key(path.stem):
             continue
         try:
             rows.append(catalog_summary(read_catalog(store, path.stem)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 import threading
 
-from repro.serving.store import _KEY_HEX, SurrogateStore
+from repro.serving.store import SurrogateStore, is_cache_key
 
 
 class StoreIndex:
@@ -71,9 +71,9 @@ def _scan(root) -> dict:
         with os.scandir(root) as scan:
             for entry in scan:
                 name = entry.name
-                if len(name) == _KEY_HEX + 4 and name.endswith(".npz"):
+                if name.endswith(".npz") and is_cache_key(name[:-4]):
                     payloads.add(name[:-4])
-                elif len(name) == _KEY_HEX + 5 and name.endswith(".json"):
+                elif name.endswith(".json") and is_cache_key(name[:-5]):
                     try:
                         stat = entry.stat()
                     except OSError:

@@ -65,6 +65,7 @@ from repro.obs.export import prometheus_text
 from repro.obs.log import EventLog
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.serving.pipeline import BuildReport, ensure_surrogate
+from repro.serving.pipeline import load_surrogate
 from repro.serving.service import DEFAULT_STORE_PATH, serve_batch
 
 logger = logging.getLogger("repro.daemon")
@@ -94,11 +95,6 @@ class ReproDaemon:
     build_missing : bool, default True
         Build surrogates on cache misses.  ``False`` serves read-only:
         misses become per-request errors and zero solves ever run.
-    warm_start : bool, default True
-        Allow stored siblings to seed adaptive builds.
-    engine_options : dict, optional
-        Per-query :class:`~repro.serving.query.QueryEngine` overrides
-        (``num_samples``, ``seed``, ``chunk_size``).
     access_log : str or pathlib.Path, optional
         Append one structured JSONL event per completed request here
         (:class:`~repro.obs.log.EventLog`).  ``None`` disables.
@@ -108,13 +104,10 @@ class ReproDaemon:
     """
 
     def __init__(self, store_path=None, host="127.0.0.1", port=0,
-                 build_missing=True, warm_start=True,
-                 engine_options=None, access_log=None, quiet=False):
+                 build_missing=True, access_log=None, quiet=False):
         self.store = IndexedSurrogateStore(store_path
                                            or DEFAULT_STORE_PATH)
         self.build_missing = bool(build_missing)
-        self.warm_start = bool(warm_start)
-        self.engine_options = engine_options
         self.quiet = bool(quiet)
         self.access_log = (EventLog(access_log)
                            if access_log is not None else None)
@@ -271,17 +264,13 @@ class ReproDaemon:
         for, including its solve count.  Builds run serially: the
         worker count is a build argument, and no request can set it.
         """
-        key = spec.cache_key()
         if not self.build_missing:
-            record = self.store.load(key)
-            self.store.touch(key)
+            report = load_surrogate(spec, self.store)
+            # Counted after the load: a read-only miss is an error.
             self._count("hits")
-            return BuildReport(record=record, built=False,
-                               num_solves=0, wall_time=0.0)
+            return report
         report, leader = self.flights.do(
-            key,
-            lambda: ensure_surrogate(spec, self.store,
-                                     warm_start=self.warm_start))
+            spec.cache_key(), lambda: ensure_surrogate(spec, self.store))
         if not leader:
             self._count("coalesced_builds" if report.built else "hits")
         elif report.built:
@@ -295,7 +284,6 @@ class ReproDaemon:
         """Answer one ``/query`` document (the serve_batch contract)."""
         result = serve_batch(batch, self.store,
                              build_missing=self.build_missing,
-                             engine_options=self.engine_options,
                              ensure=self._ensure)
         responses = result["responses"]
         self._count("queries", len(responses))

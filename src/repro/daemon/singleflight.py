@@ -27,7 +27,7 @@ import threading
 from contextlib import contextmanager
 from pathlib import Path
 
-try:  # Linux/macOS; the Windows fallback below degrades to O_EXCL.
+try:  # Linux/macOS.  Without fcntl (Windows) build_lock does not lock.
     import fcntl
 except ImportError:  # pragma: no cover - not reachable on POSIX CI
     fcntl = None

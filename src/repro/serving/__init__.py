@@ -16,7 +16,6 @@ from repro.serving.presets import (
     Preset,
     get_preset,
     list_presets,
-    register_preset,
 )
 from repro.serving.store import (
     SCHEMA_VERSION,
@@ -42,7 +41,6 @@ __all__ = [
     "Preset",
     "get_preset",
     "list_presets",
-    "register_preset",
     "SCHEMA_VERSION",
     "SurrogateRecord",
     "SurrogateStore",

@@ -136,8 +136,7 @@ def _warm_start_for(spec: ProblemSpec, store: SurrogateStore,
     return seed
 
 
-def build_surrogate(spec: ProblemSpec, progress=None,
-                    store: SurrogateStore = None,
+def build_surrogate(spec: ProblemSpec, store: SurrogateStore = None,
                     warm_start: bool = True,
                     warm_source: str = None,
                     workers: int = None) -> SurrogateRecord:
@@ -155,8 +154,6 @@ def build_surrogate(spec: ProblemSpec, progress=None,
     ----------
     spec : ProblemSpec
         The surrogate identity to build.
-    progress : callable, optional
-        ``(completed, total)`` collocation callback.
     store : SurrogateStore, optional
         Consulted (read-only) for a warm-start seed; nothing is
         persisted here.
@@ -189,7 +186,7 @@ def build_surrogate(spec: ProblemSpec, progress=None,
         with span("warm_start_lookup"):
             seed = _warm_start_for(spec, store,
                                    source_key=warm_source)
-    analysis = run_sscm_analysis(problem, progress=progress,
+    analysis = run_sscm_analysis(problem,
                                  problem_builder=spec.build_problem,
                                  warm_start=seed, workers=workers,
                                  **kwargs)
@@ -208,7 +205,7 @@ def build_surrogate(spec: ProblemSpec, progress=None,
 def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
                      rebuild: bool = False, warm_start: bool = True,
                      warm_source: str = None,
-                     progress=None, workers: int = None) -> BuildReport:
+                     workers: int = None) -> BuildReport:
     """Return the stored surrogate for ``spec``, building it on a miss.
 
     Parameters
@@ -231,9 +228,6 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
         Cache key of a designated warm-start predecessor to try
         before the store-wide sibling search (see
         :func:`build_surrogate`).  A hit never consults it.
-    progress : callable, optional
-        ``(completed, total)`` callback for the collocation loop of a
-        cold build.
     workers : int, optional
         Collocation worker processes for a build (see
         :func:`build_surrogate`).  Execution policy, not identity: the
@@ -268,16 +262,18 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
         except (StoreCorruptionError, StoreSchemaError):
             replaced_damaged = True
             return None
-        return record
-
-    record = check_hit()
-    if record is not None:
+        if record is None:
+            return None
         # Usage bookkeeping for the inventory / LRU eviction: a hit
         # refreshes the entry's last_used stamp.
         store.touch(key)
-        _STORE_HITS.inc()
         return BuildReport(record=record, built=False, num_solves=0,
                            wall_time=time.perf_counter() - start)
+
+    report = check_hit()
+    if report is not None:
+        _STORE_HITS.inc()
+        return report
     # Classified at entry: a coalesced racer that finds the winner's
     # entry after the lock still counts as the miss it initially was.
     _STORE_MISSES.inc()
@@ -287,12 +283,9 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
     # the winner's entry (a hit, zero solves).  In-process stampedes
     # coalesce one layer up, in the daemon's single-flight table.
     with build_lock(store.root, key):
-        record = check_hit()
-        if record is not None:
-            store.touch(key)
-            return BuildReport(record=record, built=False,
-                               num_solves=0,
-                               wall_time=time.perf_counter() - start)
+        report = check_hit()
+        if report is not None:
+            return report
         tracer = get_tracer()
         if not tracer.enabled:
             # Builds always run under a tracer — their own if none is
@@ -303,7 +296,7 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
         with activate(tracer), \
                 tracer.span("build", cache_key=key) as build_span:
             record = build_surrogate(
-                spec, progress=progress, store=store,
+                spec, store=store,
                 warm_start=warm_start and not rebuild,
                 warm_source=warm_source, workers=workers)
             totals = tracer.totals(root=build_span.span_id)
@@ -337,3 +330,16 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
                        replaced_damaged=replaced_damaged,
                        warm_start_source=source,
                        timings=timings)
+
+
+def load_surrogate(spec: ProblemSpec, store: SurrogateStore) -> BuildReport:
+    """The stored surrogate for ``spec``, never building it: the
+    read-only path of ``repro query --no-build`` and a ``--no-build``
+    daemon.  A miss or a damaged entry raises; a hit is stamped
+    ``last_used`` like any other."""
+    start = time.perf_counter()
+    key = spec.cache_key()
+    record = store.load(key)
+    store.touch(key)
+    return BuildReport(record=record, built=False, num_solves=0,
+                       wall_time=time.perf_counter() - start)

@@ -1,12 +1,12 @@
-"""Preset registry: named, parameterized surrogate families.
+"""Presets: named, parameterized surrogate families.
 
 A preset binds a spec's name to a builder that turns resolved JSON
-parameters into a live :class:`~repro.analysis.problem.VariationalProblem`
-(cf. the component-registry layering of coupled-solver frameworks).
-The paper's two Section IV experiments register themselves here, so
+parameters into a live :class:`~repro.analysis.problem.VariationalProblem`.
+The preset set is the fixed table :data:`_PRESETS` of the paper's two
+Section IV experiments, so
 ``{"preset": "table1", "params": {"variant": "geometry"}}`` is a
-complete, buildable, cacheable surrogate identity; downstream projects
-add their own structures with :func:`register_preset`.
+complete, buildable, cacheable surrogate identity.  A new structure is
+one more table entry.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from repro.units import um
 
 @dataclass(frozen=True)
 class Preset:
-    """One registered surrogate family.
+    """One surrogate family.
 
     Attributes
     ----------
     name:
-        Registry key, referenced by ``ProblemSpec.preset``.
+        Table key, referenced by ``ProblemSpec.preset``.
     description:
         One-line human summary (shown by ``repro structures``).
     defaults:
@@ -38,32 +38,6 @@ class Preset:
     description: str
     defaults: dict
     build: callable
-
-
-_REGISTRY: dict = {}
-
-
-def register_preset(preset: Preset) -> Preset:
-    """Add a preset to the registry (duplicate names are an error)."""
-    if preset.name in _REGISTRY:
-        raise ServingError(f"preset {preset.name!r} is already registered")
-    _REGISTRY[preset.name] = preset
-    return preset
-
-
-def get_preset(name: str) -> Preset:
-    """Look a preset up by name (unknown names are a ServingError)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ServingError(
-            f"unknown preset {name!r}; registered: "
-            f"{sorted(_REGISTRY)}") from None
-
-
-def list_presets() -> list:
-    """Every registered preset, sorted by name."""
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +79,7 @@ def _build_table2(params: dict):
     return table2_problem(config, multi_port=bool(params["multi_port"]))
 
 
-register_preset(Preset(
+_TABLE1 = Preset(
     name="table1",
     description="metal plugs on doped Si, |J| through the plug-1 "
                 "interface (Table I)",
@@ -122,9 +96,9 @@ register_preset(Preset(
         "multi_port": False,
     },
     build=_build_table1,
-))
+)
 
-register_preset(Preset(
+_TABLE2 = Preset(
     name="table2",
     description="two TSVs with traces, TSV1 capacitance column "
                 "(Table II)",
@@ -142,4 +116,22 @@ register_preset(Preset(
         "multi_port": False,
     },
     build=_build_table2,
-))
+)
+
+#: Every preset, by name.
+_PRESETS = {preset.name: preset for preset in (_TABLE1, _TABLE2)}
+
+
+def get_preset(name: str) -> Preset:
+    """Look a preset up by name (unknown names are a ServingError)."""
+    try:
+        return _PRESETS[name]
+    except KeyError:
+        raise ServingError(
+            f"unknown preset {name!r}; registered: "
+            f"{sorted(_PRESETS)}") from None
+
+
+def list_presets() -> list:
+    """Every preset, sorted by name."""
+    return [_PRESETS[name] for name in sorted(_PRESETS)]

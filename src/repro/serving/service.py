@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 
 from repro.errors import ReproError, ServingError
-from repro.serving.pipeline import ensure_surrogate
+from repro.serving.pipeline import ensure_surrogate, load_surrogate
 from repro.serving.query import QueryEngine
 from repro.serving.spec import ProblemSpec
 from repro.serving.store import SurrogateStore
@@ -52,8 +52,7 @@ def parse_request(data: dict) -> tuple:
 
 
 def serve_request(request: dict, store: SurrogateStore,
-                  build_missing: bool = True,
-                  engine_options: dict = None, ensure=None) -> dict:
+                  build_missing: bool = True, ensure=None) -> dict:
     """Answer one request; builds the surrogate on a miss by default.
 
     ``ensure`` overrides the acquisition step: a callable
@@ -64,22 +63,17 @@ def serve_request(request: dict, store: SurrogateStore,
     spec, queries = parse_request(request)
     if ensure is not None:
         report = ensure(spec)
-        record, built, num_solves = (report.record, report.built,
-                                     report.num_solves)
     elif build_missing:
         report = ensure_surrogate(spec, store)
-        record, built, num_solves = (report.record, report.built,
-                                     report.num_solves)
     else:
-        record = store.load(spec.cache_key())
-        store.touch(record.cache_key)
-        built, num_solves = False, 0
-    engine = QueryEngine(record, **(engine_options or {}))
+        report = load_surrogate(spec, store)
+    record = report.record
+    engine = QueryEngine(record)
     return {
         "cache_key": record.cache_key,
         "preset": spec.preset,
-        "built": built,
-        "num_solves": num_solves,
+        "built": report.built,
+        "num_solves": report.num_solves,
         "adaptive": record.refinement is not None,
         "basis": record.pce.basis.describe(),
         "output_names": record.output_names,
@@ -88,8 +82,7 @@ def serve_request(request: dict, store: SurrogateStore,
 
 
 def serve_batch(batch: dict, store: SurrogateStore,
-                build_missing: bool = True,
-                engine_options: dict = None, ensure=None) -> dict:
+                build_missing: bool = True, ensure=None) -> dict:
     """Answer a multi-surrogate batch in one call.
 
     Parameters
@@ -103,10 +96,6 @@ def serve_batch(batch: dict, store: SurrogateStore,
     build_missing : bool, default True
         Build on a cache miss; ``False`` turns misses into per-request
         errors instead (read-only serving).
-    engine_options : dict, optional
-        Keyword overrides for every
-        :class:`~repro.serving.query.QueryEngine` (``num_samples``,
-        ``seed``, ``chunk_size``).
     ensure : callable, optional
         ``ensure(spec) -> BuildReport`` surrogate-acquisition
         override, passed through to every request (the daemon's
@@ -133,7 +122,7 @@ def serve_batch(batch: dict, store: SurrogateStore,
         try:
             responses.append(serve_request(
                 request, store, build_missing=build_missing,
-                engine_options=engine_options, ensure=ensure))
+                ensure=ensure))
         except ReproError as exc:
             # Any library error — bad spec, unbuildable structure,
             # failed solve — fails this request only, not the batch.

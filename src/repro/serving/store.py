@@ -13,11 +13,13 @@ statistics.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -50,7 +52,11 @@ EXPLICIT_BASIS_SCHEMA_VERSION = 2
 SUPPORTED_SCHEMA_VERSIONS = (SCHEMA_VERSION,
                              EXPLICIT_BASIS_SCHEMA_VERSION)
 
-_KEY_HEX = 64
+def is_cache_key(name) -> bool:
+    """Is ``name`` 64 lowercase hex digits, the form of every cache key
+    and campaign id?  Listings skip any other name in the store."""
+    return isinstance(name, str) \
+        and re.fullmatch(r"[0-9a-f]{64}", name) is not None
 
 
 @dataclass
@@ -131,8 +137,7 @@ class SurrogateStore:
 
     # ------------------------------------------------------------------
     def _paths(self, key: str):
-        if len(key) != _KEY_HEX or any(c not in "0123456789abcdef"
-                                       for c in key):
+        if not is_cache_key(key):
             raise ServingError(f"malformed cache key {key!r}")
         return self.root / f"{key}.npz", self.root / f"{key}.json"
 
@@ -144,7 +149,7 @@ class SurrogateStore:
         """Keys with a complete payload+sidecar pair (half-written
         entries from a crash are invisible, matching ``in``/``get``)."""
         return sorted(p.stem for p in self.root.glob("*.json")
-                      if len(p.stem) == _KEY_HEX
+                      if is_cache_key(p.stem)
                       and p.with_suffix(".npz").exists())
 
     def delete(self, key: str) -> None:
@@ -314,8 +319,9 @@ class SurrogateStore:
         inventory (``repro store ls``) and future LRU eviction know
         which entries still earn their disk.  Only the timestamp
         changes — the spec (and hence the integrity rehash) is
-        untouched.  Missing or damaged entries are silently skipped:
-        usage bookkeeping must never turn a read into an error.
+        untouched.  Missing or damaged entries and unwritable stores
+        are silently skipped: usage bookkeeping must never turn a read
+        into an error.
 
         Concurrency: the sidecar is re-read immediately before the
         write, but a concurrent ``save`` of the same key (a
@@ -334,9 +340,10 @@ class SurrogateStore:
         sidecar["last_used"] = float(when if when is not None
                                      else time.time())
         _, sidecar_path = self._paths(key)
-        self._atomic_write(
-            sidecar_path,
-            (canonical_json(sidecar) + "\n").encode("utf-8"))
+        with contextlib.suppress(OSError):
+            self._atomic_write(
+                sidecar_path,
+                (canonical_json(sidecar) + "\n").encode("utf-8"))
 
     def summary(self, key: str):
         """The :class:`EntrySummary` of one entry, read from disk.

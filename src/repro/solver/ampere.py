@@ -39,7 +39,6 @@ from repro.errors import ExtractionError
 from repro.geometry.structure import Structure
 from repro.mesh.dual import GridGeometry
 from repro.solver.backends import resolve_backend
-from repro.solver.linear import solve_sparse
 
 
 def _axis_spacings(axis_coords: np.ndarray) -> np.ndarray:
@@ -64,7 +63,7 @@ class AmpereSystem:
     """Curl-curl system for the vector potential on the nominal grid."""
 
     def __init__(self, structure: Structure, geometry: GridGeometry,
-                 gauge_regularization: float = 1e-8, backend=None):
+                 backend=None):
         self._backend = resolve_backend(backend)
         self.structure = structure
         self.geometry = geometry
@@ -72,7 +71,7 @@ class AmpereSystem:
         self.faces = FaceSet(structure.grid)
         self.curl = curl_matrix(structure.grid, self.links, self.faces)
         self._build_face_factors()
-        self._build_curl_curl(gauge_regularization)
+        self._build_curl_curl()
         self._build_divergence()
         # Both operators are frequency- and excitation-independent, so
         # their LU factorizations are built once (lazily) and reused by
@@ -106,14 +105,15 @@ class AmpereSystem:
             factors.append(nu_face * _flat(dual_len / area))
         self.face_factors = np.concatenate(factors)
 
-    def _build_curl_curl(self, gauge_regularization: float) -> None:
+    def _build_curl_curl(self) -> None:
         weight = sp.diags(self.face_factors)
         kmat = (self.curl.T @ weight @ self.curl).tocsr()
         diag_scale = float(np.mean(np.abs(kmat.diagonal())))
         if diag_scale == 0.0:
             raise ExtractionError("degenerate curl-curl operator")
         self.curl_curl = kmat
-        self.gauge = gauge_regularization * diag_scale
+        # Tikhonov gauge fixing: 1e-8 of the mean diagonal magnitude.
+        self.gauge = 1e-8 * diag_scale
 
     def _build_divergence(self) -> None:
         links = self.links
@@ -148,32 +148,10 @@ class AmpereSystem:
         projected = link_current - self.div.T @ phi
         return projected
 
-    def solve_vector_potential(self, link_current: np.ndarray,
-                               admittance_feedback: np.ndarray = None,
-                               omega: float = None) -> np.ndarray:
-        """Solve for the edge line-integrals of A [V s].
-
-        Parameters
-        ----------
-        link_current:
-            Total link currents from the quasi-static solve [A].
-        admittance_feedback:
-            Optional per-link ``dI/d(link voltage)`` used to include the
-            self-consistent ``-dI/dv * j w A`` term; requires ``omega``.
-        omega:
-            Angular frequency for the feedback term.
-        """
-        if admittance_feedback is not None and omega is None:
-            raise ExtractionError(
-                "omega is required with admittance_feedback")
+    def solve_vector_potential(self, link_current: np.ndarray) -> np.ndarray:
+        """Edge line-integrals of A [V s] driven by the total link
+        currents [A] of the quasi-static solve."""
         rhs = self.solenoidal_projection(link_current)
-        if admittance_feedback is not None:
-            # Frequency-dependent matrix: no reusable factorization.
-            matrix = (self.curl_curl + self.gauge * sp.eye(
-                self.links.num_links, format="csr")
-                - sp.diags(np.asarray(admittance_feedback,
-                                      dtype=complex) * 1j * omega))
-            return solve_sparse(matrix.tocsr(), rhs)
         if self._curl_curl_factor is None:
             self._curl_curl_factor = self._backend.factorize(
                 (self.curl_curl + self.gauge * sp.eye(

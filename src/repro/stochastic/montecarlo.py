@@ -34,8 +34,8 @@ class MonteCarloResult:
 
 
 def run_monte_carlo(sample_fn, num_runs: int, seed: int = 0,
-                    output_names=None, keep_samples: bool = False,
-                    progress=None) -> MonteCarloResult:
+                    output_names=None,
+                    keep_samples: bool = False) -> MonteCarloResult:
     """Plain Monte Carlo over a sampling function.
 
     Parameters
@@ -50,8 +50,6 @@ def run_monte_carlo(sample_fn, num_runs: int, seed: int = 0,
     keep_samples:
         Retain the raw ``(num_runs, k)`` sample matrix (for histograms
         and convergence studies).
-    progress:
-        Optional callable ``(completed, total) -> None``.
     """
     if num_runs < 2:
         raise StochasticError(f"num_runs must be >= 2, got {num_runs}")
@@ -70,8 +68,6 @@ def run_monte_carlo(sample_fn, num_runs: int, seed: int = 0,
                 f"sample_fn returned shape {sample.shape} on run {k}, "
                 f"expected ({values.shape[1]},)")
         values[k] = sample
-        if progress is not None:
-            progress(k + 1, num_runs)
     wall = time.perf_counter() - start
     return MonteCarloResult(
         mean=values.mean(axis=0),

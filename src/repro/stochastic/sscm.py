@@ -54,9 +54,26 @@ class SSCMResult:
         return self.pce.output_names
 
 
-def run_sscm(solve_fn, dim: int, output_names=None, order: int = 2,
-             level: int = 2, grid: SparseGrid = None,
-             fit: str = "quadrature", progress=None,
+def evaluate_points(points: np.ndarray, solve_fn,
+                    solve_many=None) -> np.ndarray:
+    """One solve per collocation point, stacked by row: the evaluation
+    path of both engines.  ``solve_many`` (e.g. a
+    :class:`~repro.analysis.parallel.ParallelWaveEvaluator`) takes the
+    whole block in one call, bitwise-equal to the ``solve_fn`` loop."""
+    if solve_many is not None:
+        values = np.atleast_2d(np.asarray(solve_many(points), dtype=float))
+        if values.shape[0] != points.shape[0]:
+            raise StochasticError(
+                f"solve_many returned {values.shape[0]} rows for "
+                f"{points.shape[0]} points")
+        return values
+    return np.vstack([np.atleast_1d(np.asarray(solve_fn(point),
+                                               dtype=float))
+                      for point in points])
+
+
+def run_sscm(solve_fn, dim: int, output_names=None, level: int = 2,
+             grid: SparseGrid = None, fit: str = "quadrature",
              solve_many=None) -> SSCMResult:
     """Build the quadratic statistical model by sparse-grid collocation.
 
@@ -69,23 +86,17 @@ def run_sscm(solve_fn, dim: int, output_names=None, order: int = 2,
         Number of reduced independent variables ``d``.
     output_names:
         Labels of the QoI components.
-    order:
-        Chaos order (2 in the paper).
     level:
-        Smolyak level (2 supports the quadratic chaos).
+        Smolyak level (2 supports the paper's quadratic chaos).
     grid:
         Optional pre-built grid (e.g. a tensor grid for ablations).
     fit:
         ``"quadrature"`` (spectral projection, the paper's method) or
         ``"regression"`` (least squares on the same points).
-    progress:
-        Optional callable ``(completed, total) -> None``.
     solve_many:
         Optional batched evaluator ``(n, dim) points -> (n, outputs)``
-        — the whole fixed grid is one wave, so a
-        :class:`~repro.analysis.parallel.ParallelWaveEvaluator` plugs
-        in unchanged (bitwise-identical to the per-point loop, which
-        stays the default).
+        — the whole fixed grid is one wave (see
+        :func:`evaluate_points`).
     """
     if grid is None:
         grid = smolyak_sparse_grid(dim, level=level)
@@ -95,26 +106,10 @@ def run_sscm(solve_fn, dim: int, output_names=None, order: int = 2,
     start = time.perf_counter()
     total = grid.num_points
     with span("collocation", points=total):
-        if solve_many is not None:
-            values = np.atleast_2d(np.asarray(solve_many(grid.points),
-                                              dtype=float))
-            if values.shape[0] != total:
-                raise StochasticError(
-                    f"solve_many returned {values.shape[0]} rows for "
-                    f"{total} points")
-            if progress is not None:
-                progress(total, total)
-        else:
-            values = []
-            for k, point in enumerate(grid.points):
-                values.append(np.atleast_1d(np.asarray(solve_fn(point),
-                                                       dtype=float)))
-                if progress is not None:
-                    progress(k + 1, total)
-            values = np.vstack(values)
+        values = evaluate_points(grid.points, solve_fn, solve_many)
     wall = time.perf_counter() - start
 
-    basis = HermiteBasis(dim, order=order)
+    basis = HermiteBasis(dim, order=2)
     with span("fit", method=fit, terms=len(basis.indices)):
         if fit == "quadrature":
             pce = PolynomialChaos.fit_quadrature(

@@ -413,15 +413,6 @@ class TestAdaptiveDriver:
         assert waves[1] == 2 * d
         assert result.mean[0] == pytest.approx(mean, rel=1e-10)
 
-    def test_progress_reports_solves(self):
-        calls = []
-        f, _, _ = quadratic_problem(2)
-        run_adaptive_sscm(f, 2, AdaptiveConfig(tol=0.0, max_level=2),
-                          progress=lambda done, cap: calls.append(
-                              (done, cap)))
-        assert calls[-1][0] == smolyak_sparse_grid(2).num_points
-        assert all(cap == -1 for _, cap in calls)
-
     def test_refinement_metadata_is_json_serializable(self):
         import json
         f, _, _ = quadratic_problem(2)

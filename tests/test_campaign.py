@@ -14,6 +14,7 @@ import json
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,6 +292,26 @@ class TestCatalog:
         with pytest.raises(CampaignError, match="no campaign"):
             read_catalog(store, "0" * 64)
 
+    def test_unknown_campaign_get_is_404_and_writes_nothing(
+            self, tmp_path, monkeypatch):
+        from repro.daemon import ReproDaemon
+        daemon = ReproDaemon(store_path=tmp_path / "store", port=0,
+                             quiet=True)
+        daemon.start()
+        host, port = daemon.address
+        url = f"http://{host}:{port}/campaign/{'0' * 64}"
+        try:
+            with pytest.raises(urllib.error.HTTPError) as fresh:
+                urllib.request.urlopen(url)
+            monkeypatch.setattr("pathlib.Path.mkdir", mock.Mock(
+                side_effect=PermissionError(13, "Permission denied")))
+            with pytest.raises(urllib.error.HTTPError) as denied:
+                urllib.request.urlopen(url)
+        finally:
+            daemon.shutdown()
+        assert fresh.value.code == denied.value.code == 404
+        assert not (tmp_path / "store" / "campaigns").exists()
+
     @pytest.mark.parametrize("bad", [
         "../../../etc/passwd", "short", "Z" * 64, None, 7])
     def test_malformed_ids_never_touch_disk(self, tmp_path, bad):
@@ -334,7 +355,7 @@ class TestExecutor:
         calls = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None, workers=None):
+                        warm_source=None, workers=None):
             calls.append((spec.cache_key(), warm_source))
             return _fake_report(
                 True, num_solves=5, warm_source=warm_source,
@@ -359,7 +380,7 @@ class TestExecutor:
     def test_one_failure_never_sinks_the_sweep(
             self, tmp_path, monkeypatch):
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None, workers=None):
+                        warm_source=None, workers=None):
             if spec.params["sigma_m"] == 0.11:
                 raise ServingError("diverged")
             return _fake_report(True, num_solves=3)
@@ -380,7 +401,7 @@ class TestExecutor:
         built = set()
 
         def dying_ensure(spec, store, rebuild=False, warm_start=True,
-                         warm_source=None, progress=None, workers=None):
+                         warm_source=None, workers=None):
             if len(built) == 2:
                 raise KeyboardInterrupt
             built.add(spec.cache_key())
@@ -388,7 +409,7 @@ class TestExecutor:
 
         def resuming_ensure(spec, store, rebuild=False,
                             warm_start=True, warm_source=None,
-                            progress=None, workers=None):
+                            workers=None):
             if spec.cache_key() in built:
                 return _fake_report(False)
             built.add(spec.cache_key())
@@ -419,7 +440,7 @@ class TestExecutor:
         order = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None, workers=None):
+                        warm_source=None, workers=None):
             order.append(spec.cache_key())
             return _fake_report(True, num_solves=1)
 
@@ -447,7 +468,7 @@ class TestExecutor:
         seen = []
 
         def fake_ensure(spec, store, rebuild=False, warm_start=True,
-                        warm_source=None, progress=None, workers=None):
+                        warm_source=None, workers=None):
             seen.append((spec, workers))
             return _fake_report(True, num_solves=1)
 

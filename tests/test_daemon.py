@@ -23,10 +23,12 @@ import multiprocessing
 import os
 import socket
 import sys
+import tempfile
 import threading
 import time
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -303,6 +305,23 @@ class TestStoreIndex:
         assert indexed[1]["refinement"]["accepted"] \
             == scanned[1]["refinement"]["accepted"]
 
+    @pytest.mark.parametrize("store_class",
+                             [SurrogateStore, IndexedSurrogateStore])
+    def test_stray_upper_cased_copy_is_not_an_entry(self, tmp_path,
+                                                    store_class):
+        store = store_class(tmp_path / "store")
+        key = store.save(fabricated_record(refinement=REFINEMENT,
+                                           margin_um=1.0))
+        for suffix in (".json", ".npz"):
+            source = store.root / f"{key}{suffix}"
+            source.with_name(f"{key.upper()}{suffix}").write_bytes(
+                source.read_bytes())
+        assert store.keys() == [key]
+        assert [row["key"] for row in store.inventory()] == [key]
+        target = ProblemSpec(preset="table2", params={"margin_um": 1.1},
+                             reduction={"adaptive": {"tol": 1e-3}})
+        assert store.find_warm_start(target)[0] == key
+
     def test_refresh_is_incremental(self, tmp_path):
         store = self._populated(tmp_path)
         index = StoreIndex()
@@ -576,6 +595,33 @@ class TestDaemonHTTP:
         finally:
             instance.shutdown()
         assert SurrogateStore(tmp_path / "store").keys() == []
+
+    def test_read_only_daemon_on_an_unwritable_store_answers_hits(
+            self, tmp_path, monkeypatch):
+        store = SurrogateStore(tmp_path / "store")
+        record = fabricated_record(margin_um=1.0)
+        key = store.save(record)
+        sidecar = (store.root / f"{key}.json").read_bytes()
+        monkeypatch.setattr(tempfile, "mkstemp", mock.Mock(
+            side_effect=PermissionError(13, "Permission denied")))
+        instance = ReproDaemon(store_path=store.root, port=0,
+                               build_missing=False, quiet=True)
+        instance.start()
+        host, port = instance.address
+        try:
+            status, payload = _post(f"http://{host}:{port}/query", {
+                "requests": [{"spec": record.spec.to_dict(),
+                              "queries": [{"kind": "mean"}]},
+                             {"spec": tiny_spec().to_dict()}]})
+        finally:
+            instance.shutdown()
+        hit, miss = payload["responses"]
+        assert status == 200 and "error" in miss
+        assert (hit["cache_key"], hit["built"],
+                hit["num_solves"]) == (key, False, 0)
+        # Only the load that succeeded counts as a hit.
+        assert instance.stats()["hits"] == 1
+        assert (store.root / f"{key}.json").read_bytes() == sidecar
 
     def test_oversized_sample_count_is_a_request_error(
             self, tmp_path, monkeypatch):

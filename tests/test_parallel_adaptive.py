@@ -668,7 +668,7 @@ class TestFindWarmStart:
         target = self._spec(adaptive={"tol": 1e-3}, margin_um=2.6)
         seen = {}
 
-        def fake_build(spec, progress=None, store=None,
+        def fake_build(spec, store=None,
                        warm_start=True, warm_source=None, workers=None):
             seen["warm_start"] = warm_start
             return _tiny_record(spec)
@@ -714,6 +714,20 @@ def _doping_adaptive_spec(**overrides):
 
 
 class TestServingWarmStart:
+    def test_stray_upper_cased_copy_does_not_block_warm_starts(
+            self, warm_store, tmp_path):
+        from repro.serving import SurrogateStore, ensure_surrogate
+
+        store, base_spec, _ = warm_store
+        key = base_spec.cache_key()
+        copy = SurrogateStore(tmp_path / "copy")
+        for suffix in (".json", ".npz"):
+            data = (store.root / f"{key}{suffix}").read_bytes()
+            (copy.root / f"{key}{suffix}").write_bytes(data)
+            (copy.root / f"{key.upper()}{suffix}").write_bytes(data)
+        warm = ensure_surrogate(_doping_adaptive_spec(rdf_nodes=7), copy)
+        assert warm.built and warm.warm_start_source == key
+
     def test_perturbed_spec_builds_warm_with_fewer_solves(
             self, warm_store, tmp_path):
         from repro.serving import SurrogateStore, ensure_surrogate

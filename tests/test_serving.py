@@ -10,7 +10,9 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -252,9 +254,9 @@ class TestStoreRoundTrip:
         parameter stay loadable under their original key."""
         from repro.serving import presets
         key = store.save(synthetic_record)
-        old = presets._REGISTRY["table1"]
+        old = presets._PRESETS["table1"]
         monkeypatch.setitem(
-            presets._REGISTRY, "table1",
+            presets._PRESETS, "table1",
             presets.Preset(name=old.name, description=old.description,
                            defaults={**old.defaults, "new_knob": 1.0},
                            build=old.build))
@@ -549,6 +551,28 @@ class TestServeBatch:
                    "queries": [{"kind": "mean"}]}
         result = serve_batch(request, store, build_missing=False)
         assert "error" in result["responses"][0]
+
+
+class TestUnwritableStore:
+    def test_hits_skip_the_stamp(self, store, synthetic_record,
+                                 monkeypatch):
+        """A store this process cannot write still answers its hits:
+        the ``last_used`` stamp is skipped, the read is not failed."""
+        key = store.save(synthetic_record)
+        sidecar = (store.root / f"{key}.json").read_bytes()
+        monkeypatch.setattr(tempfile, "mkstemp", mock.Mock(
+            side_effect=PermissionError(13, "Permission denied")))
+        request = {"spec": tiny_spec().to_dict(),
+                   "queries": [{"kind": "mean"}]}
+        (response,) = serve_batch(request, store,
+                                  build_missing=False)["responses"]
+        assert (response["cache_key"], response["built"],
+                response["num_solves"]) == (key, False, 0)
+        assert len(response["answers"]) == 1
+        report = ensure_surrogate(tiny_spec(), store)
+        assert (report.cache_key, report.built,
+                report.num_solves) == (key, False, 0)
+        assert (store.root / f"{key}.json").read_bytes() == sidecar
 
 
 class TestMonteCarloPreallocation:

@@ -272,13 +272,6 @@ class TestMonteCarlo:
 
 
 class TestSSCMDriver:
-    def test_progress_callback(self):
-        calls = []
-        run_sscm(lambda z: np.array([z @ z]), 2,
-                 progress=lambda k, n: calls.append((k, n)))
-        assert calls[-1][0] == calls[-1][1] == smolyak_sparse_grid(
-            2).num_points
-
     def test_grid_dim_mismatch(self):
         with pytest.raises(StochasticError):
             run_sscm(lambda z: np.zeros(1), 3,
