@@ -55,7 +55,13 @@ def conductor_labels(structure: Structure, links: LinkSet) -> np.ndarray:
 def conductor_mask_for_contact(structure: Structure, links: LinkSet,
                                contact: str) -> np.ndarray:
     """Boolean mask of the conductor containing ``contact``."""
-    labels = conductor_labels(structure, links)
+    return _contact_conductor_mask(
+        structure, conductor_labels(structure, links), contact)
+
+
+def _contact_conductor_mask(structure: Structure, labels: np.ndarray,
+                            contact: str) -> np.ndarray:
+    """Mask of ``contact``'s conductor under precomputed ``labels``."""
     ids = structure.contact_node_ids(contact)
     contact_labels = np.unique(labels[ids])
     contact_labels = contact_labels[contact_labels >= 0]
@@ -111,8 +117,9 @@ def capacitance_column(solution: ACSolution, driven_contact: str,
             f"nonzero voltage in the solution")
     if contacts is None:
         contacts = sorted(structure.contacts)
+    labels = conductor_labels(structure, links)
     column = {}
     for name in contacts:
-        mask = conductor_mask_for_contact(structure, links, name)
+        mask = _contact_conductor_mask(structure, labels, name)
         column[name] = conductor_charge(solution, mask) / drive
     return column

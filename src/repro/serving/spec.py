@@ -10,9 +10,11 @@ form hashes to a deterministic cache key: two specs describe the same
 surrogate if and only if their keys match.  ("Same" means same
 identity and tolerance class: a warm-certified adaptive build stores
 a tol-equivalent — not bitwise-identical — surrogate compared to a
-cold build of the same key.)  Execution policy such as the worker
-process count is not part of a spec at all: it is an argument of the
-call that runs the build.
+cold build of the same key, and a rebuild of a structure with a
+semiconductor agrees with one stored before the chord DC solve to
+~1e-12 relative, not bitwise; see docs/SOLVER.md.)  Execution policy
+such as the worker process count is not part of a spec at all: it is
+an argument of the call that runs the build.
 """
 
 from __future__ import annotations

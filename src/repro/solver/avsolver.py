@@ -14,6 +14,14 @@ passes, repeated QoI extractions — therefore skip the Newton
 equilibrium, the 3N x 3N assembly and the factorization entirely;
 :meth:`AVSolver.solve_ports` solves all port drives as one multi-RHS
 pass.
+
+Across samples the solver keeps one more invariant: the LU factor of
+the nominal sample's converged DC Jacobian.  Every perturbed sample's
+equilibrium iterates through it (a chord Newton) instead of
+factorizing its own Jacobian at every step.  The factor comes from a
+full Newton solve of the nominal sample — the nominal solve itself, or
+one computed on first need — so a sample's answer never depends on
+which samples ran before it or in which process.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ from repro.solver.ac import ACSolution, ACSystem
 from repro.solver.ampere import AmpereSystem, staggered_correction
 from repro.solver.backends import resolve_backend
 from repro.solver.dc import solve_equilibrium
+from repro.solver.linear import SparseFactor
+
+#: ``AVSolver._dc_factor`` before the nominal equilibrium is solved.
+_UNSOLVED = object()
 
 
 class AVSolver:
@@ -80,6 +92,9 @@ class AVSolver:
         # objects (sweeps, per-port drives, full-wave passes) reuses the
         # equilibrium, the assembly and the cached factorizations.
         self._sample_cache = None
+        # Factor of the nominal converged DC Jacobian (None without a
+        # semiconductor): the chord reference of every perturbed sample.
+        self._dc_factor = _UNSOLVED
 
     # ------------------------------------------------------------------
     @property
@@ -121,14 +136,37 @@ class AVSolver:
                 and cached[1] is doping_profile):
             return cached[2]
         grid_geometry = self.geometry_for(geometry)
-        equilibrium = solve_equilibrium(
-            self.structure, grid_geometry, doping_profile=doping_profile)
+        if geometry is None and doping_profile is None:
+            equilibrium = self._nominal_equilibrium()
+        else:
+            equilibrium = solve_equilibrium(
+                self.structure, grid_geometry,
+                doping_profile=doping_profile,
+                reference=self.dc_reference())
         system = ACSystem(self.structure, grid_geometry, equilibrium,
                           self.frequency,
                           recombination=self.recombination,
                           backend=self._backend)
         self._sample_cache = (geometry, doping_profile, system)
         return system
+
+    def _nominal_equilibrium(self):
+        """Full-Newton nominal equilibrium; adopts its Jacobian factor
+        as the chord reference."""
+        equilibrium = solve_equilibrium(self.structure,
+                                        self.nominal_geometry)
+        if self._dc_factor is _UNSOLVED:
+            self._dc_factor = (
+                None if equilibrium.jacobian is None
+                else SparseFactor(equilibrium.jacobian()))
+        return equilibrium
+
+    def dc_reference(self):
+        """The nominal DC Jacobian factor, solved on first need
+        (``None`` when the structure has no semiconductor)."""
+        if self._dc_factor is _UNSOLVED:
+            self._nominal_equilibrium()
+        return self._dc_factor
 
     # ------------------------------------------------------------------
     def solve(self, excitations: dict, geometry=None,

@@ -6,11 +6,13 @@ The AC and Ampere factorizations go through it: the callers
 (:class:`~repro.solver.ac.ACSystem`,
 :class:`~repro.solver.ampere.AmpereSystem`,
 :func:`~repro.solver.sweep.frequency_sweep`) never know which backend
-they got.  One solve bypasses the seam and calls
-:func:`~repro.solver.linear.solve_sparse` directly: every DC Newton
-step (:func:`~repro.solver.newton.damped_newton`), 768 of the 896 LUs
-of a cold TSV build.  The backend set is the fixed table
-:data:`_BACKENDS`:
+they got.  The DC equilibrium stays outside the seam: its Newton
+steps (:func:`~repro.solver.newton.damped_newton`) factorize with
+:func:`~repro.solver.linear.solve_sparse`, and an
+:class:`~repro.solver.avsolver.AVSolver` factorizes only its nominal
+sample that way — every perturbed sample back-substitutes through the
+nominal converged factor (a chord iteration; ``docs/SOLVER.md``).
+The backend set is the fixed table :data:`_BACKENDS`:
 
 * ``"lu"`` — the reference: :class:`~repro.solver.linear.SparseFactor`
   exactly as before the seam existed.  Bitwise-identical results, by

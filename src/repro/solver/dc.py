@@ -11,7 +11,10 @@ with ohmic metal-semiconductor contacts pinned at the charge-neutral
 equilibrium potential.  The damped Newton-Raphson here is the nonlinear
 solve of the paper's eq. (8) specialized to zero bias; every stochastic
 sample re-runs it because the RDF perturbation changes ``N_net`` and the
-geometric perturbation changes the FVM coefficients.
+geometric perturbation changes the FVM coefficients.  Those changes are
+small, so a perturbed sample can iterate through the *nominal* sample's
+converged Jacobian factor (a chord iteration, ``reference=``) instead
+of factorizing its own at every step.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ class EquilibriumState:
 
     All nodal arrays are in flat node order; carrier arrays are zero
     outside the carrier (semiconductor + ohmic-contact) node set.
+    ``jacobian`` assembles the free-node DC Jacobian at the converged
+    potential on call (``None`` without a semiconductor); its factor is
+    the ``reference`` a chord solve of a nearby sample iterates with.
     """
 
     potential: np.ndarray
@@ -56,6 +62,7 @@ class EquilibriumState:
     vt: float
     ni: float
     iterations: int
+    jacobian: callable = None
 
     @property
     def has_semiconductor(self) -> bool:
@@ -84,12 +91,15 @@ def node_net_doping(structure: Structure,
 def solve_equilibrium(structure: Structure, geometry: GridGeometry,
                       doping_profile: DopingProfile = None,
                       newton_options: NewtonOptions = None,
-                      ) -> EquilibriumState:
+                      reference=None) -> EquilibriumState:
     """Solve the zero-bias operating point on (possibly perturbed)
     ``geometry``.
 
-    Returns a trivial all-zero state when the structure contains no
-    semiconductor (the capacitance-only fast path).
+    ``reference`` is an optional factor of a nearby sample's converged
+    Jacobian (see :func:`~repro.solver.newton.damped_newton`); without
+    it every Newton step factorizes.  Returns a trivial all-zero state
+    when the structure contains no semiconductor (the capacitance-only
+    fast path).
     """
     grid = structure.grid
     kinds = structure.node_kinds()
@@ -149,8 +159,8 @@ def solve_equilibrium(structure: Structure, geometry: GridGeometry,
             residual[carrier_free] += rho * volumes_free[carrier_free]
             charge_slope[carrier_free] = (-Q * (n + p) / vt
                                           * volumes_free[carrier_free])
-        jacobian = lap_ff + sp.diags(charge_slope)
-        return residual, jacobian
+        # Assembled lazily: a chord step never needs it.
+        return residual, lambda: lap_ff + sp.diags(charge_slope)
 
     if newton_options is None:
         # Potential updates capped at ~40 thermal voltages: large enough
@@ -163,7 +173,7 @@ def solve_equilibrium(structure: Structure, geometry: GridGeometry,
     v0_free = np.where(carrier_free,
                        equilibrium_potential(doping_free, ni, vt), 0.0)
     v_free, iterations = damped_newton(residual_jacobian, v0_free,
-                                       newton_options)
+                                       newton_options, reference=reference)
 
     potential = dirichlet_values.copy()
     potential[free] = v_free
@@ -174,4 +184,5 @@ def solve_equilibrium(structure: Structure, geometry: GridGeometry,
     return EquilibriumState(
         potential=potential, n0=n0, p0=p0, net_doping=net_doping,
         carrier_mask=carrier_mask, semi_node_volumes=semi_volumes,
-        vt=vt, ni=ni, iterations=iterations)
+        vt=vt, ni=ni, iterations=iterations,
+        jacobian=residual_jacobian(v_free)[1])

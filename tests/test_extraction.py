@@ -103,6 +103,26 @@ class TestCapacitance:
         assert abs(col["tsv1"].real) > max(
             abs(col[n].real) for n in ("tsv2", "w1", "w2", "w3", "w4"))
 
+    def test_column_labels_conductors_once(self, tsv_solution,
+                                           monkeypatch):
+        """One connected-components pass per column, and the same
+        charges as per-contact masks."""
+        import repro.extraction.capacitance as capacitance
+
+        structure = tsv_solution.structure
+        links = tsv_solution.geometry.links
+        expected = {name: conductor_charge(
+            tsv_solution,
+            conductor_mask_for_contact(structure, links, name))
+            for name in sorted(structure.contacts)}
+        calls = []
+        labels = capacitance.conductor_labels
+        monkeypatch.setattr(
+            capacitance, "conductor_labels",
+            lambda *args: calls.append(1) or labels(*args))
+        assert capacitance_column(tsv_solution, "tsv1") == expected
+        assert len(calls) == 1
+
     def test_requires_driven_contact(self, tsv_solution):
         with pytest.raises(ExtractionError):
             capacitance_column(tsv_solution, "tsv2")  # driven at 0 V

@@ -22,7 +22,6 @@ import os
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.obs import (

@@ -34,7 +34,6 @@ from repro.serving import (
     ensure_surrogate,
     serve_batch,
 )
-from repro.serving.store import SCHEMA_VERSION
 from repro.stochastic.hermite import HermiteBasis
 from repro.stochastic.montecarlo import run_monte_carlo
 from repro.stochastic.pce import QuadraticPCE

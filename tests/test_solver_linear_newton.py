@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.errors import ConvergenceError, SingularSystemError
-from repro.solver import NewtonOptions, damped_newton, solve_sparse
+import repro.solver.newton as newton
+from repro.errors import ConvergenceError, ReproError, SingularSystemError
+from repro.solver import (
+    NewtonOptions,
+    SparseFactor,
+    damped_newton,
+    solve_sparse,
+)
 
 
 class TestSolveSparse:
@@ -121,3 +127,110 @@ class TestDampedNewton:
                              NewtonOptions(max_iterations=200,
                                            max_step=0.5))
         np.testing.assert_allclose(x, [1.0, 1.0], rtol=1e-6)
+
+
+class TestNewtonOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iterations": 0},
+        {"max_iterations": -3},
+        {"update_tolerance": 0.0},
+        {"update_tolerance": -1e-10},
+        {"max_step": -1.0},
+        {"max_step": 0.0},
+        {"armijo_shrink": 0.0},
+        {"armijo_shrink": 1.0},
+        {"max_halvings": -1},
+    ])
+    def test_rejects_values_the_iteration_cannot_run_with(self, kwargs):
+        with pytest.raises(ReproError, match=next(iter(kwargs))):
+            NewtonOptions(**kwargs)
+
+    def test_accepts_the_documented_ranges(self):
+        NewtonOptions(max_iterations=1, update_tolerance=1e-300,
+                      max_step=None, armijo_shrink=0.999,
+                      max_halvings=0)
+
+
+def _arctan_system():
+    """``arctan(x_i - c_i) = 0``, root ``c``, with a lazily assembled
+    Jacobian; ``calls`` gets ``"R"`` per evaluation, ``"J"`` per
+    assembly.  Far from the root a full Newton step overshoots, so the
+    line search halves."""
+    root = np.array([2.0, -1.0, 0.5])
+    calls = []
+
+    def rj(x):
+        def jacobian():
+            calls.append("J")
+            return sp.diags(1.0 / (1.0 + (x - root) ** 2))
+        calls.append("R")
+        return np.arctan(x - root), jacobian
+
+    return rj, calls, root
+
+
+def _steps(kind: str) -> float:
+    return newton._STEPS.value(kind=kind)
+
+
+class TestChordNewton:
+    def test_plain_newton_solves_once_per_step(self, monkeypatch):
+        """The contract per-layer tracing binds: without a reference,
+        every step is one ``repro.solver.newton.solve_sparse`` call."""
+        calls = []
+
+        def counting(matrix, rhs):
+            calls.append(1)
+            return solve_sparse(matrix, rhs)
+
+        monkeypatch.setattr(newton, "solve_sparse", counting)
+        x, iterations = damped_newton(
+            lambda x: (x * x - 4.0, sp.diags(2.0 * x)), np.array([3.0]))
+        assert x[0] == pytest.approx(2.0)
+        assert len(calls) == iterations > 1
+
+    def test_lazy_jacobian_assembled_only_to_factorize(self):
+        rj, calls, root = _arctan_system()
+        before = _steps("newton")
+        x, iterations = damped_newton(rj, root + 3.0)
+        np.testing.assert_allclose(x, root, rtol=0, atol=1e-13)
+        assert iterations == _steps("newton") - before
+        # The line search evaluated more points than it accepted.
+        assert calls.count("R") > iterations + 1
+        assert calls.count("J") == iterations
+
+        del calls[:]
+        before = (_steps("chord"), _steps("newton"))
+        x, iterations = damped_newton(rj, root + 0.3,
+                                      reference=SparseFactor(sp.eye(3)))
+        assert "J" not in calls
+        assert (_steps("chord") - before[0],
+                _steps("newton") - before[1]) == (iterations, 0)
+        np.testing.assert_allclose(x, root, rtol=0, atol=1e-13)
+
+    def test_chord_stops_below_the_newton_rule(self):
+        """The chord contracts linearly, so it runs on to 1e-3 of
+        ``update_tolerance`` and lands as close to the root."""
+        rj, _, root = _arctan_system()
+        # A reference 20% too stiff: the chord contracts by 0.2 a step.
+        reference = SparseFactor(1.25 * sp.eye(3))
+        fallbacks = newton._CHORD_FALLBACKS.value()
+        x, iterations = damped_newton(rj, root + 0.1,
+                                      reference=reference)
+        assert newton._CHORD_FALLBACKS.value() == fallbacks
+        assert iterations > 10
+        assert np.max(np.abs(x - root)) < 1e-13
+
+    @pytest.mark.parametrize("scale", [100.0, -1.0],
+                             ids=["stalls", "ascends"])
+    def test_bad_reference_falls_back_to_newton(self, scale):
+        """A reference far too stiff stops contracting; one of the
+        wrong sign fails its line search.  Both switch to Newton."""
+        rj, _, root = _arctan_system()
+        fallbacks = newton._CHORD_FALLBACKS.value()
+        before = _steps("newton")
+        x, _ = damped_newton(rj, root + 0.3,
+                             reference=SparseFactor(scale * sp.eye(3)))
+        assert newton._CHORD_FALLBACKS.value() == fallbacks + 1
+        assert _steps("newton") > before
+        np.testing.assert_allclose(x, root, rtol=0, atol=1e-13)

@@ -8,8 +8,10 @@ properties of the DC solve, and reciprocity of the capacitance matrix.
 import numpy as np
 import pytest
 
+import repro.solver.newton as newton
 from repro.constants import EPS0
 from repro.errors import GeometryError
+from repro.experiments import table1_spec, table2_spec
 from repro.extraction import port_current
 from repro.extraction.capacitance import (
     capacitance_column,
@@ -17,13 +19,15 @@ from repro.extraction.capacitance import (
     conductor_mask_for_contact,
 )
 from repro.geometry import Box, Structure
-from repro.materials import doped_silicon, silicon_dioxide, tungsten, vacuum
+from repro.materials import silicon_dioxide, tungsten, vacuum
 from repro.materials.physics import equilibrium_potential
 from repro.mesh import CartesianGrid
 from repro.mesh.refine import uniform_axis
-from repro.solver import AVSolver
+from repro.serving import build_surrogate
+from repro.solver import AVSolver, SparseFactor
 from repro.solver.dc import solve_equilibrium
 from repro.units import um
+from repro.variation.random_field import stable_cholesky
 
 
 def _metal_bar(sigma=1.0e7, n=5):
@@ -241,6 +245,104 @@ class TestEquilibrium:
                                   doping_profile=UniformDoping(1e22))
         mask = eq_lo.carrier_mask
         assert eq_hi.potential[mask].mean() > eq_lo.potential[mask].mean()
+
+
+#: Perturbed-sample problems of both paper structures (fast meshes).
+_CHORD_SPECS = {
+    "table2": lambda: table2_spec(max_step_um=2.5, margin_um=2.5,
+                                  rdf_nodes=8),
+    "table1-both": lambda: table1_spec("both", max_step_um=2.0,
+                                       rdf_nodes=8),
+}
+
+
+def _draws(problem, count, seed=0):
+    """``count`` full-covariance perturbation samples of ``problem``."""
+    factors = {group.name: stable_cholesky(group.covariance)
+               for group in problem.groups}
+    rng = np.random.default_rng(seed)
+    return [{group.name: factors[group.name]
+             @ rng.standard_normal(group.size)
+             for group in problem.groups} for _ in range(count)]
+
+
+def _solve(problem, xi):
+    """``(equilibrium, qoi)`` of one perturbation sample."""
+    solution = problem.solve_sample(xi)
+    first = (next(iter(solution.values()))
+             if isinstance(solution, dict) else solution)
+    return first.equilibrium, np.asarray(problem.qoi(solution))
+
+
+def _dc_steps() -> np.ndarray:
+    """``[chord, newton]`` DC step totals of this process."""
+    return np.array([newton._STEPS.value(kind="chord"),
+                     newton._STEPS.value(kind="newton")])
+
+
+class TestChordEquilibrium:
+    """Perturbed samples iterate through the nominal DC factor."""
+
+    @pytest.mark.parametrize("name", sorted(_CHORD_SPECS))
+    def test_chord_matches_full_newton(self, name):
+        chord = _CHORD_SPECS[name]().build_problem()
+        chord.solver.dc_reference()
+        plain = _CHORD_SPECS[name]().build_problem()
+        plain.solver.dc_reference = lambda: None
+        for xi in _draws(chord, 3):
+            before = _dc_steps()
+            eq_chord, qoi_chord = _solve(chord, xi)
+            steps = _dc_steps() - before
+            assert steps.tolist() == [eq_chord.iterations, 0]
+            eq_newton, qoi_newton = _solve(plain, xi)
+            gap = np.abs(eq_chord.potential - eq_newton.potential).max()
+            assert gap < 1e-13
+            np.testing.assert_allclose(qoi_chord, qoi_newton,
+                                       rtol=1e-12, atol=0)
+
+    def test_sample_answer_independent_of_solve_order(self):
+        first, second = _draws(_CHORD_SPECS["table2"]().build_problem(),
+                               2, seed=1)
+        after = _CHORD_SPECS["table2"]().build_problem()
+        _solve(after, first)
+        eq_after, qoi_after = _solve(after, second)
+        fresh = _CHORD_SPECS["table2"]().build_problem()
+        eq_fresh, qoi_fresh = _solve(fresh, second)
+        assert np.array_equal(eq_after.potential, eq_fresh.potential)
+        assert np.array_equal(qoi_after, qoi_fresh)
+
+    def test_wrong_reference_falls_back_to_newton_root(self):
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        solver = problem.solver
+        nominal = solve_equilibrium(problem.structure,
+                                    solver.nominal_geometry)
+        wrong = SparseFactor(100.0 * nominal.jacobian())
+        geometry, doping = problem._sample_inputs(_draws(problem, 1)[0])
+        grid_geometry = solver.geometry_for(geometry)
+        exact = solve_equilibrium(problem.structure, grid_geometry,
+                                  doping_profile=doping)
+        fallbacks = newton._CHORD_FALLBACKS.value()
+        recovered = solve_equilibrium(problem.structure, grid_geometry,
+                                      doping_profile=doping,
+                                      reference=wrong)
+        assert newton._CHORD_FALLBACKS.value() == fallbacks + 1
+        assert np.abs(recovered.potential
+                      - exact.potential).max() < 1e-13
+
+    def test_fixed_build_agrees_without_the_reference(self,
+                                                      monkeypatch):
+        spec = table1_spec("doping",
+                           reduction={"caps": {"doping": 2},
+                                      "energy": 0.9},
+                           max_step_um=2.0, rdf_nodes=6)
+        chord = build_surrogate(spec).pce
+        monkeypatch.setattr(AVSolver, "dc_reference",
+                            lambda self: None)
+        plain = build_surrogate(spec).pce
+        np.testing.assert_allclose(chord.mean, plain.mean, rtol=1e-11,
+                                   atol=0)
+        np.testing.assert_allclose(chord.std, plain.std, rtol=1e-11,
+                                   atol=0)
 
 
 class TestACSolverBasics:
