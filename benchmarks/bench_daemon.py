@@ -42,7 +42,7 @@ from repro.serving import (
     serve_batch,
 )
 from repro.stochastic.hermite import HermiteBasis
-from repro.stochastic.pce import QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 
 from conftest import write_bench_json, write_report
 
@@ -55,8 +55,8 @@ TINY_REDUCTION = {"caps": {"doping": 1}, "energy": 0.9}
 
 def _fabricate_entries(root, count: int) -> None:
     basis = HermiteBasis(1, order=2)
-    pce = QuadraticPCE(basis, np.zeros((basis.size, 1)),
-                       output_names=["q"])
+    pce = PolynomialChaos(basis, np.zeros((basis.size, 1)),
+                          output_names=["q"])
     store = SurrogateStore(root)
     for i in range(count):
         spec = ProblemSpec(preset="table2",

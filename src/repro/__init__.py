@@ -33,8 +33,8 @@ import importlib
 
 #: Lazy export table: public name -> defining subpackage.  This *is*
 #: the package's public surface — ``__all__`` is derived from it, and
-#: ``repro.lint``'s RL5xx rules check that every entry resolves to a
-#: documented definition.
+#: ``TestPublicApi`` in ``tests/test_docs.py`` checks that every entry
+#: resolves to a documented definition.
 _EXPORTS = {
     "EPS0": "repro.constants",
     "MU0": "repro.constants",

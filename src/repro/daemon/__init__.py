@@ -20,7 +20,8 @@ from __future__ import annotations
 import importlib
 
 #: Lazy export table: public name -> defining module.  ``__all__`` is
-#: derived from it and RL5xx checks every entry resolves.
+#: derived from it and ``tests/test_docs.py`` checks every entry
+#: resolves.
 _EXPORTS = {
     "SingleFlight": "repro.daemon.singleflight",
     "build_lock": "repro.daemon.singleflight",

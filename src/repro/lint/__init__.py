@@ -1,30 +1,25 @@
 """repro.lint — AST-based invariant checker for this repository.
 
-The codebase's load-bearing guarantees (bitwise-identical parallel and
-warm builds, process-stable cache keys, corruption-safe store writes,
-picklable pool callables, a documented public API) were enforced by
-convention and sampled by tests; this package enforces them
-mechanically on every file, every commit.  It is stdlib-only by
-design: the CI lint job runs ``python -m repro.lint src/repro``
-without installing the scientific stack.
+The rules guard what the test suite does not catch: cache keys that
+must stay stable across processes and hash seeds, store writes that
+must survive a crash, and two import boundaries — the observability
+package stays out of identity code, and scipy's iterative solvers stay
+inside the certified backend seam.  It is stdlib-only by design: the
+CI lint job runs ``python -m repro.lint src/repro`` without installing
+the scientific stack.
 
 Rule families (full catalog in ``docs/LINT.md``):
 
 - **RL0xx** meta: parse errors and suppression hygiene (reasons are
   mandatory, stale suppressions are flagged).
-- **RL1xx** identity/execution separation: execution-only knobs never
-  reach ``canonical()``/``to_dict()`` forms, hash-fed ``json.dumps``
-  must sort keys.
+- **RL1xx** canonical hashing: hash-fed ``json.dumps`` must sort
+  keys.
 - **RL2xx** determinism: no wall clocks / global RNG state outside
   the ``created_at``/``last_used`` stamping allowlist; no iteration
   over raw sets into ordered output.
 - **RL3xx** store atomicity: every write under ``repro.serving``,
   ``repro.daemon`` and ``repro.campaign`` goes through the
   unique-tmp+rename helper.
-- **RL4xx** pool safety: only module-level callables cross process
-  boundaries.
-- **RL5xx** public-API drift: ``__all__`` entries must resolve and be
-  documented.
 - **RL6xx** observability firewall: the execution-only ``repro.obs``
   package never reaches identity modules or ``canonical()`` /
   ``cache_key()`` forms, so instrumentation can never perturb a
@@ -44,7 +39,6 @@ from repro.lint.diagnostics import (
     WARNING,
     Diagnostic,
     counts,
-    format_json,
     format_text,
 )
 from repro.lint.registry import all_rules, get_rule, is_registered
@@ -54,8 +48,6 @@ from repro.lint.registry import all_rules, get_rule, is_registered
 from repro.lint import rules_identity  # noqa: F401
 from repro.lint import rules_determinism  # noqa: F401
 from repro.lint import rules_store  # noqa: F401
-from repro.lint import rules_pool  # noqa: F401
-from repro.lint import rules_api  # noqa: F401
 from repro.lint import rules_obs  # noqa: F401
 from repro.lint import rules_solver  # noqa: F401
 
@@ -73,7 +65,6 @@ __all__ = [
     "FileContext",
     "all_rules",
     "counts",
-    "format_json",
     "format_text",
     "get_rule",
     "is_registered",

@@ -3,12 +3,10 @@
 Usage::
 
     python -m repro.lint [paths ...]    # default: src/repro
-    python -m repro.lint --json src/repro
     python -m repro.lint --list-rules
-    python -m repro.lint --select RL201,RL301 src/repro/serving
 
-Exit codes: 0 clean (warnings allowed unless ``--strict``), 1 when
-findings fail the run, 2 on usage errors or unreadable paths.
+Exit codes: 0 clean (warnings allowed), 1 when an error finding fails
+the run, 2 on usage errors or unreadable paths.
 """
 
 from __future__ import annotations
@@ -17,22 +15,14 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint import (
-    ERROR,
-    all_rules,
-    counts,
-    format_json,
-    format_text,
-)
+from repro.lint import ERROR, all_rules, counts, format_text
 from repro.lint.engine import lint_paths
 
 
 def _list_rules() -> str:
     lines = []
     for rule in all_rules():
-        kind = "meta" if rule.check is None \
-            and rule.project_check is None else (
-            "project" if rule.project_check else "file")
+        kind = "meta" if rule.check is None else "file"
         lines.append(f"{rule.id}  {rule.severity:7}  {kind:7}  "
                      f"{rule.name}: {rule.description}")
     return "\n".join(lines)
@@ -42,26 +32,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based invariant checker: determinism, "
-                    "identity/execution separation, store atomicity, "
-                    "pool safety and public-API drift "
-                    "(see docs/LINT.md)")
+                    "canonical hashing, store atomicity, the "
+                    "observability firewall and solver-backend "
+                    "confinement (see docs/LINT.md)")
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files and/or directories to lint "
              "(default: src/repro)")
     parser.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output (file/line/rule/message)")
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit")
-    parser.add_argument(
-        "--select", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (meta rules always "
-             "run)")
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="warnings also fail the run")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -74,16 +54,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    diagnostics = lint_paths(args.paths, select=args.select)
-    if args.json:
-        print(format_json(diagnostics))
-    elif diagnostics:
+    diagnostics = lint_paths(args.paths)
+    if diagnostics:
         print(format_text(diagnostics))
     else:
         print("repro.lint: clean")
-    tally = counts(diagnostics)
-    failing = tally[ERROR] + (tally["warning"] if args.strict else 0)
-    return 1 if failing else 0
+    return 1 if counts(diagnostics)[ERROR] else 0
 
 
 if __name__ == "__main__":

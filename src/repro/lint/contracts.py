@@ -1,30 +1,18 @@
 """The repo's machine-checked invariant contracts.
 
 This module is the single declared source of truth the rule families
-check against.  When a future PR adds a new execution-only knob, a new
-timestamp field or a new pool entry point, it must be registered here
-— the lint rules read these tables, so the registration *is* the
-enforcement.  Everything here mirrors an invariant the repo documents
-(docs/ARCHITECTURE.md, docs/ADAPTIVE.md, the spec/store docstrings);
-docs/LINT.md catalogues the rules built on top.
+check against.  When a change adds a new timestamp field, identity
+module or store layer, it must be registered here — the lint rules
+read these tables, so the registration *is* the enforcement.
+Everything here mirrors an invariant the repo documents
+(docs/ARCHITECTURE.md, docs/OBSERVABILITY.md, the spec/store
+docstrings); docs/LINT.md catalogues the rules built on top.
 """
 
 from __future__ import annotations
 
-#: Fields that change how a surrogate is *built* but not what is
-#: built.  They must never reach an identity form (``canonical()`` /
-#: ``to_dict()`` default) or any hash-fed JSON: a leaked knob splits
-#: the cache key across core counts or warm-start policies, so the
-#: same surrogate is rebuilt N times and ``find_warm_start`` goes
-#: blind to its own siblings.
-EXECUTION_ONLY_FIELDS = {
-    "workers": "process count for collocation waves (bitwise-neutral)",
-    "warm_start": "seeding policy for adaptive builds (tol-neutral)",
-}
-
-#: Function names that produce identity forms.  Execution-only fields
-#: may not be written inside them at all: they are arguments of the
-#: build call, never members of an identity document.
+#: Function names that produce identity forms.  RL602 keeps the
+#: observability package out of their bodies.
 IDENTITY_FUNCTIONS = ("canonical", "to_dict", "cache_key")
 
 #: The only slots wall-clock time may flow into: usage/provenance
@@ -110,15 +98,3 @@ ITERATIVE_SOLVER_NAMES = frozenset({
     "bicg", "bicgstab", "cg", "cgs", "gcrotmk", "gmres", "lgmres",
     "minres", "qmr", "tfqmr", "lsqr", "lsmr",
 })
-
-#: Receivers whose ``.submit`` / ``.map`` cross a process boundary
-#: (matched as a case-insensitive substring of the receiver name).
-POOL_RECEIVER_HINTS = ("pool", "executor")
-
-#: Constructors that take a callable which must survive pickling:
-#: mapping of constructor name to the argument positions/keywords to
-#: inspect.
-POOL_CONSTRUCTORS = {
-    "ProcessPoolExecutor": ((), ("initializer",)),
-    "ParallelWaveEvaluator": ((0,), ("problem_builder",)),
-}

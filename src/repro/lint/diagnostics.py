@@ -3,25 +3,19 @@
 A :class:`Diagnostic` is one finding: file, 1-based line, 0-based
 column, rule id, severity and a human message.  Text output is the
 familiar ``path:line:col: RULE severity: message`` shape (one finding
-per line, stable sort), and :func:`format_json` emits the
-machine-readable document the CI annotation step and future tooling
-consume without parsing text.
+per line, stable sort).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 #: Findings with this severity fail the lint run (exit code 1).
 ERROR = "error"
-#: Reported but non-fatal unless ``--strict``.
+#: Reported, but the run still exits 0.
 WARNING = "warning"
 
 SEVERITIES = (ERROR, WARNING)
-
-#: Version of the ``--json`` document layout.
-JSON_VERSION = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -60,12 +54,3 @@ def format_text(diagnostics) -> str:
         lines.append(
             f"found {tally[ERROR]} error(s), {tally[WARNING]} warning(s)")
     return "\n".join(lines)
-
-
-def format_json(diagnostics) -> str:
-    """Machine-readable report (sorted findings + counts)."""
-    return json.dumps({
-        "version": JSON_VERSION,
-        "counts": counts(diagnostics),
-        "diagnostics": [asdict(d) for d in sorted(diagnostics)],
-    }, indent=2, sort_keys=True)

@@ -2,9 +2,8 @@
 
 One :class:`FileContext` per file: source, AST (with parent links),
 comment map, import-alias table and the parsed suppression directives.
-:func:`run` executes every registered (or selected) rule — file rules
-per context, project rules once over the whole module index — then
-filters findings through the suppression tables and appends the
+:func:`run` executes every registered rule per context, then filters
+findings through the suppression tables and appends the
 suppression-hygiene meta diagnostics.
 
 Everything here is stdlib-only on purpose: the CI lint job runs
@@ -104,14 +103,6 @@ def enclosing_functions(node: ast.AST) -> list:
                                    ast.AsyncFunctionDef))]
 
 
-def enclosing_class(node: ast.AST):
-    """Nearest enclosing ClassDef, or ``None``."""
-    for parent in ancestors(node):
-        if isinstance(parent, ast.ClassDef):
-            return parent
-    return None
-
-
 def collect_comments(source: str) -> dict:
     """``{line: comment_text}`` for every comment token.
 
@@ -177,20 +168,8 @@ def derive_module(path) -> str:
     return ".".join(tail)
 
 
-def _selected(select):
-    if not select:
-        return None
-    if isinstance(select, str):
-        select = select.split(",")
-    return frozenset(part.strip() for part in select if part.strip())
-
-
-def run(contexts: list, select=None) -> list:
-    """Run all (or ``select``-ed) rules over the parsed contexts."""
-    wanted = _selected(select)
-    index = {}
-    for ctx in contexts:
-        index[ctx.module or ctx.path] = ctx
+def run(contexts: list) -> list:
+    """Run every registered rule over the parsed contexts."""
     raw = []
     for ctx in contexts:
         if ctx.parse_error is not None:
@@ -199,17 +178,9 @@ def run(contexts: list, select=None) -> list:
         for rule in all_rules():
             if rule.check is None:
                 continue
-            if wanted is not None and rule.id not in wanted:
-                continue
             if rule.scope is not None and not rule.scope(ctx.module):
                 continue
             raw.extend(rule.check(ctx))
-    for rule in all_rules():
-        if rule.project_check is None:
-            continue
-        if wanted is not None and rule.id not in wanted:
-            continue
-        raw.extend(rule.project_check(index))
 
     by_path = {ctx.path: ctx for ctx in contexts}
     kept = []
@@ -225,21 +196,21 @@ def run(contexts: list, select=None) -> list:
 
 
 def lint_source(source: str, path: str = "<snippet>",
-                module: str = None, select=None) -> list:
+                module: str = None) -> list:
     """Lint one in-memory source blob (the fixture-test entry point)."""
     if module is None:
         module = derive_module(path)
-    return run([FileContext(source, path, module)], select=select)
+    return run([FileContext(source, path, module)])
 
 
-def lint_files(paths, select=None) -> list:
-    """Lint an explicit list of files together (one shared index)."""
+def lint_files(paths) -> list:
+    """Lint an explicit list of files."""
     contexts = []
     for path in paths:
         source = Path(path).read_text(encoding="utf-8")
         contexts.append(FileContext(source, str(path),
                                     derive_module(path)))
-    return run(contexts, select=select)
+    return run(contexts)
 
 
 def iter_python_files(paths):
@@ -258,6 +229,6 @@ def iter_python_files(paths):
     return unique
 
 
-def lint_paths(paths, select=None) -> list:
+def lint_paths(paths) -> list:
     """Lint files and/or directory trees (the CLI entry point)."""
-    return lint_files(iter_python_files(paths), select=select)
+    return lint_files(iter_python_files(paths))

@@ -1,11 +1,8 @@
 """Rule registry for :mod:`repro.lint`.
 
 Rules register themselves at import time through the
-:func:`file_rule` / :func:`project_rule` decorators; the engine then
-runs every registered rule (or a ``--select`` subset) over the parsed
-tree(s).  A *file rule* sees one file at a time; a *project rule* sees
-the whole parsed module index at once (cross-module contracts such as
-export resolution or the strip-site registry need the full picture).
+:func:`file_rule` decorator; the engine then runs every registered
+rule over each parsed file, one file at a time.
 
 Each rule carries an id (``RL###`` — stable, referenced by
 suppressions), a short kebab-case name, a severity and a one-line
@@ -23,13 +20,12 @@ from repro.lint.diagnostics import ERROR, SEVERITIES
 class Rule:
     """One registered rule.
 
-    ``check`` (file rules) takes a ``FileContext`` and yields
-    diagnostics; ``project_check`` (project rules) takes a mapping of
-    module name to ``FileContext``.  ``scope`` optionally restricts a
-    file rule to modules for which ``scope(module_name)`` is true —
-    the store-atomicity family, for example, only patrols the serving
-    layer.  Meta rules (suppression hygiene, parse errors) have
-    neither callable: the engine emits them itself.
+    ``check`` takes a ``FileContext`` and yields diagnostics.
+    ``scope`` optionally restricts the rule to modules for which
+    ``scope(module_name)`` is true — the store-atomicity family, for
+    example, only patrols the store layer.  Meta rules (suppression
+    hygiene, parse errors) have no ``check``: the engine emits them
+    itself.
     """
 
     id: str
@@ -37,7 +33,6 @@ class Rule:
     severity: str
     description: str
     check: callable = None
-    project_check: callable = None
     scope: callable = None
 
 
@@ -66,16 +61,6 @@ def file_rule(id: str, name: str, description: str,
     def decorate(fn):
         _register(Rule(id=id, name=name, severity=severity,
                        description=description, check=fn, scope=scope))
-        return fn
-    return decorate
-
-
-def project_rule(id: str, name: str, description: str,
-                 severity: str = ERROR):
-    """Decorator: register ``fn(index) -> iterable[Diagnostic]``."""
-    def decorate(fn):
-        _register(Rule(id=id, name=name, severity=severity,
-                       description=description, project_check=fn))
         return fn
     return decorate
 

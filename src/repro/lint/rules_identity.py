@@ -1,10 +1,11 @@
-"""Identity/execution separation and canonical-hash rules (RL1xx).
+"""Canonical-hash rule (RL1xx).
 
 The store's headline guarantee — one surrogate per cache key,
-bitwise-stable across processes and core counts — holds only while
-(a) execution-only knobs never leak into identity forms and (b) every
-hash-fed ``json.dumps`` sorts its keys.  These two rules machine-check
-the conventions PRs 2/4/5 established by hand.
+bitwise-stable across processes — holds only while every hash-fed
+``json.dumps`` sorts its keys (RL103).  Execution-only settings are
+kept out of identity forms at runtime: spec and adaptive validation
+reject them, and ``tests/test_serving.py`` pins the reference cache
+keys.
 """
 
 from __future__ import annotations
@@ -12,65 +13,12 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.lint.contracts import (
-    EXECUTION_ONLY_FIELDS,
-    HASH_CONSTRUCTORS,
-    IDENTITY_FUNCTIONS,
-)
+from repro.lint.contracts import HASH_CONSTRUCTORS
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import call_qual
 from repro.lint.registry import file_rule, get_rule
 
 _HASHY_NAME_RE = re.compile(r"canonical|cache_key|_hash|hash_|hashed")
-
-
-def _identity_functions(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.name in IDENTITY_FUNCTIONS:
-            yield node
-
-
-@file_rule(
-    "RL101", "execution-field-in-identity",
-    "an execution-only field (workers, warm_start, ...) is written "
-    "into a canonical()/to_dict() identity form")
-def check_execution_field_in_identity(ctx):
-    """Flag execution-only fields *added* to an identity dict."""
-    rule = get_rule("RL101")
-    for func in _identity_functions(ctx.tree):
-        for node in ast.walk(func):
-            hits = []
-            if isinstance(node, ast.Dict):
-                for key in node.keys:
-                    if isinstance(key, ast.Constant) \
-                            and key.value in EXECUTION_ONLY_FIELDS:
-                        hits.append((key, key.value))
-            elif isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) \
-                        and node.func.id == "dict":
-                    for keyword in node.keywords:
-                        if keyword.arg in EXECUTION_ONLY_FIELDS:
-                            hits.append((keyword.value, keyword.arg))
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                for target in targets:
-                    if isinstance(target, ast.Subscript) \
-                            and isinstance(target.slice, ast.Constant) \
-                            and target.slice.value \
-                            in EXECUTION_ONLY_FIELDS:
-                        hits.append((target, target.slice.value))
-            for hit, field in hits:
-                yield Diagnostic(
-                    file=ctx.path, line=hit.lineno, col=hit.col_offset,
-                    rule=rule.id, severity=rule.severity,
-                    message=f"execution-only field {field!r} is "
-                            f"written into identity form "
-                            f"{func.name}(); it would split the "
-                            f"cache key across "
-                            f"{EXECUTION_ONLY_FIELDS[field]} — pass "
-                            f"it to the build call instead")
 
 
 def _dumps_calls(ctx, root):

@@ -4,8 +4,8 @@
 describe how a build *ran*, never what it *is*.  The moment a metric
 or a span attribute flows into ``canonical()`` / ``cache_key()``,
 instrumentation starts splitting cache keys — the exact failure mode
-the identity/execution separation (RL1xx) exists to prevent.  This
-family fences the package off mechanically:
+the identity/execution separation exists to prevent.  This family
+fences the package off mechanically:
 
 - **RL601**: a declared identity module
   (:data:`repro.lint.contracts.IDENTITY_MODULES`) must not import

@@ -29,7 +29,8 @@ from __future__ import annotations
 import importlib
 
 #: Lazy export table: public name -> defining module.  ``__all__`` is
-#: derived from it and RL5xx checks every entry resolves.
+#: derived from it and ``tests/test_docs.py`` checks every entry
+#: resolves.
 _EXPORTS = {
     "MetricsRegistry": "repro.obs.metrics",
     "Counter": "repro.obs.metrics",

@@ -285,11 +285,6 @@ class MetricsRegistry:
             metrics = sorted(self._metrics.items())
         return [metric.snapshot() for _, metric in metrics]
 
-    def reset(self) -> None:
-        """Forget every metric (tests and fresh daemon instances)."""
-        with self._lock:
-            self._metrics.clear()
-
 
 #: Process-global default registry used by library instrumentation
 #: (solver counters, pipeline build metrics, GC evictions).

@@ -21,7 +21,7 @@ from repro.stochastic.sparse_grid import (
     paper_point_count,
     tensor_grid,
 )
-from repro.stochastic.pce import PolynomialChaos, QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 from repro.stochastic.pfa import pfa_reduce, ReductionMap
 from repro.stochastic.wpfa import wpfa_reduce
 from repro.stochastic.reduction import ReducedSpace, reduce_groups
@@ -47,7 +47,6 @@ __all__ = [
     "paper_point_count",
     "tensor_grid",
     "PolynomialChaos",
-    "QuadraticPCE",
     "pfa_reduce",
     "wpfa_reduce",
     "ReductionMap",

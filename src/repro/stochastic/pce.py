@@ -246,9 +246,3 @@ class PolynomialChaos:
         if names is not None:
             names = [str(name) for name in np.asarray(names)]
         return cls(basis, coefficients, output_names=names)
-
-
-#: The paper's order-2 chaos by its historical name, kept for code that
-#: still imports it; it *is* :class:`PolynomialChaos`, which defaults to
-#: the order-2 total-degree basis.
-QuadraticPCE = PolynomialChaos

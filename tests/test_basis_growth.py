@@ -24,7 +24,6 @@ from repro.errors import ServingError, StochasticError
 from repro.stochastic import (
     HermiteBasis,
     PolynomialChaos,
-    QuadraticPCE,
     gauss_hermite_rule,
     hermite_triple_product,
     hermite_value,
@@ -361,7 +360,7 @@ class TestStoreRoundTrip:
         from repro.serving.store import SCHEMA_VERSION
         basis = HermiteBasis(2)
         record = SurrogateRecord(
-            pce=QuadraticPCE(basis, np.zeros((basis.size, 1))),
+            pce=PolynomialChaos(basis, np.zeros((basis.size, 1))),
             spec=_spec())
         store = SurrogateStore(tmp_path / "store")
         key = store.save(record)
@@ -372,7 +371,7 @@ class TestStoreRoundTrip:
         """Pre-existing stored surrogates carry no basis_indices array
         — and a payload without one still loads as the order-2 chaos."""
         basis = HermiteBasis(3)
-        pce = QuadraticPCE(basis, np.zeros((basis.size, 1)))
+        pce = PolynomialChaos(basis, np.zeros((basis.size, 1)))
         arrays = pce.to_arrays()
         assert set(arrays) == {"dim", "order", "coefficients"}
         loaded = PolynomialChaos.from_arrays(arrays)

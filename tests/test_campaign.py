@@ -39,7 +39,7 @@ from repro.serving import SurrogateRecord
 from repro.serving.spec import ProblemSpec, canonical_json
 from repro.serving.store import SurrogateStore
 from repro.stochastic.hermite import HermiteBasis
-from repro.stochastic.pce import QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 
 ADAPTIVE = {"tol": 1e-4, "max_level": 2}
 
@@ -252,7 +252,7 @@ class TestOneWarmPredicate:
         basis = HermiteBasis(1, order=2)
         store = SurrogateStore(tmp_path)
         key = store.save(SurrogateRecord(
-            pce=QuadraticPCE(basis, np.zeros((basis.size, 1))),
+            pce=PolynomialChaos(basis, np.zeros((basis.size, 1))),
             spec=stored, refinement=self.REFINEMENT))
         scanned = store.find_warm_start(target)
         indexed = IndexedSurrogateStore(tmp_path).find_warm_start(target)

@@ -52,7 +52,7 @@ from repro.serving import (
     ensure_surrogate,
 )
 from repro.stochastic.hermite import HermiteBasis
-from repro.stochastic.pce import QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 
 TINY_PARAMS = {"max_step_um": 2.0, "rdf_nodes": 6}
 TINY_REDUCTION = {"caps": {"doping": 1}, "energy": 0.9}
@@ -66,8 +66,8 @@ def tiny_spec() -> ProblemSpec:
 def fabricated_record(preset="table2", refinement=None, **params):
     """A cheap but fully valid store record (1-D surrogate payload)."""
     basis = HermiteBasis(1, order=2)
-    pce = QuadraticPCE(basis, np.zeros((basis.size, 1)),
-                       output_names=["q"])
+    pce = PolynomialChaos(basis, np.zeros((basis.size, 1)),
+                          output_names=["q"])
     spec = ProblemSpec(preset=preset, params=params,
                        reduction={"adaptive": {"tol": 1e-3}}
                        if refinement is not None else {})
@@ -625,8 +625,6 @@ class TestDaemonHTTP:
 
     def test_oversized_sample_count_is_a_request_error(
             self, tmp_path, monkeypatch):
-        from repro.stochastic.pce import PolynomialChaos
-
         store = SurrogateStore(tmp_path / "store")
         record = fabricated_record(margin_um=1.0)
         store.save(record)

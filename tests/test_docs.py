@@ -1,13 +1,20 @@
-"""Docs health: intra-repo links resolve and CLI docs track --help.
+"""Docs health: intra-repo links resolve, CLI docs track --help, and
+the public API documents itself.
 
 Cheap structural checks, not prose review: every relative link in
-README.md and docs/*.md must point at a file that exists, and
+README.md and docs/*.md must point at a file that exists,
 ``docs/CLI.md`` must mention every subcommand and every long flag the
-argument parser actually exposes — so the docs fail loudly the moment
-the CLI drifts.
+argument parser actually exposes, and every name a package exports
+through ``__all__`` must resolve and carry documentation — so the docs
+fail loudly the moment the CLI or the API drifts.
 """
 
+import ast
+import dataclasses
+import importlib
+import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +22,12 @@ import pytest
 from repro.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_ROOT = REPO_ROOT / "src"
+#: Every package that publishes an ``__all__``.
+API_PACKAGES = sorted(
+    ".".join(init.parent.relative_to(SRC_ROOT).parts)
+    for init in (SRC_ROOT / "repro").rglob("__init__.py")
+    if "__all__" in init.read_text())
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SUBCOMMANDS = ("info", "structures", "solve", "build", "query",
                "serve", "store", "campaign")
@@ -108,3 +121,52 @@ class TestCliDocsDrift:
         stale = documented - real
         assert not stale, f"docs/CLI.md documents removed flags: " \
                           f"{sorted(stale)}"
+
+
+def _doc_comment_flags(name, value):
+    """For each top-level assignment of ``value`` to ``name`` in a
+    loaded ``repro`` module: is the line directly above it a ``#:``
+    comment?"""
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.split(".")[0] != "repro" \
+                or vars(module).get(name) is not value:
+            continue
+        source = Path(module.__file__).read_text()
+        lines = source.splitlines()
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == name
+                    for target in node.targets):
+                yield lines[node.lineno - 2].lstrip().startswith("#:")
+
+
+class TestPublicApi:
+    @pytest.mark.parametrize("package_name", API_PACKAGES)
+    def test_exports_resolve_and_are_documented(self, package_name):
+        package = importlib.import_module(package_name)
+        exports = package.__all__
+        assert len(set(exports)) == len(exports), \
+            f"{package_name}.__all__ lists a name twice"
+        undocumented = []
+        for name in exports:
+            value = getattr(package, name)
+            if inspect.isclass(value):
+                doc = value.__dict__.get("__doc__")
+                if dataclasses.is_dataclass(value) and doc \
+                        and doc.startswith(f"{value.__name__}("):
+                    doc = None  # the signature stub @dataclass writes
+                documented = bool(doc)
+            elif inspect.isfunction(value):
+                documented = bool(value.__doc__)
+            else:
+                flags = list(_doc_comment_flags(name, value))
+                documented = bool(flags) and all(flags)
+            if not documented:
+                undocumented.append(name)
+        assert not undocumented, \
+            f"{package_name} exports undocumented {undocumented}"
+
+    def test_lazy_export_table_is_the_top_level_surface(self):
+        import repro
+
+        assert set(repro.__all__) == set(repro._EXPORTS) | {"__version__"}

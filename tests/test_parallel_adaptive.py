@@ -7,6 +7,9 @@ the tolerance at strictly fewer solves than a cold build.
 """
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -294,11 +297,20 @@ class TestParallelWaveEvaluator:
                 run_sscm_analysis(_builder(), workers=bad,
                                   problem_builder=_builder)
 
-    def test_parallel_fixed_grid_bitwise_equals_serial(self):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_parallel_fixed_grid_bitwise_equals_serial(
+            self, start_method, monkeypatch):
         """ROADMAP item: the level-2 grid is one big wave for the
-        existing evaluator — identical bits, just more processes."""
+        existing evaluator — identical bits, just more processes.
+        Spawn (and forkserver, Python 3.14's Linux default) pickles
+        the initializer, its arguments and every mapped callable, so a
+        closure anywhere on the pool path fails the spawn case."""
         from repro.analysis import run_sscm_analysis
 
+        monkeypatch.setattr(
+            "repro.analysis.parallel.ProcessPoolExecutor",
+            partial(ProcessPoolExecutor,
+                    mp_context=multiprocessing.get_context(start_method)))
         serial = run_sscm_analysis(
             _builder(), energy=1.0,
             max_variables_by_group={"doping": 3})
@@ -437,11 +449,11 @@ class TestCliOverlay:
 def _tiny_record(spec, refinement=None):
     """A store record with a minimal (1-D) surrogate payload."""
     from repro.serving import SurrogateRecord
-    from repro.stochastic import HermiteBasis, QuadraticPCE
+    from repro.stochastic import HermiteBasis, PolynomialChaos
 
     basis = HermiteBasis(1, order=2)
-    pce = QuadraticPCE(basis, np.zeros((basis.size, 1)),
-                       output_names=["q"])
+    pce = PolynomialChaos(basis, np.zeros((basis.size, 1)),
+                          output_names=["q"])
     return SurrogateRecord(pce=pce, spec=spec, refinement=refinement)
 
 

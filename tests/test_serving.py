@@ -26,6 +26,7 @@ from repro.errors import (
     StoreSchemaError,
 )
 from repro.experiments import table1_spec, table2_spec
+from repro.obs.trace import Tracer, activate
 from repro.serving import (
     ProblemSpec,
     QueryEngine,
@@ -36,7 +37,7 @@ from repro.serving import (
 )
 from repro.stochastic.hermite import HermiteBasis
 from repro.stochastic.montecarlo import run_monte_carlo
-from repro.stochastic.pce import QuadraticPCE
+from repro.stochastic.pce import PolynomialChaos
 
 TINY_PARAMS = {"max_step_um": 2.0, "rdf_nodes": 6}
 TINY_REDUCTION = {"caps": {"doping": 1}, "energy": 0.9}
@@ -56,8 +57,8 @@ def store(tmp_path):
 def synthetic_record():
     rng = np.random.default_rng(7)
     basis = HermiteBasis(3)
-    pce = QuadraticPCE(basis, rng.standard_normal((basis.size, 2)),
-                       output_names=["a", "b"])
+    pce = PolynomialChaos(basis, rng.standard_normal((basis.size, 2)),
+                          output_names=["a", "b"])
     return SurrogateRecord(
         pce=pce, spec=tiny_spec(),
         reduction=[{"name": "doping", "kind": "doping", "full_size": 6,
@@ -70,6 +71,33 @@ class TestSpec:
     def test_cache_key_is_deterministic(self):
         assert tiny_spec().cache_key() == tiny_spec().cache_key()
         assert len(tiny_spec().cache_key()) == 64
+
+    def test_reference_cache_keys_are_pinned(self):
+        """Stored surrogates and the benchmark refs are filed under
+        these keys: any identity change, including an execution-only
+        setting leaking into a canonical form, must show here.
+        Tracing is execution-only and must not move them."""
+        def reference_specs():
+            reduction = {"caps": {"doping": 3}, "energy": 0.99}
+            adaptive = {"tol": 1e-5, "max_level": 2}
+            return [
+                table1_spec("doping", reduction=reduction,
+                            max_step_um=2.0, rdf_nodes=8),
+                table1_spec("doping",
+                            reduction={**reduction, "adaptive": adaptive},
+                            max_step_um=2.0, rdf_nodes=8),
+                table2_spec(),
+            ]
+
+        keys = [
+            "deb3492df0bf8fbccecf9bfcf2f2d5cb0587a60ca0560b147ee8da99c86b7066",
+            "ca4c46ee98694a1f0f4fb09e36f88aad5668ed67f09ebb82734ecb78f50cef9f",
+            "8c72527f4c746b17f6983d51a2d422b6328d18784e2abbddc63e551900f884c9",
+        ]
+        assert [spec.cache_key() for spec in reference_specs()] == keys
+        with activate(Tracer()):
+            assert [spec.cache_key()
+                    for spec in reference_specs()] == keys
 
     def test_explicit_default_matches_omitted(self):
         implicit = table1_spec("doping", **TINY_PARAMS)
@@ -335,8 +363,8 @@ class TestQueryEngine:
     def pce(self):
         rng = np.random.default_rng(3)
         basis = HermiteBasis(4)
-        return QuadraticPCE(basis, rng.standard_normal((basis.size, 3)),
-                            output_names=["x", "y", "z"])
+        return PolynomialChaos(basis, rng.standard_normal((basis.size, 3)),
+                               output_names=["x", "y", "z"])
 
     @pytest.fixture(scope="class")
     def engine(self, pce):
@@ -380,7 +408,7 @@ class TestQueryEngine:
         """One-pass accumulation must not cancel when std << |mean|."""
         basis = HermiteBasis(1)
         coefficients = np.array([[1.0], [1e-9], [0.0]])
-        pce = QuadraticPCE(basis, coefficients)
+        pce = PolynomialChaos(basis, coefficients)
         mean, std = pce.sample_statistics(np.random.default_rng(2),
                                           num_samples=20000,
                                           chunk_size=4096)
@@ -404,7 +432,7 @@ class TestQueryEngine:
         # Linear rows follow the constant in the graded basis order.
         coefficients[1, 0] = 3.0
         coefficients[2, 0] = 4.0
-        engine = QueryEngine(QuadraticPCE(basis, coefficients))
+        engine = QueryEngine(PolynomialChaos(basis, coefficients))
         corner = engine.corner(sigma=2.0)
         # Steepest direction has |gradient| = 5: 1 +/- 2 * 5.
         np.testing.assert_allclose(corner["high"], [11.0])
@@ -414,7 +442,7 @@ class TestQueryEngine:
         basis = HermiteBasis(2)
         coefficients = np.zeros((basis.size, 1))
         coefficients[0, 0] = 4.2
-        engine = QueryEngine(QuadraticPCE(basis, coefficients))
+        engine = QueryEngine(PolynomialChaos(basis, coefficients))
         corner = engine.corner(sigma=3.0)
         np.testing.assert_allclose(corner["low"], [4.2])
         np.testing.assert_allclose(corner["high"], [4.2])
@@ -479,7 +507,6 @@ class TestSampleBudget:
 
     @pytest.fixture()
     def draws(self, monkeypatch):
-        from repro.stochastic.pce import PolynomialChaos
         calls = []
         for name in ("sample_values", "sample_chunks"):
             original = getattr(PolynomialChaos, name)
@@ -497,7 +524,7 @@ class TestSampleBudget:
         basis = HermiteBasis(2)
         spec = ProblemSpec(preset="table2", params={"margin_um": 2.5})
         store.save(SurrogateRecord(
-            pce=QuadraticPCE(basis, np.ones((basis.size, 1))), spec=spec))
+            pce=PolynomialChaos(basis, np.ones((basis.size, 1))), spec=spec))
         for num_samples in (1e12, MAX_NUM_SAMPLES + 1):
             for query in self.KINDS:
                 result = serve_batch(
@@ -512,7 +539,7 @@ class TestSampleBudget:
         from repro.serving.query import MAX_NUM_SAMPLES
 
         basis = HermiteBasis(1)
-        pce = QuadraticPCE(basis, np.ones((basis.size, 1)))
+        pce = PolynomialChaos(basis, np.ones((basis.size, 1)))
         with pytest.raises(ServingError, match="exceeds the limit"):
             QueryEngine(pce, num_samples=MAX_NUM_SAMPLES + 1)
         with pytest.raises(ServingError, match="exceeds the limit"):

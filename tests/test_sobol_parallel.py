@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StochasticError
-from repro.stochastic import HermiteBasis, QuadraticPCE, run_sscm
+from repro.stochastic import HermiteBasis, PolynomialChaos, run_sscm
 from repro.stochastic.sobol import (
     group_indices,
     group_indices_from_reduced_space,
@@ -76,7 +76,7 @@ class TestSobolIndices:
         basis = HermiteBasis(2)
         coefficients = np.zeros((basis.size, 1))
         coefficients[0, 0] = 3.0  # constant function
-        pce = QuadraticPCE(basis, coefficients)
+        pce = PolynomialChaos(basis, coefficients)
         main = main_effect_indices(pce)
         np.testing.assert_allclose(main, 0.0)
 

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import StochasticError
 from repro.stochastic import (
     HermiteBasis,
-    QuadraticPCE,
+    PolynomialChaos,
     pfa_reduce,
     reduce_groups,
     run_monte_carlo,
@@ -84,13 +84,13 @@ class TestQuadraticPCE:
     def test_coefficient_shape_checked(self):
         basis = HermiteBasis(2)
         with pytest.raises(StochasticError):
-            QuadraticPCE(basis, np.zeros((3, 1)))
+            PolynomialChaos(basis, np.zeros((3, 1)))
 
     def test_regression_underdetermined_rejected(self):
         basis = HermiteBasis(4)
         pts = np.zeros((3, 4))
         with pytest.raises(StochasticError):
-            QuadraticPCE.fit_regression(basis, pts, np.zeros(3))
+            PolynomialChaos.fit_regression(basis, pts, np.zeros(3))
 
 
 class TestPFA:
