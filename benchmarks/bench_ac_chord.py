@@ -1,0 +1,138 @@
+"""AC CHORD: perturbed-sample AC solves through the nominal AC factor.
+
+Every collocation sample of a stochastic build solves the coupled A-V
+system linearized at its own DC point (the paper's eq. 8).  The RDF
+and geometry perturbations move that matrix only slightly, so the
+solver refines each perturbed sample's AC solve through the LU of the
+*nominal* sample's matrix (a chord, certified to the direct LU's own
+row-scaled residual level) instead of factorizing the sample's matrix
+(docs/SOLVER.md, "The AC solve: one nominal factor per contact set").
+
+This bench solves the AC systems of the same seeded perturbed samples
+of the fast-mesh Table II TSV twice — by a direct LU and by the chord
+— on the same equilibria, and reports the factorizations each path
+pays, the chord's fallbacks, the largest relative QoI gap between the
+two answers and the speedup of the AC solve (factorization or chord,
+and back-substitution; the shared assembly is not timed).  Expected
+shape: no factorization and no fallback on the chord path,
+capacitances within ~1e-13 relative, and a speedup near 2x.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from repro.experiments import table2_spec
+from repro.solver.ac import ACSystem
+from repro.solver.backends import _AC_CHORD_FALLBACKS, _AC_CHORD_STEPS
+from repro.solver.linear import _FACTORIZATIONS
+from repro.variation.random_field import stable_cholesky
+
+from conftest import write_bench_json, write_report
+
+SAMPLES = 24
+SEED = 20120316
+
+
+def _perturbed_systems(problem, count: int, seed: int) -> list:
+    """Assembled systems of ``count`` full-covariance perturbation
+    draws (their equilibria are what both paths linearize at)."""
+    factors = {group.name: stable_cholesky(group.covariance)
+               for group in problem.groups}
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(count):
+        xi = {group.name: factors[group.name]
+              @ rng.standard_normal(group.size)
+              for group in problem.groups}
+        systems.append(problem.solver.system_for(
+            *problem._sample_inputs(xi)))
+    return systems
+
+
+def _timed_solve(problem, sample, references):
+    """``(qoi, wall seconds, LUs)`` of one AC solve.
+
+    The assembly, which both paths share, is not timed: the wall is
+    the factorization (or chord) and the back-substitutions.
+    """
+    system = ACSystem(problem.structure, sample.geometry,
+                      sample.equilibrium, problem.frequency,
+                      recombination=problem.recombination,
+                      references=references)
+    factorizations = _FACTORIZATIONS.value()
+    start = time.perf_counter()
+    solution = system.solve(problem.excitations)
+    wall = time.perf_counter() - start
+    return (np.asarray(problem.qoi(solution)), wall,
+            int(_FACTORIZATIONS.value() - factorizations))
+
+
+def _compare(problem, samples) -> dict:
+    solver = problem.solver
+    references = {frozenset(problem.excitations):
+                  solver.ac_reference(problem.excitations)}
+    fallbacks = _AC_CHORD_FALLBACKS.value()
+    steps = _AC_CHORD_STEPS.value()
+    totals = {"t_direct": 0.0, "t_chord": 0.0, "lu_direct": 0,
+              "lu_chord": 0, "gap": 0.0}
+    for sample in samples:
+        # Interleaved, so host-speed drift hits both paths alike.
+        direct, t_direct, lu_direct = _timed_solve(problem, sample,
+                                                   None)
+        chord, t_chord, lu_chord = _timed_solve(problem, sample,
+                                                references)
+        totals["t_direct"] += t_direct
+        totals["t_chord"] += t_chord
+        totals["lu_direct"] += lu_direct
+        totals["lu_chord"] += lu_chord
+        totals["gap"] = max(totals["gap"], float(np.max(
+            np.abs(chord - direct) / np.abs(direct))))
+    totals["fallbacks"] = int(_AC_CHORD_FALLBACKS.value() - fallbacks)
+    totals["steps"] = int(_AC_CHORD_STEPS.value() - steps)
+    return totals
+
+
+@pytest.mark.benchmark(group="ac-chord")
+def test_ac_chord_speedup(benchmark, output_dir):
+    holder = {}
+
+    def run():
+        problem = table2_spec(max_step_um=2.5, margin_um=2.5,
+                              rdf_nodes=8).build_problem()
+        samples = _perturbed_systems(problem, SAMPLES, SEED)
+        holder.update(_compare(problem, samples))
+        return holder
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+
+    speedup = holder["t_direct"] / holder["t_chord"]
+    write_report(output_dir, "ac_chord", "\n".join([
+        "AC CHORD: perturbed table2 AC solves, direct LU vs the "
+        "nominal-factor chord",
+        f"  samples: {SAMPLES} (seed {SEED})",
+        f"  direct: {holder['lu_direct']} LUs, "
+        f"{holder['t_direct']:.2f}s",
+        f"  chord:  {holder['lu_chord']} LUs, {holder['steps']} steps, "
+        f"{holder['fallbacks']} fallbacks, {holder['t_chord']:.2f}s "
+        f"({speedup:.1f}x)",
+        f"  max QoI rel gap: {holder['gap']:.2e}",
+    ]))
+    write_bench_json(output_dir, "ac_chord", {
+        "direct_factorizations": holder["lu_direct"],
+        "chord_factorizations": holder["lu_chord"],
+        "chord_fallbacks": holder["fallbacks"],
+        "max_qoi_rel_gap": holder["gap"],
+        "wall_time_direct_s": holder["t_direct"],
+        "wall_time_chord_s": holder["t_chord"],
+        "ac_speedup": speedup,
+    })
+
+    # --- shape assertions -------------------------------------------
+    # The chord factorizes nothing per sample and never fell back.
+    assert holder["lu_chord"] == 0
+    assert holder["fallbacks"] == 0
+    # Certified at the direct LU's own residual level.
+    assert holder["gap"] < 1e-12
+    assert speedup > 1.5

@@ -99,7 +99,8 @@ class _RestrictedSystem:
     dirichlet_ids: np.ndarray
     coupling: sp.csr_matrix
     #: Solve-ready factor from the system's backend (a SparseFactor on
-    #: the "lu" path, a preconditioned Krylov factor otherwise).
+    #: the "lu" path, a preconditioned Krylov factor otherwise, a
+    #: chord factor when the system has a reference for the set).
     factor: object
 
 
@@ -127,11 +128,21 @@ class ACSystem:
         and :class:`~repro.solver.avsolver.AVSolver` do) is what lets
         the ``"krylov"`` backend reuse a previous factorization as its
         preconditioner.
+    references:
+        Optional mapping ``frozenset(contacts) -> factor`` of a nearby
+        sample's restricted matrices (an
+        :class:`~repro.solver.avsolver.AVSolver` hands every perturbed
+        sample its nominal sample's).  A contact set found there is
+        solved by a chord through that factor
+        (:meth:`~repro.solver.backends.SolverBackend.chord`) instead of
+        a factorization of its own; the mapping is read when the set
+        is first solved.
     """
 
     def __init__(self, structure: Structure, geometry: GridGeometry,
                  equilibrium: EquilibriumState, frequency: float,
-                 recombination: bool = True, backend=None):
+                 recombination: bool = True, backend=None,
+                 references=None):
         if frequency <= 0.0:
             raise GeometryError(
                 f"frequency must be positive, got {frequency}")
@@ -146,6 +157,7 @@ class ACSystem:
         # never on their voltages, so every excitation over the same
         # contact set shares one factorization.
         self._factor_cache = {}
+        self._references = references if references is not None else {}
         self._build_coefficients()
         self._assemble()
 
@@ -338,7 +350,8 @@ class ACSystem:
 
         Cached under ``frozenset(excitations)``: every drive over the
         same contact set — any voltages, any number of right-hand
-        sides — reuses the same factorization.
+        sides — reuses the same factorization (or, with a reference
+        for the set, the same chord factor).
         """
         key = frozenset(excitations)
         cached = self._factor_cache.get(key)
@@ -357,8 +370,11 @@ class ACSystem:
             # frequencies or samples, the same set yields the same
             # restriction pattern, so a shared backend instance can
             # precondition this solve with its previous factorization.
-            factor=self._backend.factorize(
-                matrix[unknown][:, unknown], key=key),
+            # A reference for the set makes the backend chord through
+            # it; without one this is a plain factorization.
+            factor=self._backend.chord(
+                matrix[unknown][:, unknown], self._references.get(key),
+                key=key),
         )
         self._factor_cache[key] = restricted
         return restricted

@@ -15,17 +15,17 @@ equilibrium, the 3N x 3N assembly and the factorization entirely;
 :meth:`AVSolver.solve_ports` solves all port drives as one multi-RHS
 pass.
 
-Across samples the solver keeps one more invariant: the LU factor of
-the nominal sample's converged DC Jacobian.  Every perturbed sample's
-equilibrium iterates through it (a chord Newton) instead of
-factorizing its own Jacobian at every step.  The factor comes from a
-full Newton solve of the nominal sample — the nominal solve itself, or
-one computed on first need — so a sample's answer never depends on
-which samples ran before it or in which process.
+Across samples the solver keeps one more invariant: the nominal
+sample's :class:`ACSystem`, solved once by full Newton.  Its converged
+DC Jacobian factor is the chord reference of every perturbed sample's
+equilibrium, and its AC factor per pinned-contact set is the chord
+reference of every perturbed sample's AC solve — so a perturbed
+sample factorizes nothing.  The nominal comes from the nominal solve
+itself, or is computed on first need, so a sample's answer never
+depends on which samples ran before it or in which process.
 """
 
 from __future__ import annotations
-
 
 from repro.errors import GeometryError
 from repro.geometry.structure import Structure
@@ -38,9 +38,6 @@ from repro.solver.ampere import AmpereSystem, staggered_correction
 from repro.solver.backends import resolve_backend
 from repro.solver.dc import solve_equilibrium
 from repro.solver.linear import SparseFactor
-
-#: ``AVSolver._dc_factor`` before the nominal equilibrium is solved.
-_UNSOLVED = object()
 
 
 class AVSolver:
@@ -92,9 +89,15 @@ class AVSolver:
         # objects (sweeps, per-port drives, full-wave passes) reuses the
         # equilibrium, the assembly and the cached factorizations.
         self._sample_cache = None
-        # Factor of the nominal converged DC Jacobian (None without a
-        # semiconductor): the chord reference of every perturbed sample.
-        self._dc_factor = _UNSOLVED
+        # The nominal sample's system and its converged DC Jacobian
+        # factor (None without a semiconductor), built once.
+        self._nominal = None
+        self._dc_factor = None
+        # Nominal AC factors by frozenset(contacts), shared with every
+        # perturbed sample's ACSystem.  A plain mapping: a sample never
+        # refers back to this solver, so dropping it frees its
+        # assembly at once.
+        self._ac_references = {}
 
     # ------------------------------------------------------------------
     @property
@@ -126,47 +129,61 @@ class AVSolver:
                    doping_profile: DopingProfile = None) -> ACSystem:
         """The assembled :class:`ACSystem` of one sample (cached).
 
-        The cache holds the most recent sample, identified by object
-        identity of the ``geometry`` and ``doping_profile`` arguments;
-        passing a different perturbed grid or doping sample invalidates
-        it and triggers a fresh equilibrium solve and assembly.
+        ``system_for()`` is the nominal sample, kept for the solver's
+        lifetime.  Otherwise the cache holds the most recent sample,
+        identified by object identity of the ``geometry`` and
+        ``doping_profile`` arguments; passing a different perturbed
+        grid or doping sample invalidates it and triggers a fresh
+        equilibrium solve and assembly.
         """
+        if geometry is None and doping_profile is None:
+            return self._nominal_system()
         cached = self._sample_cache
         if (cached is not None and cached[0] is geometry
                 and cached[1] is doping_profile):
             return cached[2]
         grid_geometry = self.geometry_for(geometry)
-        if geometry is None and doping_profile is None:
-            equilibrium = self._nominal_equilibrium()
-        else:
-            equilibrium = solve_equilibrium(
-                self.structure, grid_geometry,
-                doping_profile=doping_profile,
-                reference=self.dc_reference())
+        equilibrium = solve_equilibrium(self.structure, grid_geometry,
+                                        doping_profile=doping_profile,
+                                        reference=self.dc_reference())
         system = ACSystem(self.structure, grid_geometry, equilibrium,
                           self.frequency,
                           recombination=self.recombination,
-                          backend=self._backend)
+                          backend=self._backend,
+                          references=self._ac_references)
         self._sample_cache = (geometry, doping_profile, system)
         return system
 
-    def _nominal_equilibrium(self):
-        """Full-Newton nominal equilibrium; adopts its Jacobian factor
-        as the chord reference."""
-        equilibrium = solve_equilibrium(self.structure,
-                                        self.nominal_geometry)
-        if self._dc_factor is _UNSOLVED:
-            self._dc_factor = (
-                None if equilibrium.jacobian is None
-                else SparseFactor(equilibrium.jacobian()))
-        return equilibrium
+    def _nominal_system(self) -> ACSystem:
+        """The nominal sample, solved by full Newton on first need;
+        adopts its DC Jacobian factor as the DC chord reference."""
+        if self._nominal is None:
+            equilibrium = solve_equilibrium(self.structure,
+                                            self.nominal_geometry)
+            if equilibrium.jacobian is not None:
+                self._dc_factor = SparseFactor(equilibrium.jacobian())
+            self._nominal = ACSystem(self.structure,
+                                     self.nominal_geometry, equilibrium,
+                                     self.frequency,
+                                     recombination=self.recombination,
+                                     backend=self._backend)
+        return self._nominal
 
     def dc_reference(self):
         """The nominal DC Jacobian factor, solved on first need
         (``None`` when the structure has no semiconductor)."""
-        if self._dc_factor is _UNSOLVED:
-            self._nominal_equilibrium()
+        self._nominal_system()
         return self._dc_factor
+
+    def ac_reference(self, contacts):
+        """The nominal AC factor of one pinned-contact set, solved on
+        first need and shared with every perturbed sample's
+        :class:`ACSystem`."""
+        key = frozenset(contacts)
+        if key not in self._ac_references:
+            self._ac_references[key] = \
+                self._nominal_system()._restricted_system(contacts).factor
+        return self._ac_references[key]
 
     # ------------------------------------------------------------------
     def solve(self, excitations: dict, geometry=None,
@@ -183,6 +200,8 @@ class AVSolver:
             Optional RDF doping sample (default: structure doping).
         """
         system = self.system_for(geometry, doping_profile)
+        # Shared before the solve: a perturbed sample chords through it.
+        self.ac_reference(excitations)
         solution = system.solve(excitations)
         if self.full_wave:
             solution = self._full_wave_pass(system, solution)
@@ -192,12 +211,13 @@ class AVSolver:
                     doping_profile: DopingProfile = None) -> list:
         """Solve all unit port drives of one sample in a single batch.
 
-        One equilibrium, one assembly, one LU factorization and one
-        multi-RHS solve cover every port; see
-        :meth:`ACSystem.solve_ports`.  Returns one
-        :class:`ACSolution` per port, in ``ports`` order.
+        One equilibrium, one assembly and one multi-RHS solve through
+        one factor (the nominal sample's LU, or a chord through it)
+        cover every port; see :meth:`ACSystem.solve_ports`.  Returns
+        one :class:`ACSolution` per port, in ``ports`` order.
         """
         system = self.system_for(geometry, doping_profile)
+        self.ac_reference(ports)  # shared before the solve, as above
         solutions = system.solve_ports(ports)
         if self.full_wave:
             solutions = [self._full_wave_pass(system, solution)

@@ -12,6 +12,14 @@ steps (:func:`~repro.solver.newton.damped_newton`) factorize with
 :class:`~repro.solver.avsolver.AVSolver` factorizes only its nominal
 sample that way — every perturbed sample back-substitutes through the
 nominal converged factor (a chord iteration; ``docs/SOLVER.md``).
+
+The AC solve of a perturbed sample takes the same shortcut through the
+seam: :meth:`SolverBackend.chord` wraps the sample's matrix and the
+nominal sample's AC factor in a :class:`_ChordFactor`, which refines
+every solve through that one factor to a certified row-scaled residual
+and falls back to the backend's own ``factorize`` when the iteration
+stops contracting.  Both backends take the chord.
+
 The backend set is the fixed table :data:`_BACKENDS`:
 
 * ``"lu"`` — the reference: :class:`~repro.solver.linear.SparseFactor`
@@ -52,7 +60,8 @@ import scipy.sparse.linalg as spla
 
 from repro.errors import SingularSystemError, SolverBackendError
 from repro.obs.metrics import counter
-from repro.solver.linear import SparseFactor, max_scaled
+from repro.solver.linear import SparseFactor, max_scaled, row_scaling
+from repro.solver.newton import CHORD_CONTRACTION
 
 #: Execution-only observability.  Factorizations are labeled by the
 #: backend that performed them — label values are the names in
@@ -68,7 +77,25 @@ _KRYLOV_ITERATIONS = counter(
     "repro_solver_krylov_iterations_total",
     "Inner Krylov iterations across all preconditioned solves")
 
+_AC_CHORD_STEPS = counter(
+    "repro_solver_ac_chord_steps_total",
+    "AC chord steps: multi-RHS back-substitutions through a nominal "
+    "AC factor")
+_AC_CHORD_FALLBACKS = counter(
+    "repro_solver_ac_chord_fallbacks_total",
+    "AC chord solves that stopped contracting and were answered by "
+    "the backend's own factorization")
+
 _KRYLOV_METHODS = ("gmres", "bicgstab")
+
+#: A chord solve is certified once every column's row-scaled residual
+#: ``‖R(b − A·x)‖`` is at most this fraction of ``‖R·b‖``: the level
+#: the direct LU itself reaches on the coupled A-V matrices (4–5e-15),
+#: above the chord's own floor (~1.6e-15).
+CHORD_TOLERANCE = 1e-14
+#: Chord steps before the fallback factorization: about one LU's cost
+#: on the fast TSV mesh, where a chord certifies in 11–17 steps.
+CHORD_MAX_STEPS = 25
 
 
 @dataclass(frozen=True)
@@ -176,6 +203,23 @@ class SolverBackend:
         """Return a solve-ready factor for a square sparse matrix."""
         raise NotImplementedError
 
+    def chord(self, matrix, reference, key=None):
+        """A factor of ``matrix`` that iterates through ``reference``.
+
+        ``reference`` is a factor of a nearby matrix of the same shape
+        (an :class:`~repro.solver.avsolver.AVSolver` passes its nominal
+        sample's AC factor).  Every solve refines through it
+        (:class:`_ChordFactor`) and falls back to
+        ``factorize(matrix, key)`` when the refinement stops
+        contracting.  Without a reference (``None``) or with one of
+        another shape this is ``factorize`` itself.
+        """
+        matrix = matrix.tocsr()
+        if reference is None or reference.shape != matrix.shape:
+            return self.factorize(matrix, key=key)
+        return _ChordFactor(
+            matrix, reference, lambda: self.factorize(matrix, key=key))
+
 
 class LUBackend(SolverBackend):
     """The reference backend: max-scaled SuperLU, exactly pre-seam.
@@ -243,31 +287,20 @@ class KrylovBackend(SolverBackend):
         return _KrylovFactor(matrix, seed, self.config, refresh)
 
 
-class _KrylovFactor:
-    """Solve-ready Krylov wrapper around one matrix and one LU seed.
+class _IterativeFactor:
+    """The :class:`~repro.solver.linear.SparseFactor` solve contract
+    around an iterative ``_solve(rhs)``.
 
-    Matches the :class:`~repro.solver.linear.SparseFactor` solve
-    contract: ``(n,)`` / ``(n, k)`` right-hand sides, complex RHS
-    against a real matrix split into real/imaginary solves, ``n == 0``
-    early return, :class:`~repro.errors.SingularSystemError` on shape
-    mismatch.  Multi-RHS solves iterate column by column, so a stacked
-    solve equals the stacked single solves *exactly*.
+    ``solve`` takes ``(n,)`` / ``(n, k)`` right-hand sides, splits a
+    complex RHS against a real matrix into real/imaginary solves,
+    returns early for ``n == 0`` and raises
+    :class:`~repro.errors.SingularSystemError` on a shape mismatch;
+    ``_solve`` sees only RHS of the matrix's size and kind.
+    Subclasses set ``shape`` and ``dtype`` from their matrix.
     """
 
-    def __init__(self, matrix, seed: SparseFactor,
-                 config: SolverConfig, on_refresh):
-        self.shape = matrix.shape
-        self.dtype = matrix.dtype
-        self._matrix = matrix
-        self._seed = seed
-        self._config = config
-        self._on_refresh = on_refresh
-        self._direct = None
-        self._scaled = None
-
-    # ------------------------------------------------------------------
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Certified iterative solve (LU fallback on non-convergence)."""
+        """Certified iterative solve (a factorization when it fails)."""
         rhs = np.asarray(rhs)
         n = self.shape[0]
         if rhs.shape[0] != n:
@@ -283,6 +316,29 @@ class _KrylovFactor:
             # is two real solves, keeping dtype promotion identical.
             return (self.solve(np.ascontiguousarray(rhs.real))
                     + 1j * self.solve(np.ascontiguousarray(rhs.imag)))
+        return self._solve(rhs)
+
+
+class _KrylovFactor(_IterativeFactor):
+    """Solve-ready Krylov wrapper around one matrix and one LU seed.
+
+    Multi-RHS solves iterate column by column, so a stacked solve
+    equals the stacked single solves *exactly*.
+    """
+
+    def __init__(self, matrix, seed: SparseFactor,
+                 config: SolverConfig, on_refresh):
+        self.shape = matrix.shape
+        self.dtype = matrix.dtype
+        self._matrix = matrix
+        self._seed = seed
+        self._config = config
+        self._on_refresh = on_refresh
+        self._direct = None
+        self._scaled = None
+
+    # ------------------------------------------------------------------
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.ndim == 1:
             return self._solve_column(rhs)
         columns = [self._solve_column(np.ascontiguousarray(rhs[:, j]))
@@ -373,18 +429,95 @@ class _KrylovFactor:
         _KRYLOV_ITERATIONS.inc(iterations[0])
         if info != 0:
             return None
-        # Certify against a recomputed row-scaled residual
-        # ``‖R(Ax − b)‖ ≤ tol·‖Rb‖`` — each equation normalized by its
-        # largest coefficient, the tightest norm the *direct* path
-        # itself satisfies on these matrices (whose raw entries span
-        # tens of orders of magnitude).  Recomputed from the original
-        # matrix, not trusted from the solver's own convergence flag.
+        # Certify against a recomputed row-scaled residual, not the
+        # solver's own convergence flag.
         x = col_scale * np.asarray(y)
-        residual = np.linalg.norm(row_scale * (self._matrix @ x - b))
-        if not np.isfinite(residual) \
-                or residual > config.tol * np.linalg.norm(b_scaled):
+        residual, rhs_norm = _row_scaled_norms(
+            row_scale, np.column_stack([self._matrix @ x - b, b]))
+        if not np.isfinite(residual) or residual > config.tol * rhs_norm:
             return None
         return x
+
+
+class _ChordFactor(_IterativeFactor):
+    """Solve-ready chord iteration: one matrix, one nearby factor.
+
+    Every solve runs fixed-factor iterative refinement,
+    ``x ← x + M⁻¹(b − A·x)`` with ``M⁻¹`` the reference factor's
+    ``solve``, until each column is certified by the row-scaled
+    residual ``‖R(b − A·x)‖ ≤ CHORD_TOLERANCE·‖R·b‖``, ``R`` the
+    matrix's own row max-scaling (the certificate the Krylov factor
+    answers to).  An ``(n, k)`` block iterates as one — one multi-RHS
+    back-substitution per step — and a certified column leaves the
+    block, so a stacked solve equals the stacked single solves
+    exactly.
+
+    A non-finite residual, a residual above ``CHORD_CONTRACTION``
+    times the previous one (from the third step on), or
+    ``CHORD_MAX_STEPS`` steps without certification hand the solve —
+    and every later one — to ``fallback()``, the backend's own
+    factorization of the matrix.  An empty matrix row raises
+    :class:`~repro.errors.SingularSystemError` at construction.
+    """
+
+    def __init__(self, matrix, reference, fallback):
+        self.shape = matrix.shape
+        self.dtype = matrix.dtype
+        self._matrix = matrix
+        self._reference = reference
+        self._fallback = fallback
+        self._direct = None
+        self._row_scale = row_scaling(matrix) if matrix.shape[0] else None
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._direct is None:
+            x = self._refine(rhs if rhs.ndim == 2 else rhs[:, None])
+            if x is not None:
+                return x.reshape(rhs.shape)
+            _AC_CHORD_FALLBACKS.inc()
+            self._direct = self._fallback()
+        return self._direct.solve(rhs)
+
+    def _refine(self, block: np.ndarray):
+        """Chord-refined ``(n, k)`` solution; ``None`` unless certified."""
+        row_scale = self._row_scale
+        bound = CHORD_TOLERANCE * _row_scaled_norms(row_scale, block)
+        x = np.zeros(block.shape, dtype=np.result_type(
+            self.dtype, self._reference.dtype, block.dtype))
+        active = np.arange(block.shape[1])
+        residual, previous = block, None
+        for step in range(1, CHORD_MAX_STEPS + 1):
+            x[:, active] += self._reference.solve(residual)
+            _AC_CHORD_STEPS.inc()
+            residual = block[:, active] - self._matrix @ x[:, active]
+            norms = _row_scaled_norms(row_scale, residual)
+            if not np.all(np.isfinite(norms)):
+                return None
+            open_ = norms > bound[active]
+            if not np.any(open_):
+                return x
+            if step >= 3 and np.any(
+                    norms[open_] > CHORD_CONTRACTION * previous[open_]):
+                return None
+            active = active[open_]
+            residual, previous = residual[:, open_], norms[open_]
+        return None
+
+
+def _row_scaled_norms(row_scale: np.ndarray,
+                      block: np.ndarray) -> np.ndarray:
+    """``‖R·v‖`` of every column ``v`` of an ``(n, k)`` block.
+
+    Both iterative factors certify ``‖R(b − A·x)‖ ≤ tol·‖R·b‖`` in
+    this norm: each equation normalized by its largest coefficient,
+    the tightest norm the direct path itself satisfies on matrices
+    whose raw entries span tens of orders of magnitude.  Each column
+    is reduced from its own contiguous copy, so its norm does not
+    depend on the block it was solved in.
+    """
+    scaled = row_scale[:, None] * block
+    return np.array([np.linalg.norm(np.ascontiguousarray(scaled[:, j]))
+                     for j in range(scaled.shape[1])])
 
 
 def _tolerance_kwargs(solver, tol: float) -> dict:

@@ -49,13 +49,34 @@ def _max_abs_rows(matrix: sp.csr_matrix) -> np.ndarray:
     return out
 
 
+def row_scaling(matrix: sp.csr_matrix) -> np.ndarray:
+    """``1 / max|entry|`` of every row of a CSR matrix.
+
+    The diagonal of :func:`max_scaled`'s ``R``, and the ``R`` of the
+    row-scaled residual certificate the iterative factors of
+    :mod:`repro.solver.backends` answer to.
+
+    Raises
+    ------
+    SingularSystemError
+        When a row is empty: some unknown has no equation.
+    """
+    row_max = _max_abs_rows(matrix)
+    if np.any(row_max == 0.0):
+        empty = int(np.count_nonzero(row_max == 0.0))
+        raise SingularSystemError(
+            f"{empty} empty matrix rows: some unknowns have "
+            f"no equation (check boundary conditions)")
+    return 1.0 / row_max
+
+
 def max_scaled(matrix: sp.csr_matrix):
     """Row/column max-scaling ``R A C`` of a square CSR matrix.
 
-    ``R`` divides each row by its largest |entry|; ``C`` then divides
-    each column of ``R A`` by *its* largest (an all-zero column keeps
-    scale 1).  Both the direct LU and the Krylov iteration run in these
-    coordinates.
+    ``R`` divides each row by its largest |entry|
+    (:func:`row_scaling`); ``C`` then divides each column of ``R A``
+    by *its* largest (an all-zero column keeps scale 1).  Both the
+    direct LU and the Krylov iteration run in these coordinates.
 
     Returns
     -------
@@ -69,13 +90,7 @@ def max_scaled(matrix: sp.csr_matrix):
     SingularSystemError
         When a row is empty: some unknown has no equation.
     """
-    row_max = _max_abs_rows(matrix)
-    if np.any(row_max == 0.0):
-        empty = int(np.count_nonzero(row_max == 0.0))
-        raise SingularSystemError(
-            f"{empty} empty matrix rows: some unknowns have "
-            f"no equation (check boundary conditions)")
-    row_scale = 1.0 / row_max
+    row_scale = row_scaling(matrix)
     scaled = sp.diags(row_scale) @ matrix
     col_max = _max_abs_rows(scaled.T.tocsr())
     col_max[col_max == 0.0] = 1.0

@@ -193,13 +193,24 @@ class HermiteBasis:
         if points.shape[1] != self.dim:
             raise StochasticError(
                 f"points must have {self.dim} columns, got {points.shape}")
-        # Precompute 1-D values for each order and dimension once.
-        per_order = hermite_values_upto(self._max_axis_order, points)
-        out = np.empty((points.shape[0], self.size))
-        for col, index in enumerate(self.indices):
-            vals = np.ones(points.shape[0])
-            for axis, order in enumerate(index):
-                if order:
-                    vals = vals * per_order[order][:, axis]
-            out[:, col] = vals
-        return out
+        # Precompute 1-D values for each order and dimension once, one
+        # contiguous row per (order, axis), and build the design
+        # transposed so every basis function is a contiguous row: the
+        # product of its nonzero-order factors in axis order (1.0 when
+        # there are none), the same products as a per-column loop.
+        per_order = hermite_values_upto(self._max_axis_order,
+                                        np.ascontiguousarray(points.T))
+        out = np.empty((self.size, points.shape[0]))
+        for row, index in enumerate(self.indices):
+            factors = [per_order[order][axis]
+                       for axis, order in enumerate(index) if order]
+            if not factors:
+                out[row] = 1.0
+                continue
+            np.copyto(out[row], factors[0])
+            for factor in factors[1:]:
+                np.multiply(out[row], factor, out=out[row])
+        # C order again: the GEMM of PolynomialChaos.evaluate then sees
+        # the same operand layout, so its sums (and samples) are
+        # bitwise unchanged.
+        return np.ascontiguousarray(out.T)

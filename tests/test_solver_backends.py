@@ -6,6 +6,10 @@ dtype promotion, the ``n == 0`` early return, the singular-matrix
 error shape — so a backend added to the table later is enrolled
 automatically at collection time.
 
+Each backend's chord path (:meth:`SolverBackend.chord`, the factor a
+perturbed sample's AC solve iterates through) is enrolled in the same
+matrix as ``<name>+chord``.
+
 Beyond the shared contracts: the ``"lu"`` backend must stay
 bitwise-identical to the pre-seam :func:`repro.solver.solve_sparse`
 path, the ``"krylov"`` backend's seed reuse / certified fallback are
@@ -34,8 +38,31 @@ from repro.solver import (
 from repro.solver.backends import _BACKENDS, _KrylovFactor
 
 #: Every entry of the backend table gets the full contract matrix
-#: below, with no per-backend test code.
-BACKENDS = sorted(_BACKENDS)
+#: below, with no per-backend test code; ``<name>+chord`` runs it on
+#: that backend's chord path.
+BACKENDS = sorted(_BACKENDS) + [f"{name}+chord" for name in
+                                sorted(_BACKENDS)]
+
+
+class _ChordPath:
+    """A backend's chord path, shaped like a backend: every factor
+    iterates through the LU of a nearby matrix."""
+
+    def __init__(self, backend):
+        self.backend = backend
+
+    def factorize(self, matrix, key=None):
+        rows, cols = matrix.shape
+        reference = (SparseFactor(matrix + 1.0e-3 * sp.eye(rows))
+                     if rows == cols else None)
+        return self.backend.chord(matrix, reference, key=key)
+
+
+def _backend(name):
+    """The backend (or ``<name>+chord`` path) under test."""
+    base, _, chord = name.partition("+")
+    backend = resolve_backend(base)
+    return _ChordPath(backend) if chord else backend
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +97,7 @@ class TestConformance:
     @pytest.mark.parametrize("complex_matrix", [False, True])
     def test_residual_bound(self, name, complex_matrix):
         matrix, rhs = _system(complex_matrix=complex_matrix)
-        backend = resolve_backend(name)
+        backend = _backend(name)
         # Twice under one key: the second call takes a stateful
         # backend's warm (reuse) path; both must stay certified.
         for _ in range(2):
@@ -86,7 +113,7 @@ class TestConformance:
             rhs, 2.0 * rhs,
             rng.standard_normal(rhs.size) + 1j * rng.standard_normal(
                 rhs.size)])
-        backend = resolve_backend(name)
+        backend = _backend(name)
         factor = backend.factorize(matrix, key="multirhs")
         factor = backend.factorize(matrix, key="multirhs")
         stacked = factor.solve(block)
@@ -101,7 +128,7 @@ class TestConformance:
         rng = np.random.default_rng(5)
         rhs = (rng.standard_normal(matrix.shape[0])
                + 1j * rng.standard_normal(matrix.shape[0]))
-        backend = resolve_backend(name)
+        backend = _backend(name)
         factor = backend.factorize(matrix, key="promote")
         factor = backend.factorize(matrix, key="promote")
         x = factor.solve(rhs)
@@ -111,7 +138,7 @@ class TestConformance:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_empty_system_early_return(self, name):
         empty = sp.csr_matrix((0, 0))
-        backend = resolve_backend(name)
+        backend = _backend(name)
         for _ in range(2):  # cold and (where stateful) warm path
             factor = backend.factorize(empty, key="empty")
             assert factor.solve(np.zeros(0)).shape == (0,)
@@ -122,20 +149,20 @@ class TestConformance:
         matrix, rhs = _system(n=10)
         singular = matrix.tolil()
         singular[4, :] = 0.0  # an unknown with no equation
-        backend = resolve_backend(name)
+        backend = _backend(name)
         with pytest.raises(SingularSystemError):
             backend.factorize(singular.tocsr(), key="singular").solve(rhs)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_non_square_rejected(self, name):
-        backend = resolve_backend(name)
+        backend = _backend(name)
         with pytest.raises(SingularSystemError):
             backend.factorize(sp.csr_matrix(np.ones((3, 4))))
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_rhs_shape_mismatch_rejected(self, name):
         matrix, _ = _system(n=12)
-        backend = resolve_backend(name)
+        backend = _backend(name)
         factor = backend.factorize(matrix, key="mismatch")
         factor = backend.factorize(matrix, key="mismatch")
         with pytest.raises(SingularSystemError):

@@ -5,6 +5,9 @@ capacitance of textbook geometries, Kirchhoff consistency, equilibrium
 properties of the DC solve, and reciprocity of the capacitance matrix.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,8 +27,11 @@ from repro.materials.physics import equilibrium_potential
 from repro.mesh import CartesianGrid
 from repro.mesh.refine import uniform_axis
 from repro.serving import build_surrogate
-from repro.solver import AVSolver, SparseFactor
+from repro.mesh.perturbed import PerturbedGrid
+from repro.solver import AVSolver, SparseFactor, backends
+from repro.solver.ac import ACSystem
 from repro.solver.dc import solve_equilibrium
+from repro.solver.linear import _FACTORIZATIONS
 from repro.units import um
 from repro.variation.random_field import stable_cholesky
 
@@ -338,6 +344,126 @@ class TestChordEquilibrium:
         chord = build_surrogate(spec).pce
         monkeypatch.setattr(AVSolver, "dc_reference",
                             lambda self: None)
+        plain = build_surrogate(spec).pce
+        np.testing.assert_allclose(chord.mean, plain.mean, rtol=1e-11,
+                                   atol=0)
+        np.testing.assert_allclose(chord.std, plain.std, rtol=1e-11,
+                                   atol=0)
+
+
+#: The DC chord's problems plus the six-port table2 drive, whose
+#: columns refine as one block.
+_AC_CHORD_SPECS = {
+    **_CHORD_SPECS,
+    "table2-ports": lambda: table2_spec(max_step_um=2.5, margin_um=2.5,
+                                        rdf_nodes=8, multi_port=True),
+}
+
+
+def _direct(system, frequency, solve):
+    """``solve`` run on a twin of ``system`` without AC references."""
+    return solve(ACSystem(system.structure, system.geometry,
+                          system.equilibrium, frequency,
+                          recombination=system.recombination))
+
+
+class TestACChord:
+    """Perturbed samples solve their AC system through the nominal
+    AC factor."""
+
+    @pytest.mark.parametrize("name", sorted(_AC_CHORD_SPECS))
+    def test_chord_matches_direct_solve(self, name):
+        problem = _AC_CHORD_SPECS[name]().build_problem()
+        problem.nominal_solution()
+        for xi in _draws(problem, 3):
+            before = _FACTORIZATIONS.value()
+            solution = problem.solve_sample(xi)
+            assert _FACTORIZATIONS.value() == before
+            if problem.ports is None:
+                direct = _direct(solution.system, problem.frequency,
+                                 lambda s: s.solve(problem.excitations))
+            else:
+                system = solution[problem.ports[0]].system
+                direct = dict(zip(problem.ports, _direct(
+                    system, problem.frequency,
+                    lambda s: s.solve_ports(problem.ports))))
+            np.testing.assert_allclose(problem.qoi(solution),
+                                       problem.qoi(direct),
+                                       rtol=1e-12, atol=0)
+
+    def test_wrong_reference_falls_back_to_the_direct_answer(self):
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        contacts = frozenset(problem.excitations)
+        nominal = problem.solver.system_for()
+        unknown = nominal._restricted_system(contacts).unknown
+        wrong = SparseFactor(
+            100.0 * nominal.global_matrix[unknown][:, unknown])
+        geometry, doping = problem._sample_inputs(_draws(problem, 1)[0])
+        sample = problem.solver.system_for(geometry, doping)
+        fallbacks = backends._AC_CHORD_FALLBACKS.value()
+        recovered = ACSystem(
+            problem.structure, sample.geometry, sample.equilibrium,
+            problem.frequency,
+            references={contacts: wrong}).solve(problem.excitations)
+        assert backends._AC_CHORD_FALLBACKS.value() == fallbacks + 1
+        exact = _direct(sample, problem.frequency,
+                        lambda s: s.solve(problem.excitations))
+        assert np.array_equal(recovered.potential, exact.potential)
+
+    def test_structure_without_semiconductor_chords(self):
+        structure, _ = _parallel_plates()
+        solver = AVSolver(structure, frequency=1.0e9)
+        excitation = {"top": 1.0, "bot": 0.0}
+        solver.solve(excitation)
+        grid = structure.grid
+        levels = grid.node_ijk(np.arange(grid.num_nodes))[2]
+        gap_nodes = np.flatnonzero(np.isin(levels, (2, 3)))
+        rng = np.random.default_rng(2)
+        displacement = np.zeros((grid.num_nodes, 3))
+        displacement[gap_nodes, 2] = um(0.02) * rng.standard_normal(
+            gap_nodes.size)
+        perturbed = PerturbedGrid(grid, displacement, links=solver.links)
+        steps = backends._AC_CHORD_STEPS.value()
+        before = _FACTORIZATIONS.value()
+        chord = solver.solve(excitation, geometry=perturbed)
+        assert _FACTORIZATIONS.value() == before
+        assert backends._AC_CHORD_STEPS.value() > steps
+        assert not chord.equilibrium.has_semiconductor
+        direct = _direct(chord.system, 1.0e9,
+                         lambda s: s.solve(excitation))
+        column, exact = (capacitance_column(solution, "top")
+                         for solution in (chord, direct))
+        for name in column:
+            assert column[name] == pytest.approx(exact[name], rel=1e-12)
+
+    def test_samples_hold_no_reference_to_the_solver(self):
+        # A sample system that referred back to its solver would close
+        # a cycle through the sample cache and keep every dropped
+        # solver's assemblies alive until the cyclic collector ran.
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        geometry, doping = problem._sample_inputs(_draws(problem, 1)[0])
+        gc.collect()
+        gc.disable()
+        try:
+            solver = AVSolver(problem.structure, problem.frequency)
+            solution = solver.solve(problem.excitations, geometry=geometry,
+                                    doping_profile=doping)
+            alive = [weakref.ref(solver), weakref.ref(solution.system),
+                     weakref.ref(solver.system_for())]
+            del solver, solution
+            assert [ref() for ref in alive] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_fixed_build_agrees_without_the_reference(self,
+                                                      monkeypatch):
+        spec = table1_spec("doping",
+                           reduction={"caps": {"doping": 2},
+                                      "energy": 0.9},
+                           max_step_um=2.0, rdf_nodes=6)
+        chord = build_surrogate(spec).pce
+        monkeypatch.setattr(AVSolver, "ac_reference",
+                            lambda self, contacts: None)
         plain = build_surrogate(spec).pce
         np.testing.assert_allclose(chord.mean, plain.mean, rtol=1e-11,
                                    atol=0)

@@ -16,6 +16,8 @@ from repro.stochastic import (
     smolyak_sparse_grid,
     tensor_grid,
 )
+from repro.stochastic.hermite import hermite_values_upto
+from repro.stochastic.pce import PolynomialChaos
 from repro.stochastic.sparse_grid import smolyak_point_count
 
 
@@ -64,6 +66,66 @@ class TestHermite:
         basis = HermiteBasis(3)
         with pytest.raises(StochasticError):
             basis.evaluate(np.zeros((4, 2)))
+
+
+def _column_loop_design(basis, points):
+    """The design matrix built one strided column at a time: the
+    reference the row-wise ``HermiteBasis.evaluate`` must reproduce
+    bit for bit."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    per_order = hermite_values_upto(basis._max_axis_order, points)
+    out = np.empty((points.shape[0], basis.size))
+    for col, index in enumerate(basis.indices):
+        vals = np.ones(points.shape[0])
+        for axis, order in enumerate(index):
+            if order:
+                vals = vals * per_order[order][:, axis]
+        out[:, col] = vals
+    return out
+
+
+#: Total-degree bases of the serving presets' shapes plus an explicit
+#: (order-adaptive) one.
+_BITWISE_BASES = {
+    "d7-order2": lambda: HermiteBasis(7, order=2),
+    "d4-order3": lambda: HermiteBasis(4, order=3),
+    "d10-order2": lambda: HermiteBasis(10, order=2),
+    "explicit": lambda: HermiteBasis(5, indices=[
+        (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 1, 0, 0),
+        (3, 0, 0, 0, 0), (1, 0, 0, 0, 2), (0, 2, 1, 0, 0),
+        (0, 0, 0, 4, 0), (2, 0, 1, 0, 1)]),
+}
+
+
+class TestDesignBitwise:
+    """The row-wise design equals the per-column loop exactly."""
+
+    @pytest.mark.parametrize("name", sorted(_BITWISE_BASES))
+    def test_evaluate_matches_column_loop(self, name):
+        basis = _BITWISE_BASES[name]()
+        points = np.random.default_rng(3).standard_normal(
+            (1001, basis.dim))
+        design = basis.evaluate(points)
+        assert design.flags.c_contiguous
+        assert np.array_equal(design, _column_loop_design(basis, points))
+        assert np.array_equal(basis.evaluate(points[0]),
+                              _column_loop_design(basis, points[0]))
+
+    @pytest.mark.parametrize("outputs", [1, 6])
+    @pytest.mark.parametrize("name", sorted(_BITWISE_BASES))
+    def test_sample_values_match_column_loop(self, name, outputs,
+                                             monkeypatch):
+        basis = _BITWISE_BASES[name]()
+        coefficients = np.random.default_rng(4).standard_normal(
+            (basis.size, outputs))
+        pce = PolynomialChaos(basis, coefficients)
+        drawn = pce.sample_values(np.random.default_rng(5), 25_000,
+                                  chunk_size=10_000)
+        monkeypatch.setattr(HermiteBasis, "evaluate",
+                            _column_loop_design)
+        reference = pce.sample_values(np.random.default_rng(5), 25_000,
+                                      chunk_size=10_000)
+        assert np.array_equal(drawn, reference)
 
 
 class TestGaussHermite:
