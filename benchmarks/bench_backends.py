@@ -1,25 +1,25 @@
-"""SOLVER BACKENDS: factor-reuse-preconditioned Krylov vs cold LU.
+"""SOLVER BACKENDS: the krylov backend's chord vs cold LU.
 
 A frequency sweep solves a *sequence* of nearby systems: between two
 closely spaced frequencies the coupled A-V matrix barely moves, so the
-previous frequency's LU factorization is a nearly perfect
-preconditioner for the next one.  The ``krylov`` backend
-(docs/SOLVER.md) exploits exactly that — one LU at the first
-frequency, then a handful of certified GMRES iterations per subsequent
-frequency — while the default ``lu`` backend pays a fresh
-factorization every time.
+first frequency's LU factorization is a nearly exact inverse for the
+next ones.  The ``krylov`` backend (docs/SOLVER.md) exploits exactly
+that — one LU at the first frequency, then a certified chord
+(fixed-factor refinement through that LU) at every later frequency —
+while the default ``lu`` backend pays a fresh factorization every
+time.
 
 This bench sweeps a dense frequency comb (2% steps, the shape of a
 resonance scan) over the paper's two structures with both backends.
-Expected shape: the Krylov path wins on the factorization-dominated
-metal plug and holds its certified accuracy everywhere; every warm
-solve must actually converge (a fallback would silently re-pay the
+Expected shape: the chord wins on the factorization-dominated metal
+plug and holds its certified accuracy everywhere; every chord solve
+must certify without a fallback (a fallback would silently re-pay the
 LU and erase the speedup without failing the accuracy check).  The
 coarse six-port TSV is kept as the honest counter-example — its
-factorization is cheap and its 6 ports each pay an iterative solve,
-so krylov *loses* there (docs/SOLVER.md, "when Krylov wins"); only
-its accuracy and convergence are asserted, and its reported speedup
-documents the regime boundary.
+factorization is cheap and each chord step back-substitutes all 6
+ports, so krylov *loses* there (docs/SOLVER.md, "When Krylov wins");
+only its accuracy and convergence are asserted, and its reported
+speedup documents the regime boundary.
 """
 
 import time
@@ -33,7 +33,11 @@ from repro.geometry import (
     build_metalplug_structure,
     build_tsv_structure,
 )
-from repro.solver.backends import _KRYLOV_SOLVES
+from repro.solver.backends import (
+    _AC_CHORD_FALLBACKS,
+    _AC_CHORD_STEPS,
+    _BACKEND_FACTORIZATIONS,
+)
 from repro.solver.sweep import frequency_sweep
 from repro.units import um
 
@@ -41,24 +45,27 @@ from conftest import write_bench_json, write_report
 
 #: A tight comb around 2 GHz: consecutive matrices differ only in
 #: their (small) frequency-dependent terms, the regime the
-#: preconditioner-reuse path is built for.
+#: factor-reuse path is built for.
 FREQUENCIES = tuple(2.0e9 * (1.0 + 0.02 * i) for i in range(8))
 
 
-def _outcome_counts():
-    return {sample["labels"]["outcome"]: sample["value"]
-            for sample in _KRYLOV_SOLVES.snapshot()["samples"]}
+def _counts():
+    """Krylov LUs, chord steps and chord fallbacks so far."""
+    return (_BACKEND_FACTORIZATIONS.value(backend="krylov"),
+            _AC_CHORD_STEPS.value(), _AC_CHORD_FALLBACKS.value())
 
 
 def _compare_backends(structure):
+    ports = len(structure.contacts)
     start = time.perf_counter()
     lu = frequency_sweep(structure, FREQUENCIES, backend="lu")
     t_lu = time.perf_counter() - start
-    before = _outcome_counts()
+    before = _counts()
     start = time.perf_counter()
     krylov = frequency_sweep(structure, FREQUENCIES, backend="krylov")
     t_krylov = time.perf_counter() - start
-    after = _outcome_counts()
+    lus, steps, fallbacks = (after - prior for after, prior
+                             in zip(_counts(), before))
     mismatch = (np.abs(krylov.admittance - lu.admittance).max()
                 / np.abs(lu.admittance).max())
     return {
@@ -67,10 +74,11 @@ def _compare_backends(structure):
         "t_krylov": t_krylov,
         "speedup": t_lu / t_krylov,
         "mismatch": mismatch,
-        "converged": after.get("converged", 0) - before.get(
-            "converged", 0),
-        "fallbacks": after.get("fallback", 0) - before.get(
-            "fallback", 0),
+        # Every frequency that made no LU of its own certified all
+        # its port drives through the seed.
+        "converged": (len(FREQUENCIES) - lus) * ports,
+        "fallbacks": fallbacks,
+        "steps": steps,
     }
 
 
@@ -89,8 +97,8 @@ def test_krylov_backend_speedup(benchmark, output_dir):
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    lines = ["SOLVER BACKENDS: preconditioned krylov sweep vs cold-LU "
-             "sweep",
+    lines = ["SOLVER BACKENDS: krylov sweep (chord through the first "
+             "LU) vs cold-LU sweep",
              f"  frequencies: {len(FREQUENCIES)} (2% comb at 2 GHz)"]
     for name, stats in holder.items():
         lines.append(
@@ -98,7 +106,8 @@ def test_krylov_backend_speedup(benchmark, output_dir):
             f"krylov {stats['t_krylov']:.2f}s "
             f"({stats['speedup']:.1f}x), "
             f"max rel mismatch {stats['mismatch']:.2e}, "
-            f"{stats['converged']:.0f} converged / "
+            f"{stats['converged']:.0f} certified right-hand sides in "
+            f"{stats['steps']:.0f} chord steps / "
             f"{stats['fallbacks']:.0f} fallbacks")
     write_report(output_dir, "backends", "\n".join(lines))
     write_bench_json(output_dir, "backends", {
@@ -118,11 +127,11 @@ def test_krylov_backend_speedup(benchmark, output_dir):
         # Certified accuracy: the admittances agree far tighter than
         # any engineering use of a Y-parameter needs.
         assert stats["mismatch"] < 1e-6
-        # Every warm solve converged: a fallback re-pays the LU and
+        # Every chord certified: a fallback re-pays the LU and
         # silently turns the krylov path into a slower lu path.
         assert stats["fallbacks"] == 0
     # The dense comb is the headline: the metal plug's sweep time is
     # factorization-dominated, so replacing 7 of 8 factorizations
-    # with a few preconditioned iterations must win clearly (~2.5x
-    # measured; >1.3x required to absorb shared-runner noise).
+    # with a few chord steps must win clearly (~2.1x measured; >1.3x
+    # required to absorb shared-runner noise).
     assert holder["metal-plug"]["speedup"] > 1.3

@@ -169,30 +169,6 @@ def _overlay_adaptive(spec, args):
                        reduction=reduction)
 
 
-def _overlay_solver(spec, args):
-    """Apply ``--solver-backend``/``--solver-tol`` onto one spec.
-
-    Both are identity flags: a non-default backend (or tolerance)
-    produces a new spec and hence a new cache key, because an
-    iterative build certifies a *tolerance class* rather than the
-    direct solve's bitwise result.  ``--solver-tol`` implies the
-    Krylov backend (a tolerance has no meaning for ``lu``).
-    """
-    from repro.serving.spec import ProblemSpec
-    if args.solver_backend is None and args.solver_tol is None:
-        return spec
-    reduction = dict(spec.reduction)
-    solver = dict(reduction.get("solver") or {})
-    if args.solver_backend is not None:
-        solver["backend"] = args.solver_backend
-    if args.solver_tol is not None:
-        solver.setdefault("backend", "krylov")
-        solver["tol"] = args.solver_tol
-    reduction["solver"] = solver
-    return ProblemSpec(preset=spec.preset, params=spec.params,
-                       reduction=reduction)
-
-
 def cmd_build(args) -> int:
     from repro.serving import ensure_surrogate, open_store
     from repro.serving.service import load_request_file, parse_request
@@ -205,7 +181,6 @@ def cmd_build(args) -> int:
     else:
         specs = [ProblemSpec.from_dict(data)]
     specs = [_overlay_adaptive(spec, args) for spec in specs]
-    specs = [_overlay_solver(spec, args) for spec in specs]
     store = open_store(args.store)
     stack = contextlib.ExitStack()
     tracer = None
@@ -543,19 +518,6 @@ def main(argv=None) -> int:
                               "'adaptive' lets the accepted index set "
                               "grow it (implies --adaptive; part of "
                               "the cache key)")
-    p_build.add_argument("--solver-backend", choices=("lu", "krylov"),
-                         default=None,
-                         help="linear-solver backend for the "
-                              "deterministic solves: 'lu' (direct, "
-                              "the default) or 'krylov' (iterative, "
-                              "preconditioned by reused "
-                              "factorizations); a non-default choice "
-                              "is part of the cache key")
-    p_build.add_argument("--solver-tol", type=float, default=None,
-                         help="krylov: certified relative residual of "
-                              "every deterministic solve (implies "
-                              "--solver-backend krylov; part of the "
-                              "cache key)")
     p_build.add_argument("--workers", type=int, default=None,
                          help="evaluate collocation points on N worker "
                               "processes — refinement waves and the "

@@ -82,12 +82,6 @@ class VariationalProblem:
     recombination: bool = True
     full_wave: bool = False
     ports: list = None
-    #: Linear-solver backend designation forwarded to the
-    #: :class:`AVSolver` (``None`` = ``"lu"``; the serving layer pins
-    #: an explicit pure-data
-    #: :class:`~repro.solver.backends.SolverConfig` here so the choice
-    #: survives pickling into workers).
-    solver_backend: object = None
 
     def __post_init__(self) -> None:
         if self.surface_model not in ("csv", "naive"):
@@ -128,8 +122,7 @@ class VariationalProblem:
         if self._solver is None:
             self._solver = AVSolver(self.structure, self.frequency,
                                     recombination=self.recombination,
-                                    full_wave=self.full_wave,
-                                    backend=self.solver_backend)
+                                    full_wave=self.full_wave)
         return self._solver
 
     @property

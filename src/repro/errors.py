@@ -50,9 +50,8 @@ class SingularSystemError(ReproError):
 
 
 class SolverBackendError(ReproError):
-    """Invalid solver-backend selection or configuration (unknown
-    backend name, tolerance on a direct backend, duplicate registry
-    entry...)."""
+    """Invalid solver-backend designation (an unknown backend name, or
+    an object that is neither a name nor a live backend)."""
 
 
 class StochasticError(ReproError):
@@ -77,7 +76,8 @@ class StoreCorruptionError(ServingError):
 
 class StoreSchemaError(ServingError):
     """A persisted surrogate entry was written under an incompatible
-    schema version and cannot be trusted."""
+    schema version, or holds a spec this build rejects, and cannot be
+    used."""
 
 
 class CampaignError(ServingError):

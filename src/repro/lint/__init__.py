@@ -26,8 +26,9 @@ Rule families (full catalog in ``docs/LINT.md``):
   cache key.
 - **RL7xx** solver-backend confinement: scipy's iterative solvers run
   only inside the certified backend seam
-  (``repro.solver.backends``), where residuals are checked, failures
-  fall back to the direct LU, and tolerances are cache-keyed.
+  (``repro.solver.backends``), where residuals are checked and
+  failures fall back to the direct LU; no cache key carries a
+  tolerance.
 
 Suppress a deliberate exception inline, with a reason::
 

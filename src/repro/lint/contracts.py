@@ -86,11 +86,11 @@ STORE_LAYER_PREFIXES = ("repro.serving", "repro.daemon",
 ATOMIC_WRITER_NAMES = ("atomic_write",)
 
 #: The only modules allowed to touch scipy's iterative solvers.  The
-#: backend seam (``SolverBackend``) certifies every iterative solution
-#: — explicit residual check, LU fallback on non-convergence, labeled
-#: counters — and the serving identity layer hashes the tolerance into
-#: the cache key.  A ``gmres`` call anywhere else would be an
-#: uncertified, unkeyed tolerance class leaking into results.
+#: backend seam (``SolverBackend``) is where an iterative solution
+#: gets certified — explicit residual check, LU fallback on
+#: non-convergence, labeled counters.  No tolerance is part of a cache
+#: key, so an iterative solver anywhere else would let an uncertified
+#: tolerance class leak into stored results under a direct-solve key.
 ITERATIVE_SOLVER_HOME_MODULES = ("repro.solver.backends",)
 
 #: The scipy.sparse.linalg entry points the confinement rule patrols.

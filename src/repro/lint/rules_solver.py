@@ -2,14 +2,14 @@
 
 The backend seam (:mod:`repro.solver.backends`) is the only place an
 iterative linear solver is allowed to run, because it is the only
-place that *certifies* one: every Krylov solution is checked against
-the explicit row-scaled residual ``‖R(Ax − b)‖ ≤ tol·‖Rb‖``
-with an LU fallback on non-convergence, the tolerance is part of the
-serving cache key, and
-the solve is counted under a bounded backend label.  A ``gmres`` call
-sprinkled anywhere else would produce results in an uncertified,
-unkeyed tolerance class — the exact aliasing the identity layer
-exists to prevent.
+place that *certifies* one: every iterative solution is checked
+against the explicit row-scaled residual ``‖R(Ax − b)‖ ≤ tol·‖Rb‖``
+with an LU fallback on non-convergence, and the solve is counted
+under a bounded backend label.  Today the seam's only iteration is
+the chord, which needs no scipy solver.  No tolerance is part of a
+cache key, so a scipy iterative solver sprinkled anywhere else would
+store results of an uncertified tolerance class under a direct-solve
+key — the exact aliasing the identity layer exists to prevent.
 
 - **RL701**: ``scipy.sparse.linalg``'s iterative solvers
   (:data:`repro.lint.contracts.ITERATIVE_SOLVER_NAMES`) may be

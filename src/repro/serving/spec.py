@@ -11,10 +11,13 @@ surrogate if and only if their keys match.  ("Same" means same
 identity and tolerance class: a warm-certified adaptive build stores
 a tol-equivalent — not bitwise-identical — surrogate compared to a
 cold build of the same key, and a rebuild of a structure with a
-semiconductor agrees with one stored before the chord DC solve to
-~1e-12 relative, not bitwise; see docs/SOLVER.md.)  Execution policy
-such as the worker process count is not part of a spec at all: it is
-an argument of the call that runs the build.
+semiconductor agrees with one stored before the chord DC and AC
+solves to ~1e-12 relative, not bitwise; see docs/SOLVER.md.)  Neither
+execution policy nor the linear solver is part of a spec: the worker
+process count is an argument of the call that runs the build, and
+every build solves through the direct LU and the chords through its
+nominal factors, so a spec naming ``workers`` or ``solver`` is
+rejected.
 """
 
 from __future__ import annotations
@@ -38,14 +41,6 @@ SPEC_VERSION = 1
 #: dimension-adaptive engine; the stopping controls and the basis are
 #: part of the canonical form, so adaptive / fixed / order-adaptive
 #: builds of the same problem never alias in the store.
-#: ``solver`` is ``None`` (the direct ``"lu"`` backend) or a
-#: linear-solver backend block (``backend``, ``tol``, ``maxiter``,
-#: ``method`` — see :class:`repro.solver.backends.SolverConfig`).  A
-#: non-default backend changes which certified-tolerance class the
-#: surrogate is built in, so the block is part of the canonical form —
-#: except that the default ``"lu"`` selection is *omitted* (like a
-#: ``None`` adaptive block), keeping every pre-seam cache key
-#: byte-for-byte intact.
 REDUCTION_DEFAULTS = {
     "method": "wpfa",
     "energy": 0.95,
@@ -53,7 +48,6 @@ REDUCTION_DEFAULTS = {
     "level": 2,
     "fit": "quadrature",
     "adaptive": None,
-    "solver": None,
 }
 
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -95,15 +89,16 @@ class ProblemSpec:
         rejected at resolve time; omitted names take preset defaults.
     reduction : dict, optional
         Analysis overrides: ``method``, ``energy``, ``caps`` (mapping
-        of group name to hard cap), ``level``, ``fit``, ``solver``
-        and ``adaptive`` — ``None`` for the fixed level-2 grid, or the
+        of group name to hard cap), ``level``, ``fit`` and
+        ``adaptive`` — ``None`` for the fixed level-2 grid, or the
         dimension-adaptive stopping controls (``tol`` /
         ``max_solves`` / ``max_level`` / ``basis``; a live
         :class:`~repro.adaptive.driver.AdaptiveConfig` is accepted and
-        normalized to its dict form).  Any other name, ``workers``
-        included, is rejected: the worker count is an argument of the
-        build call (``ensure_surrogate(..., workers=)``), never part
-        of the spec.
+        normalized to its dict form).  Any other name is rejected:
+        the worker count (``workers``) is an argument of the build
+        call (``ensure_surrogate(..., workers=)``), and the linear
+        solver (``solver``) is no setting at all — every build solves
+        through the direct LU and its chord.
     """
 
     preset: str
@@ -146,22 +141,6 @@ class ProblemSpec:
                         f"reduction[{name!r}]={value!r} has no effect "
                         f"on an adaptive build; drop it or remove the "
                         f"adaptive block")
-        solver = self.reduction.get("solver")
-        if solver is not None:
-            # Accept a live SolverConfig for convenience; the wire
-            # form is always its dict.  Validation (registered
-            # backend, tolerance range, no tol on "lu") lives in
-            # SolverConfig itself.
-            from repro.errors import SolverBackendError
-            from repro.solver.backends import SolverConfig
-            if isinstance(solver, SolverConfig):
-                self.reduction["solver"] = solver.to_dict()
-            else:
-                try:
-                    SolverConfig.from_dict(solver)
-                except SolverBackendError as exc:
-                    raise ServingError(
-                        f"reduction['solver']: {exc}") from exc
         _check_json_scalars(self.reduction, "reduction")
 
     # ------------------------------------------------------------------
@@ -193,10 +172,6 @@ class ProblemSpec:
             from repro.adaptive.driver import AdaptiveConfig
             reduction["adaptive"] = AdaptiveConfig.from_dict(
                 reduction["adaptive"]).to_dict()
-        if reduction["solver"] is not None:
-            from repro.solver.backends import SolverConfig
-            reduction["solver"] = SolverConfig.from_dict(
-                reduction["solver"]).to_dict()
         return reduction
 
     def canonical(self) -> dict:
@@ -215,19 +190,8 @@ class ProblemSpec:
         level down: the default ``"order2"`` is omitted (by
         ``AdaptiveConfig.to_dict``), so pre-existing adaptive keys
         survive byte-for-byte while order-adaptive specs hash apart.
-
-        The ``solver`` block follows the adaptive precedent: the
-        default ``"lu"`` selection (``None`` or an explicit
-        ``{"backend": "lu"}``) is omitted, so every cache key minted
-        before the backend seam existed survives byte-for-byte, while
-        any iterative backend — whose certified tolerance defines a
-        different equivalence class of results — hashes apart and is
-        recorded in the store sidecar.
         """
         reduction = self.resolved_reduction()
-        if reduction["solver"] is None \
-                or reduction["solver"]["backend"] == "lu":
-            del reduction["solver"]
         if reduction["adaptive"] is None:
             del reduction["adaptive"]
         return {
@@ -249,20 +213,9 @@ class ProblemSpec:
 
     # ------------------------------------------------------------------
     def build_problem(self):
-        """Resolve the spec to a live VariationalProblem (one build).
-
-        The solver backend is pinned *explicitly* — even when it is
-        the default ``"lu"`` — as a pure-data
-        :class:`~repro.solver.backends.SolverConfig`, so the pinned
-        choice survives pickling into pool workers.
-        """
+        """Resolve the spec to a live VariationalProblem (one build)."""
         from repro.serving.presets import get_preset
-        from repro.solver.backends import SolverConfig
-        problem = get_preset(self.preset).build(self.resolved_params())
-        solver = self.resolved_reduction()["solver"]
-        problem.solver_backend = SolverConfig() if solver is None \
-            else SolverConfig.from_dict(solver)
-        return problem
+        return get_preset(self.preset).build(self.resolved_params())
 
     def analysis_kwargs(self) -> dict:
         """Keyword arguments for run_sscm_analysis."""

@@ -431,7 +431,14 @@ class SurrogateStore:
         except Exception as exc:
             raise StoreCorruptionError(
                 f"undecodable payload for {key}: {exc}") from exc
-        spec = ProblemSpec.from_dict(sidecar["spec"])
+        try:
+            spec = ProblemSpec.from_dict(sidecar["spec"])
+        except ServingError as exc:
+            # Intact, but written under a spec this build no longer
+            # accepts (a retired setting, say): stale, not damaged.
+            raise StoreSchemaError(
+                f"entry {key} holds a spec this build rejects: "
+                f"{exc}") from exc
         record = SurrogateRecord(
             pce=pce,
             spec=spec,

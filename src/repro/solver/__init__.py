@@ -2,8 +2,9 @@
 
 * :mod:`repro.solver.linear` — max-scaled sparse LU.
 * :mod:`repro.solver.backends` — the two linear-solver backends
-  (the ``"lu"`` reference path and the factor-reuse-preconditioned
-  ``"krylov"`` path; see ``docs/SOLVER.md``).
+  (the ``"lu"`` reference path and the ``"krylov"`` chord through each
+  reuse key's first LU) and the chord factor both use for perturbed
+  samples (see ``docs/SOLVER.md``).
 * :mod:`repro.solver.newton` — damped Newton-Raphson (paper eq. 8).
 * :mod:`repro.solver.dc` — nonlinear-Poisson equilibrium operating point.
 * :mod:`repro.solver.ac` — frequency-domain coupled {V, n, p} system.
@@ -16,7 +17,6 @@ from repro.solver.backends import (
     KrylovBackend,
     LUBackend,
     SolverBackend,
-    SolverConfig,
     resolve_backend,
 )
 from repro.solver.newton import NewtonOptions, damped_newton
@@ -28,7 +28,6 @@ __all__ = [
     "SparseFactor",
     "solve_sparse",
     "SolverBackend",
-    "SolverConfig",
     "LUBackend",
     "KrylovBackend",
     "resolve_backend",

@@ -98,9 +98,9 @@ class _RestrictedSystem:
     free_carriers: np.ndarray
     dirichlet_ids: np.ndarray
     coupling: sp.csr_matrix
-    #: Solve-ready factor from the system's backend (a SparseFactor on
-    #: the "lu" path, a preconditioned Krylov factor otherwise, a
-    #: chord factor when the system has a reference for the set).
+    #: Solve-ready factor from the system's backend (a SparseFactor,
+    #: or a chord factor when the system has a reference for the set
+    #: or the "krylov" backend has a seed for it).
     factor: object
 
 
@@ -120,14 +120,12 @@ class ACSystem:
     recombination:
         Include the SRH linearization (on by default).
     backend:
-        Linear-solver backend designation (name, config mapping,
-        :class:`~repro.solver.backends.SolverConfig` or live
+        Linear-solver backend designation (a name or a live
         :class:`~repro.solver.backends.SolverBackend`); default the
         direct ``"lu"`` path.  Passing one *live* backend instance to
         several systems (as :func:`~repro.solver.sweep.frequency_sweep`
-        and :class:`~repro.solver.avsolver.AVSolver` do) is what lets
-        the ``"krylov"`` backend reuse a previous factorization as its
-        preconditioner.
+        does) is what lets the ``"krylov"`` backend chord through a
+        previous factorization.
     references:
         Optional mapping ``frozenset(contacts) -> factor`` of a nearby
         sample's restricted matrices (an
@@ -369,7 +367,7 @@ class ACSystem:
             # The reuse key names the pinned-contact set: across
             # frequencies or samples, the same set yields the same
             # restriction pattern, so a shared backend instance can
-            # precondition this solve with its previous factorization.
+            # chord this solve through its previous factorization.
             # A reference for the set makes the backend chord through
             # it; without one this is a plain factorization.
             factor=self._backend.chord(

@@ -35,7 +35,6 @@ from repro.mesh.entities import LinkSet
 from repro.mesh.perturbed import PerturbedGrid
 from repro.solver.ac import ACSolution, ACSystem
 from repro.solver.ampere import AmpereSystem, staggered_correction
-from repro.solver.backends import resolve_backend
 from repro.solver.dc import solve_equilibrium
 from repro.solver.linear import SparseFactor
 
@@ -55,12 +54,6 @@ class AVSolver:
         Run the Ampere vector-potential pass and re-solve with the
         induced EMF (eq. 3 coupling); off by default because the
         correction is negligible at 1 GHz on micrometre structures.
-    backend:
-        Linear-solver backend designation (see
-        :mod:`repro.solver.backends`).  Resolved *once* here and shared
-        by every sample's :class:`ACSystem`, so a stateful backend
-        (``"krylov"``) can precondition sample ``m`` with sample
-        ``m-1``'s factorization.
 
     Example
     -------
@@ -70,8 +63,7 @@ class AVSolver:
     """
 
     def __init__(self, structure: Structure, frequency: float,
-                 recombination: bool = True, full_wave: bool = False,
-                 backend=None):
+                 recombination: bool = True, full_wave: bool = False):
         if frequency <= 0.0:
             raise GeometryError(
                 f"frequency must be positive, got {frequency}")
@@ -79,7 +71,6 @@ class AVSolver:
         self.frequency = float(frequency)
         self.recombination = recombination
         self.full_wave = full_wave
-        self._backend = resolve_backend(backend)
         self.links = LinkSet(structure.grid)
         self._nominal_geometry = None
         self._ampere = None
@@ -149,7 +140,6 @@ class AVSolver:
         system = ACSystem(self.structure, grid_geometry, equilibrium,
                           self.frequency,
                           recombination=self.recombination,
-                          backend=self._backend,
                           references=self._ac_references)
         self._sample_cache = (geometry, doping_profile, system)
         return system
@@ -165,8 +155,7 @@ class AVSolver:
             self._nominal = ACSystem(self.structure,
                                      self.nominal_geometry, equilibrium,
                                      self.frequency,
-                                     recombination=self.recombination,
-                                     backend=self._backend)
+                                     recombination=self.recombination)
         return self._nominal
 
     def dc_reference(self):
@@ -230,6 +219,5 @@ class AVSolver:
         """One staggered Ampere iteration (see solver.ampere)."""
         if self._ampere is None:
             self._ampere = AmpereSystem(self.structure,
-                                        self.nominal_geometry,
-                                        backend=self._backend)
+                                        self.nominal_geometry)
         return staggered_correction(system, self._ampere, solution)

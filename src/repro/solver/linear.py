@@ -53,8 +53,8 @@ def row_scaling(matrix: sp.csr_matrix) -> np.ndarray:
     """``1 / max|entry|`` of every row of a CSR matrix.
 
     The diagonal of :func:`max_scaled`'s ``R``, and the ``R`` of the
-    row-scaled residual certificate the iterative factors of
-    :mod:`repro.solver.backends` answer to.
+    row-scaled residual certificate the chord factor of
+    :mod:`repro.solver.backends` answers to.
 
     Raises
     ------
@@ -75,8 +75,8 @@ def max_scaled(matrix: sp.csr_matrix):
 
     ``R`` divides each row by its largest |entry|
     (:func:`row_scaling`); ``C`` then divides each column of ``R A``
-    by *its* largest (an all-zero column keeps scale 1).  Both the
-    direct LU and the Krylov iteration run in these coordinates.
+    by *its* largest (an all-zero column keeps scale 1).  The direct
+    LU factors in these coordinates.
 
     Returns
     -------

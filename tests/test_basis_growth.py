@@ -307,6 +307,13 @@ class TestSpecKeys:
                 _spec(workers=value)
         assert "workers" not in _spec().analysis_kwargs()
 
+    def test_reduction_solver_rejected(self):
+        """No spec picks the linear solver: a spec naming ``solver``,
+        with any value, is rejected as an unknown setting."""
+        for value in (None, {"backend": "lu"}, {"backend": "krylov"}):
+            with pytest.raises(ServingError, match="solver"):
+                _spec(solver=value)
+
     def test_fixed_grid_canonical_form_still_unchanged(self):
         """No execution knob leaks into pre-existing keys."""
         reduction = _spec().canonical()["reduction"]

@@ -244,6 +244,51 @@ class TestStoreRoundTrip:
         with pytest.raises(StoreSchemaError, match="schema"):
             store.get(key)
 
+    def test_retired_spec_setting_reads_as_stale(self, store,
+                                                 synthetic_record):
+        """An intact entry whose stored spec names a setting this build
+        no longer accepts (here the retired ``solver`` block, in the
+        canonical form older builds wrote) is listed, answered as a
+        per-member error and evicted like any other entry — never a
+        crash."""
+        import hashlib
+
+        from repro.campaign.query import query_campaign
+        from repro.daemon.gc import run_gc
+        from repro.serving.spec import canonical_json
+        valid = store.save(synthetic_record)
+        meta = json.loads((store.root / f"{valid}.json").read_text())
+        stale_spec = json.loads(json.dumps(meta["spec"]))
+        stale_spec["reduction"]["solver"] = {
+            "backend": "krylov", "tol": 1e-10, "maxiter": 200,
+            "method": "gmres"}
+        stale = hashlib.sha256(
+            canonical_json(stale_spec).encode("utf-8")).hexdigest()
+        older = meta["created_at"] - 100.0
+        meta.update(cache_key=stale, spec=stale_spec, created_at=older,
+                    last_used=older)
+        (store.root / f"{stale}.npz").write_bytes(
+            (store.root / f"{valid}.npz").read_bytes())
+        (store.root / f"{stale}.json").write_text(canonical_json(meta))
+
+        listed = {row["key"]: row for row in store.inventory()}
+        assert set(listed) == {valid, stale}
+        assert "damaged" not in listed[stale]
+        with pytest.raises(StoreSchemaError, match="solver"):
+            store.get(stale)
+
+        catalog = {"campaign": "c", "members": [
+            {"key": stale, "params": {}, "status": "built"},
+            {"key": valid, "params": {}, "status": "built"}]}
+        rows = query_campaign(catalog, store, [{"kind": "mean"}],
+                              num_samples=64)["members"]
+        assert "solver" in rows[0]["error"]
+        assert "answers" in rows[1]
+
+        report = run_gc(store, max_entries=1)
+        assert report["evicted"] == [stale]
+        assert store.keys() == [valid]
+
     def test_edited_spec_detected(self, store, synthetic_record):
         key = store.save(synthetic_record)
         sidecar = store.root / f"{key}.json"

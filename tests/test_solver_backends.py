@@ -12,30 +12,27 @@ matrix as ``<name>+chord``.
 
 Beyond the shared contracts: the ``"lu"`` backend must stay
 bitwise-identical to the pre-seam :func:`repro.solver.solve_sparse`
-path, the ``"krylov"`` backend's seed reuse / certified fallback are
-exercised directly, and the end-to-end identity rule is checked
-through real store builds (explicit ``"lu"`` == omitted byte-for-byte;
-``"krylov"`` hashes apart with its tolerance in the sidecar).
+path, and the ``"krylov"`` backend's seed reuse (a chord through each
+key's first LU) and certified fallback are exercised directly.
 """
-
-import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.errors import SingularSystemError, SolverBackendError
-from repro.experiments import table1_spec
-from repro.serving import SurrogateStore, ensure_surrogate
 from repro.solver import (
     KrylovBackend,
     LUBackend,
-    SolverConfig,
     SparseFactor,
     resolve_backend,
     solve_sparse,
 )
-from repro.solver.backends import _BACKENDS, _KrylovFactor
+from repro.solver.backends import (
+    _BACKEND_FACTORIZATIONS,
+    _BACKENDS,
+    _ChordFactor,
+)
 
 #: Every entry of the backend table gets the full contract matrix
 #: below, with no per-backend test code; ``<name>+chord`` runs it on
@@ -189,23 +186,28 @@ class TestLUBitwiseIdentity:
 
 
 # ----------------------------------------------------------------------
-# Krylov specifics: seed reuse, certification, fallback
+# Krylov specifics: the chord through each key's seed, and its fallback
 # ----------------------------------------------------------------------
+def _krylov_lus():
+    return _BACKEND_FACTORIZATIONS.value(backend="krylov")
+
+
 class TestKrylovBackend:
     def test_warm_call_returns_preconditioned_factor(self):
         matrix, rhs = _system(complex_matrix=True)
-        backend = resolve_backend(SolverConfig(backend="krylov",
-                                               tol=1.0e-10))
+        backend = resolve_backend("krylov")
         cold = backend.factorize(matrix, key="sweep")
         assert isinstance(cold, SparseFactor)
-        # A nearby matrix (next frequency of a sweep): the seed is a
-        # preconditioner now, and the answer is still certified.
+        # A nearby matrix (next frequency of a sweep) chords through
+        # the seed: no LU of its own, and the answer is certified.
         nearby = (matrix + 1j * 0.01 * sp.eye(matrix.shape[0],
                                               format="csr")).tocsr()
+        before = _krylov_lus()
         warm = backend.factorize(nearby, key="sweep")
-        assert isinstance(warm, _KrylovFactor)
+        assert isinstance(warm, _ChordFactor)
         x = warm.solve(rhs)
-        assert _relative_residual(nearby, x, rhs) <= 1.0e-10
+        assert _krylov_lus() == before
+        assert _relative_residual(nearby, x, rhs) <= 1.0e-12
 
     def test_different_key_or_shape_goes_cold(self):
         matrix, _ = _system()
@@ -220,31 +222,27 @@ class TestKrylovBackend:
 
     def test_fallback_refreshes_seed_and_stays_exact(self):
         matrix, rhs = _system(complex_matrix=True, seed=7)
-        backend = resolve_backend(
-            SolverConfig(backend="krylov", tol=1.0e-12, maxiter=1))
-        backend.factorize(matrix, key="k")
-        # A completely different matrix under the same key: one
-        # iteration cannot reach 1e-12, so the factor must fall back
-        # to a fresh LU — bitwise the direct answer.
-        state = np.random.RandomState(17)
-        other = sp.random(matrix.shape[0], matrix.shape[0],
-                          density=0.2, random_state=state, format="csr")
-        sums = np.asarray(abs(other).sum(axis=1)).ravel()
-        other = ((other + sp.diags(sums + 1.0))
-                 * (1.0 + 0.5j)).tocsr()
-        factor = backend.factorize(other, key="k")
-        assert isinstance(factor, _KrylovFactor)
+        backend = resolve_backend("krylov")
+        # A seed 100x off: the first chord step lands 99% short and
+        # the error then shrinks by only 0.99 per step, so the chord
+        # stops contracting and takes exactly one fallback LU.
+        backend.factorize((100.0 * matrix).tocsr(), key="k")
+        before = _krylov_lus()
+        factor = backend.factorize(matrix, key="k")
+        assert isinstance(factor, _ChordFactor)
         assert np.array_equal(factor.solve(rhs),
-                              solve_sparse(other, rhs))
+                              SparseFactor(matrix).solve(rhs))
+        assert _krylov_lus() == before + 1
         # The fallback LU became the new seed: the next warm solve
-        # starts from an exact preconditioner.
-        refreshed = backend.factorize(other, key="k")
-        assert isinstance(refreshed, _KrylovFactor)
-        assert _relative_residual(other, refreshed.solve(rhs),
+        # iterates through an exact factor and makes no LU.
+        refreshed = backend.factorize(matrix, key="k")
+        assert isinstance(refreshed, _ChordFactor)
+        assert refreshed._reference is factor._direct
+        assert _relative_residual(matrix, refreshed.solve(rhs),
                                   rhs) <= 1.0e-12
+        assert _krylov_lus() == before + 1
 
     def test_factorization_counter_labels_are_registered_names(self):
-        from repro.solver.backends import _BACKEND_FACTORIZATIONS
         matrix, _ = _system(n=8)
         resolve_backend("lu").factorize(matrix)
         resolve_backend("krylov").factorize(matrix)
@@ -265,88 +263,14 @@ class TestResolutionAndRegistry:
         assert isinstance(resolve_backend(None), LUBackend)
 
     def test_designation_forms(self):
+        assert isinstance(resolve_backend("lu"), LUBackend)
         assert isinstance(resolve_backend("krylov"), KrylovBackend)
-        assert isinstance(
-            resolve_backend(SolverConfig(backend="krylov", tol=1.0e-6)),
-            KrylovBackend)
-        config = SolverConfig(backend="krylov", maxiter=50)
-        assert resolve_backend(config).config is config
         live = KrylovBackend()
         assert resolve_backend(live) is live
 
     def test_bad_designations_rejected(self):
-        with pytest.raises(SolverBackendError):
-            resolve_backend("cholesky")
-        with pytest.raises(SolverBackendError):
-            SolverConfig.from_dict({"backend": "krylov", "typo": 1})
-        with pytest.raises(SolverBackendError):
-            resolve_backend({"backend": "krylov"})
-        with pytest.raises(SolverBackendError):
-            resolve_backend(3.14)
-        with pytest.raises(SolverBackendError):
-            SolverConfig(backend="lu", tol=1.0e-6)
-        with pytest.raises(SolverBackendError):
-            SolverConfig(backend="krylov", tol=2.0)
-        with pytest.raises(SolverBackendError):
-            SolverConfig(backend="krylov", method="jacobi")
-        with pytest.raises(SolverBackendError):
-            SolverConfig(backend="krylov", maxiter=0)
-
-
-# ----------------------------------------------------------------------
-# End-to-end identity through real store builds
-# ----------------------------------------------------------------------
-TINY_PARAMS = {"max_step_um": 2.0, "rdf_nodes": 6}
-TINY_REDUCTION = {"caps": {"doping": 1}, "energy": 0.9}
-
-
-def _spec(solver=None):
-    reduction = dict(TINY_REDUCTION)
-    if solver is not None:
-        reduction["solver"] = solver
-    return table1_spec("doping", reduction=reduction, **TINY_PARAMS)
-
-
-def _build(tmp_path, name, spec):
-    store = SurrogateStore(tmp_path / name)
-    report = ensure_surrogate(spec, store)
-    key = report.cache_key
-    payload = (store.root / f"{key}.npz").read_bytes()
-    sidecar = json.loads((store.root / f"{key}.json").read_text())
-    return report, payload, sidecar
-
-
-class TestEndToEndIdentity:
-    @pytest.fixture(scope="class")
-    def lu_build(self, tmp_path_factory):
-        return _build(tmp_path_factory.mktemp("lu"), "omitted", _spec())
-
-    def test_explicit_lu_equals_omitted_byte_for_byte(self, tmp_path,
-                                                      lu_build):
-        report, payload, sidecar = lu_build
-        explicit = _build(tmp_path, "explicit",
-                          _spec({"backend": "lu"}))
-        assert explicit[0].cache_key == report.cache_key
-        assert explicit[1] == payload
-        assert explicit[2]["npz_sha256"] == sidecar["npz_sha256"]
-        assert explicit[2]["spec"] == sidecar["spec"]
-        assert "solver" not in sidecar["spec"]["reduction"]
-
-    def test_krylov_hashes_apart_with_tol_in_provenance(self, tmp_path,
-                                                        lu_build):
-        report, _, _ = lu_build
-        spec = _spec({"backend": "krylov", "tol": 1.0e-9})
-        assert spec.cache_key() != report.cache_key
-        kr_report, _, kr_sidecar = _build(tmp_path, "krylov", spec)
-        solver = kr_sidecar["spec"]["reduction"]["solver"]
-        assert solver["backend"] == "krylov"
-        assert solver["tol"] == 1.0e-9
-        # Same physics, certified tolerance class: the surrogates
-        # agree far tighter than the stochastic content they model.
-        for name, reference in report.record.pce.to_arrays().items():
-            kr_value = kr_report.record.pce.to_arrays()[name]
-            if np.issubdtype(np.asarray(reference).dtype, np.number):
-                assert np.allclose(kr_value, reference,
-                                   rtol=1.0e-6, atol=1.0e-12)
-            else:
-                assert np.array_equal(kr_value, reference)
+        for designation in ("cholesky", {"backend": "krylov"},
+                            {"backend": "lu"}, ("krylov",), 3.14,
+                            KrylovBackend):
+            with pytest.raises(SolverBackendError):
+                resolve_backend(designation)
