@@ -16,6 +16,13 @@ two answers and the speedup of the AC solve (factorization or chord,
 and back-substitution; the shared assembly is not timed).  Expected
 shape: no factorization and no fallback on the chord path,
 capacitances within ~1e-13 relative, and a speedup near 2x.
+
+A third pass solves the same samples ``AC_BATCH`` to a block, their
+chords in lockstep (one multi-RHS back-substitution per step for the
+whole block, as a build's waves do), and reports the block steps, that
+every QoI is bitwise the per-sample chord's, and the speedup over the
+per-sample chord.  Expected shape: steps near the sum of each block's
+longest chord, bitwise identity, and ~1.5x.
 """
 
 import time
@@ -24,7 +31,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import table2_spec
-from repro.solver.ac import ACSystem
+from repro.solver.ac import ACSystem, solve_systems
+from repro.solver.avsolver import AC_BATCH
 from repro.solver.backends import _AC_CHORD_FALLBACKS, _AC_CHORD_STEPS
 from repro.solver.linear import _FACTORIZATIONS
 from repro.variation.random_field import stable_cholesky
@@ -51,22 +59,39 @@ def _perturbed_systems(problem, count: int, seed: int) -> list:
     return systems
 
 
+def _system(problem, sample, references):
+    """A fresh AC system of ``sample`` (assembled, not yet solved)."""
+    return ACSystem(problem.structure, sample.geometry,
+                    sample.equilibrium, problem.frequency,
+                    recombination=problem.recombination,
+                    references=references)
+
+
 def _timed_solve(problem, sample, references):
     """``(qoi, wall seconds, LUs)`` of one AC solve.
 
     The assembly, which both paths share, is not timed: the wall is
     the factorization (or chord) and the back-substitutions.
     """
-    system = ACSystem(problem.structure, sample.geometry,
-                      sample.equilibrium, problem.frequency,
-                      recombination=problem.recombination,
-                      references=references)
+    system = _system(problem, sample, references)
     factorizations = _FACTORIZATIONS.value()
     start = time.perf_counter()
     solution = system.solve(problem.excitations)
     wall = time.perf_counter() - start
     return (np.asarray(problem.qoi(solution)), wall,
             int(_FACTORIZATIONS.value() - factorizations))
+
+
+def _timed_block(problem, block, references):
+    """``(qoi rows, wall seconds, chord steps)`` of one lockstep block
+    solve, timed like :func:`_timed_solve`."""
+    systems = [_system(problem, sample, references) for sample in block]
+    steps = _AC_CHORD_STEPS.value()
+    start = time.perf_counter()
+    solutions = solve_systems(systems, excitations=problem.excitations)
+    wall = time.perf_counter() - start
+    return ([np.asarray(problem.qoi(solution)) for solution in solutions],
+            wall, int(_AC_CHORD_STEPS.value() - steps))
 
 
 def _compare(problem, samples) -> dict:
@@ -94,6 +119,30 @@ def _compare(problem, samples) -> dict:
     return totals
 
 
+def _compare_batched(problem, samples) -> dict:
+    """The per-sample chord against lockstep blocks of ``AC_BATCH``,
+    interleaved block by block."""
+    references = {frozenset(problem.excitations):
+                  problem.solver.ac_reference(problem.excitations)}
+    totals = {"t_single": 0.0, "t_batched": 0.0, "batched_steps": 0,
+              "bitwise": True}
+    for start in range(0, len(samples), AC_BATCH):
+        block = samples[start:start + AC_BATCH]
+        singles = []
+        for sample in block:
+            chord, t_chord, _ = _timed_solve(problem, sample,
+                                             references)
+            singles.append(chord)
+            totals["t_single"] += t_chord
+        batched, t_batched, steps = _timed_block(problem, block,
+                                                 references)
+        totals["t_batched"] += t_batched
+        totals["batched_steps"] += steps
+        totals["bitwise"] &= all(np.array_equal(row, single)
+                                 for row, single in zip(batched, singles))
+    return totals
+
+
 @pytest.mark.benchmark(group="ac-chord")
 def test_ac_chord_speedup(benchmark, output_dir):
     holder = {}
@@ -103,11 +152,13 @@ def test_ac_chord_speedup(benchmark, output_dir):
                               rdf_nodes=8).build_problem()
         samples = _perturbed_systems(problem, SAMPLES, SEED)
         holder.update(_compare(problem, samples))
+        holder.update(_compare_batched(problem, samples))
         return holder
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     speedup = holder["t_direct"] / holder["t_chord"]
+    batched_speedup = holder["t_single"] / holder["t_batched"]
     write_report(output_dir, "ac_chord", "\n".join([
         "AC CHORD: perturbed table2 AC solves, direct LU vs the "
         "nominal-factor chord",
@@ -118,6 +169,10 @@ def test_ac_chord_speedup(benchmark, output_dir):
         f"{holder['fallbacks']} fallbacks, {holder['t_chord']:.2f}s "
         f"({speedup:.1f}x)",
         f"  max QoI rel gap: {holder['gap']:.2e}",
+        f"  batched ({AC_BATCH} samples to a block): "
+        f"{holder['batched_steps']} steps, {holder['t_batched']:.2f}s "
+        f"({batched_speedup:.1f}x over the per-sample chord), "
+        f"bitwise identical: {holder['bitwise']}",
     ]))
     write_bench_json(output_dir, "ac_chord", {
         "direct_factorizations": holder["lu_direct"],
@@ -127,6 +182,10 @@ def test_ac_chord_speedup(benchmark, output_dir):
         "wall_time_direct_s": holder["t_direct"],
         "wall_time_chord_s": holder["t_chord"],
         "ac_speedup": speedup,
+        "batched_chord_steps": holder["batched_steps"],
+        "batched_bitwise_identical": holder["bitwise"],
+        "wall_time_batched_s": holder["t_batched"],
+        "batched_speedup": batched_speedup,
     })
 
     # --- shape assertions -------------------------------------------
@@ -136,3 +195,8 @@ def test_ac_chord_speedup(benchmark, output_dir):
     # Certified at the direct LU's own residual level.
     assert holder["gap"] < 1e-12
     assert speedup > 1.5
+    # A block pays one back-substitution per step for all its samples,
+    # and changes no sample's answer by a bit.
+    assert holder["bitwise"] is True
+    assert holder["batched_steps"] < holder["steps"]
+    assert batched_speedup > 1.3

@@ -43,6 +43,14 @@ def solve_counter(monkeypatch):
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(AVSolver, name, counting)
+    original_samples = AVSolver.solve_samples
+
+    def counting_samples(self, *args, **kwargs):
+        for answer in original_samples(self, *args, **kwargs):
+            counter["count"] += 1
+            yield answer
+
+    monkeypatch.setattr(AVSolver, "solve_samples", counting_samples)
     return counter
 
 

@@ -13,9 +13,9 @@ Workers receive a *picklable problem builder* (e.g.
 problem itself: each worker builds its own solver once, amortizing the
 mesh/structure setup over its whole chunk — the natural layout for the
 paper's per-sample independence.  The per-worker problem also carries
-the solver's per-sample and per-contact-set caches, so within a chunk a
-multi-port problem factorizes each sample once and reuses that factor
-across all of its port drives (see :meth:`AVSolver.solve_ports`).
+the solver's nominal factors, so every sample of a chunk chords
+through them, ``AC_BATCH`` samples to a lockstep AC block (see
+:meth:`AVSolver.solve_samples`).
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ def _worker_wave_chunk(points):
     start = time.perf_counter()
     problem = _WORKER_STATE["problem"]
     reduced_space = _WORKER_STATE["reduced_space"]
-    values = []
-    for zeta in points:
-        # Exactly the serial driver's per-point path
-        # (reduced_space.split then evaluate_sample), so a chunk of
-        # size one is bitwise-identical to the serial evaluation.
-        values.append(problem.evaluate_sample(reduced_space.split(zeta)))
+    # Exactly the serial driver's path (reduced_space.split then
+    # evaluate_samples): a sample's row does not depend on the block
+    # it shares, so chunks of any size are bitwise-identical to the
+    # serial evaluation.
+    values = problem.evaluate_samples(
+        reduced_space.split(zeta) for zeta in points)
     end = time.perf_counter()
-    return np.vstack(values), {"start": start, "end": end,
-                               "pid": os.getpid(),
-                               "points": int(points.shape[0])}
+    return values, {"start": start, "end": end, "pid": os.getpid(),
+                    "points": int(points.shape[0])}
 
 
 class ParallelWaveEvaluator:
@@ -67,7 +66,7 @@ class ParallelWaveEvaluator:
     refinement run, and keeping the per-sample factorization caches
     warm within a chunk) and evaluate points with *exactly* the serial
     driver's arithmetic — ``reduced_space.split`` followed by
-    ``evaluate_sample`` — so the fan-out is bitwise-identical to the
+    ``evaluate_samples`` — so the fan-out is bitwise-identical to the
     serial path, merely faster.
 
     Parameters

@@ -204,7 +204,35 @@ class VariationalProblem:
 
     def evaluate_sample(self, xi_by_group: dict) -> np.ndarray:
         """QoI vector of one perturbation sample."""
-        solution = self.solve_sample(xi_by_group)
+        return self.evaluate_samples([xi_by_group])[0]
+
+    def evaluate_samples(self, xis) -> np.ndarray:
+        """QoI rows of many perturbation samples, ``(k, outputs)``.
+
+        ``xis`` is an iterable of ``xi_by_group`` mappings (see
+        :meth:`solve_sample`), resolved lazily.  The samples go through
+        :meth:`AVSolver.solve_samples
+        <repro.solver.avsolver.AVSolver.solve_samples>` — blocks whose
+        AC chords step in lockstep — and every row is bitwise what a
+        lone sample gets, whatever block it shared.
+        """
+        samples = (self._sample_inputs(xi) for xi in xis)
+        if self.ports is not None:
+            solutions = self.solver.solve_samples(samples,
+                                                  ports=self.ports)
+        else:
+            solutions = self.solver.solve_samples(
+                samples, excitations=self.excitations)
+        # map keeps no solution between steps, so the solver's next
+        # block is built with no earlier sample alive.
+        rows = list(map(self._qoi_values, solutions))
+        return np.array(rows).reshape(len(rows), len(self.qoi_names))
+
+    def _qoi_values(self, solution) -> np.ndarray:
+        """The QoI vector of one sample's solution (its ``P`` port
+        solutions in multi-port mode), shape-checked."""
+        if self.ports is not None:
+            solution = dict(zip(self.ports, solution))
         values = np.atleast_1d(np.asarray(self.qoi(solution), dtype=float))
         if values.shape != (len(self.qoi_names),):
             raise StochasticError(

@@ -195,16 +195,23 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         xi_by_group = reduced_space.split(zeta)
         return problem.evaluate_sample(xi_by_group)
 
+    def solve_wave(points):
+        # A wave's points in lockstep AC blocks (evaluate_samples),
+        # bitwise-identical to solve_fn point by point.
+        return problem.evaluate_samples(
+            reduced_space.split(zeta) for zeta in points)
+
     evaluator = None
+    solve_many = solve_wave
     if workers is not None and workers > 1:
-        evaluator = ParallelWaveEvaluator(
+        evaluator = solve_many = ParallelWaveEvaluator(
             problem_builder, reduced_space, num_workers=workers)
     try:
         if refinement is not None:
             sscm = run_adaptive_sscm(solve_fn, reduced_space.dim,
                                      config=refinement,
                                      output_names=problem.qoi_names,
-                                     solve_many=evaluator,
+                                     solve_many=solve_many,
                                      warm_start=warm_start)
         else:
             # The fixed grid is one big wave: the same evaluator that
@@ -212,7 +219,7 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
             # bitwise-identical to the serial loop.
             sscm = run_sscm(solve_fn, reduced_space.dim,
                             output_names=problem.qoi_names, level=level,
-                            fit=fit, solve_many=evaluator)
+                            fit=fit, solve_many=solve_many)
     finally:
         if evaluator is not None:
             evaluator.close()

@@ -312,7 +312,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_bytes(self, status: int, body: bytes,
                     content_type: str) -> None:
-        self._status = int(status)
+        # Counted before the first byte goes out: a client that reads
+        # this response and at once asks /stats must see it counted.
+        self._observe(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -347,15 +349,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _timed(self, method: str, route) -> None:
-        """Run one verb handler, then record metrics + access log."""
-        self._status = 0
-        start = time.perf_counter()
+        """Run one verb handler; its response is recorded (metrics +
+        access log) once it is ready to send."""
+        self._method = method
+        self._start = time.perf_counter()
         try:
             route()
         finally:
-            self.app._observe_request(
-                method, self.path, self._status,
-                time.perf_counter() - start, self.address_string())
+            # A route that raised before sending is recorded as 0.
+            self._observe(0)
+
+    def _observe(self, status: int) -> None:
+        """Record this request once: the first response's status."""
+        if self._start is None:
+            return
+        self.app._observe_request(
+            self._method, self.path, int(status),
+            time.perf_counter() - self._start, self.address_string())
+        self._start = None
 
     def do_GET(self) -> None:
         self._timed("GET", self._route_get)

@@ -45,7 +45,7 @@ from repro.semiconductor.scharfetter_gummel import (
     electron_flux_linearization,
     hole_flux_linearization,
 )
-from repro.solver.backends import resolve_backend
+from repro.solver.backends import resolve_backend, solve_chords
 from repro.solver.dc import EquilibriumState
 
 
@@ -157,7 +157,10 @@ class ACSystem:
         self._factor_cache = {}
         self._references = references if references is not None else {}
         self._build_coefficients()
-        self._assemble()
+        # The 3N x 3N matrix only feeds restrictions: it is kept until
+        # the first contact set is restricted (for a sample, the only
+        # one) and assembled again for any later set.
+        self._global_matrix = self._assemble()
 
     # ------------------------------------------------------------------
     def _build_coefficients(self) -> None:
@@ -217,12 +220,13 @@ class ACSystem:
             self.du_dp = np.zeros(self.num_nodes)
 
     # ------------------------------------------------------------------
-    def _assemble(self) -> None:
-        """Build the global (3N x 3N) matrix in COO form.
+    def _assemble(self) -> sp.csr_matrix:
+        """The global (3N x 3N) matrix, built in COO form.
 
         Global unknown ids: ``V_i = i``, ``n_i = N + i``,
         ``p_i = 2N + i``.  Restriction to the actual unknown set happens
-        at solve time, once the Dirichlet data is known.
+        at solve time, once the Dirichlet data is known; the system
+        keeps only the restrictions.
         """
         geometry = self.geometry
         links = geometry.links
@@ -316,7 +320,7 @@ class ACSystem:
         rows = np.concatenate([np.ravel(r) for r in rows])
         cols = np.concatenate([np.ravel(c) for c in cols])
         vals = np.concatenate([np.ravel(v) for v in vals])
-        self.global_matrix = sp.csr_matrix(
+        return sp.csr_matrix(
             (vals, (rows, cols)), shape=(3 * n_nodes, 3 * n_nodes))
 
     # ------------------------------------------------------------------
@@ -357,7 +361,10 @@ class ACSystem:
             return cached
         unknown, free_v, free_carriers, dirichlet_ids = \
             self._partition(excitations)
-        matrix = self.global_matrix
+        matrix = self._global_matrix
+        if matrix is None:
+            matrix = self._assemble()
+        self._global_matrix = None
         restricted = _RestrictedSystem(
             unknown=unknown,
             free_v=free_v,
@@ -445,20 +452,8 @@ class ACSystem:
             Optional per-link induction voltage ``j w A_l L_l`` from a
             previous Ampere pass (full-wave correction).
         """
-        restricted = self._restricted_system(excitations)
-        dirichlet_vals = self._dirichlet_values(
-            excitations, restricted.dirichlet_ids)
-        rhs = -(restricted.coupling @ dirichlet_vals)
-        if link_emf is not None:
-            link_emf = np.asarray(link_emf, dtype=complex)
-            if link_emf.shape != (self.geometry.num_links,):
-                raise ExtractionError(
-                    f"link_emf must have shape "
-                    f"({self.geometry.num_links},)")
-            rhs = rhs + self._emf_rhs(link_emf)[restricted.unknown]
-        x = restricted.factor.solve(rhs)
-        return self._make_solution(restricted, dirichlet_vals, x,
-                                   dict(excitations), link_emf)
+        factor, rhs, finish = self._drive(excitations, link_emf)
+        return finish(factor.solve(rhs))
 
     def solve_ports(self, ports, drive: complex = 1.0) -> list:
         """Solve every unit port drive with one shared factorization.
@@ -486,6 +481,36 @@ class ACSystem:
             ``ports`` order; each is identical to what ``solve`` would
             return for the corresponding single excitation.
         """
+        factor, rhs, finish = self._port_drives(ports, drive)
+        return finish(factor.solve(rhs))
+
+    def _drive(self, excitations: dict, link_emf=None):
+        """The right-hand-side half of :meth:`solve`.
+
+        Returns ``(factor, rhs, finish)``: the contact set's factor,
+        the restricted right-hand side and ``finish(x)``, the solutions
+        half, which turns the factor's answer into the
+        :class:`ACSolution`.
+        """
+        restricted = self._restricted_system(excitations)
+        dirichlet_vals = self._dirichlet_values(
+            excitations, restricted.dirichlet_ids)
+        rhs = -(restricted.coupling @ dirichlet_vals)
+        if link_emf is not None:
+            link_emf = np.asarray(link_emf, dtype=complex)
+            if link_emf.shape != (self.geometry.num_links,):
+                raise ExtractionError(
+                    f"link_emf must have shape "
+                    f"({self.geometry.num_links},)")
+            rhs = rhs + self._emf_rhs(link_emf)[restricted.unknown]
+        excitations = dict(excitations)
+        return restricted.factor, rhs, lambda x: self._make_solution(
+            restricted, dirichlet_vals, x, excitations, link_emf)
+
+    def _port_drives(self, ports, drive: complex = 1.0):
+        """The right-hand-side half of :meth:`solve_ports`, shaped
+        like :meth:`_drive`'s: ``finish(x)`` returns the ``P``
+        solutions."""
         ports = list(ports)
         if not ports:
             raise GeometryError("at least one port is required")
@@ -499,8 +524,7 @@ class ACSystem:
             self._dirichlet_values(exc, restricted.dirichlet_ids)
             for exc in port_excitations])
         rhs = -(restricted.coupling @ values)
-        x = restricted.factor.solve(rhs)
-        return [
+        return restricted.factor, rhs, lambda x: [
             self._make_solution(restricted, values[:, j], x[:, j],
                                 port_excitations[j], None)
             for j in range(len(ports))]
@@ -570,3 +594,25 @@ class ACSystem:
     def link_dielectric_flux(self, solution: ACSolution) -> np.ndarray:
         """Electric flux (D dot dS) a -> b through each dual face [C]."""
         return -self.g_eps * self._link_voltage(solution)
+
+
+def solve_systems(systems, excitations: dict = None,
+                  ports=None) -> list:
+    """Solve one drive on many systems, their chords in lockstep.
+
+    Returns, for every system in order, exactly what
+    ``system.solve(excitations)`` — or, with ``ports``,
+    ``system.solve_ports(ports)`` — returns.  Every system builds its
+    restriction and right-hand side as those do; then one
+    :func:`~repro.solver.backends.solve_chords` call solves them all,
+    so the systems whose chords share a reference (the perturbed
+    samples of one :class:`~repro.solver.avsolver.AVSolver`) pay one
+    multi-RHS back-substitution per step between them.  ``systems``
+    may be a generator: each system is restricted before the next is
+    drawn, so only one unrestricted 3N x 3N matrix is alive at a time.
+    """
+    drives = [system._drive(excitations) if ports is None
+              else system._port_drives(ports) for system in systems]
+    solved = solve_chords([factor for factor, _, _ in drives],
+                          [rhs for _, rhs, _ in drives])
+    return [finish(x) for (_, _, finish), x in zip(drives, solved)]

@@ -23,9 +23,17 @@ reference of every perturbed sample's AC solve — so a perturbed
 sample factorizes nothing.  The nominal comes from the nominal solve
 itself, or is computed on first need, so a sample's answer never
 depends on which samples ran before it or in which process.
+
+:meth:`AVSolver.solve_samples` solves many samples ``AC_BATCH`` at a
+time: each block's AC chords step in lockstep, one multi-RHS
+back-substitution through the nominal factor per step for the whole
+block, and every sample's answer is bitwise what :meth:`AVSolver.solve`
+gives it.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from repro.errors import GeometryError
 from repro.geometry.structure import Structure
@@ -33,10 +41,18 @@ from repro.materials.doping import DopingProfile
 from repro.mesh.dual import GridGeometry, compute_geometry
 from repro.mesh.entities import LinkSet
 from repro.mesh.perturbed import PerturbedGrid
-from repro.solver.ac import ACSolution, ACSystem
+from repro.solver.ac import ACSolution, ACSystem, solve_systems
 from repro.solver.ampere import AmpereSystem, staggered_correction
 from repro.solver.dc import solve_equilibrium
 from repro.solver.linear import SparseFactor
+
+#: Samples per lockstep AC block in :meth:`AVSolver.solve_samples`.  A
+#: back-substitution through the nominal complex factor of the fast
+#: TSV mesh costs 1.24 ms for one column and 0.77 ms per column for 4
+#: (0.55 ms for 16), while every sample of a block keeps its system
+#: alive until the block is solved: 4 takes most of the per-column
+#: saving at the memory of 4 samples.
+AC_BATCH = 4
 
 
 class AVSolver:
@@ -133,16 +149,23 @@ class AVSolver:
         if (cached is not None and cached[0] is geometry
                 and cached[1] is doping_profile):
             return cached[2]
+        system = self._new_system(geometry, doping_profile)
+        self._sample_cache = (geometry, doping_profile, system)
+        return system
+
+    def _new_system(self, geometry, doping_profile) -> ACSystem:
+        """A fresh (uncached) :class:`ACSystem` of one perturbed
+        sample — its equilibrium by the DC chord, its AC solves by the
+        AC chord — or the nominal system for ``(None, None)``."""
+        if geometry is None and doping_profile is None:
+            return self._nominal_system()
         grid_geometry = self.geometry_for(geometry)
         equilibrium = solve_equilibrium(self.structure, grid_geometry,
                                         doping_profile=doping_profile,
                                         reference=self.dc_reference())
-        system = ACSystem(self.structure, grid_geometry, equilibrium,
-                          self.frequency,
-                          recombination=self.recombination,
-                          references=self._ac_references)
-        self._sample_cache = (geometry, doping_profile, system)
-        return system
+        return ACSystem(self.structure, grid_geometry, equilibrium,
+                        self.frequency, recombination=self.recombination,
+                        references=self._ac_references)
 
     def _nominal_system(self) -> ACSystem:
         """The nominal sample, solved by full Newton on first need;
@@ -212,6 +235,49 @@ class AVSolver:
             solutions = [self._full_wave_pass(system, solution)
                          for solution in solutions]
         return solutions
+
+    def solve_samples(self, samples, excitations: dict = None,
+                      ports=None):
+        """Solve many samples, ``AC_BATCH`` at a time.
+
+        ``samples`` is an iterable of ``(geometry, doping_profile)``
+        pairs, consumed lazily: each block of ``AC_BATCH`` samples
+        solves its equilibria and builds its systems as :meth:`solve`
+        does, then solves every AC system in one lockstep chord
+        (:func:`~repro.solver.ac.solve_systems`), one multi-RHS
+        back-substitution through the nominal factor per step.  Yields,
+        per sample and in order, exactly what ``solve(excitations,
+        geometry, doping_profile)`` — or, with ``ports``,
+        ``solve_ports(ports, geometry, doping_profile)`` — returns.
+
+        The sample cache of :meth:`system_for` is not used: a block's
+        systems are dropped once the caller has taken their answers, so
+        at most ``AC_BATCH`` samples are alive at once.
+        """
+        if (excitations is None) == (ports is None):
+            raise GeometryError(
+                "pass exactly one of excitations and ports")
+        samples = iter(samples)
+        while True:
+            block = list(islice(samples, AC_BATCH))
+            if not block:
+                return
+            # Shared before the solve: the samples chord through it.
+            self.ac_reference(excitations if ports is None else ports)
+            results = solve_systems(
+                (self._new_system(*sample) for sample in block),
+                excitations=excitations, ports=ports)
+            if self.full_wave:
+                results = [
+                    self._full_wave_pass(result.system, result)
+                    if ports is None else
+                    [self._full_wave_pass(solution.system, solution)
+                     for solution in result]
+                    for result in results]
+            # Handing the answers out one by one leaves no reference
+            # here: the next block is built with this one dropped.
+            while results:
+                yield results.pop(0)
 
     # ------------------------------------------------------------------
     def _full_wave_pass(self, system: ACSystem,

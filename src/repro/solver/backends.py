@@ -19,6 +19,10 @@ nominal sample's AC factor in a :class:`_ChordFactor`, which refines
 every solve through that one factor to a certified row-scaled residual
 and falls back to the backend's own ``factorize`` when the iteration
 stops contracting.  Both backends take the chord.
+:func:`solve_chords` solves many such systems at once: the chords
+that share a reference step in lockstep, one multi-RHS
+back-substitution per step over all their open columns, each answer
+bitwise what its own ``solve`` returns.
 
 The backend set is the fixed table :data:`_BACKENDS`:
 
@@ -49,6 +53,7 @@ import numpy as np
 
 from repro.errors import SingularSystemError, SolverBackendError
 from repro.obs.metrics import counter
+from repro.obs.trace import span
 from repro.solver.linear import SparseFactor, row_scaling
 from repro.solver.newton import CHORD_CONTRACTION
 
@@ -62,7 +67,8 @@ _BACKEND_FACTORIZATIONS = counter(
 _AC_CHORD_STEPS = counter(
     "repro_solver_ac_chord_steps_total",
     "AC chord steps: multi-RHS back-substitutions through a nominal "
-    "AC factor or a krylov seed")
+    "AC factor or a krylov seed, each over every open column of the "
+    "systems iterating together")
 _AC_CHORD_FALLBACKS = counter(
     "repro_solver_ac_chord_fallbacks_total",
     "AC chord solves that stopped contracting and were answered by "
@@ -180,10 +186,11 @@ class _ChordFactor:
     ``x ← x + M⁻¹(b − A·x)`` with ``M⁻¹`` the reference factor's
     ``solve``, until each column is certified by the row-scaled
     residual ``‖R(b − A·x)‖ ≤ CHORD_TOLERANCE·‖R·b‖``, ``R`` the
-    matrix's own row max-scaling.  An ``(n, k)`` block iterates as
-    one — one multi-RHS back-substitution per step — and a certified
-    column leaves the block, so a stacked solve equals the stacked
-    single solves exactly.
+    matrix's own row max-scaling.  The iteration is
+    :func:`solve_chords`'s, as a batch of one: an ``(n, k)`` block
+    iterates as one — one multi-RHS back-substitution per step — and a
+    certified column leaves the block, so a stacked solve equals the
+    stacked single solves exactly.
 
     A non-finite residual, a residual above ``CHORD_CONTRACTION``
     times the previous one (from the third step on), or
@@ -211,6 +218,10 @@ class _ChordFactor:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Certified chord solve (a factorization when it fails)."""
         rhs = np.asarray(rhs)
+        if self._iterates(rhs):
+            return solve_chords([self], [rhs])[0]
+        if self._direct is not None:
+            return self._direct.solve(rhs)
         n = self.shape[0]
         if rhs.shape[0] != n:
             raise SingularSystemError(
@@ -219,44 +230,130 @@ class _ChordFactor:
         if n == 0:
             return np.zeros(rhs.shape,
                             dtype=np.result_type(self.dtype, rhs.dtype))
-        if (np.iscomplexobj(rhs)
-                and not np.issubdtype(self.dtype, np.complexfloating)):
-            # Mirror SparseFactor: a complex RHS against a real matrix
-            # is two real solves, keeping dtype promotion identical.
-            return (self.solve(np.ascontiguousarray(rhs.real))
-                    + 1j * self.solve(np.ascontiguousarray(rhs.imag)))
-        if self._direct is None:
-            x = self._refine(rhs if rhs.ndim == 2 else rhs[:, None])
-            if x is not None:
-                return x.reshape(rhs.shape)
-            _AC_CHORD_FALLBACKS.inc()
-            self._direct = self._fallback()
-        return self._direct.solve(rhs)
+        # Mirror SparseFactor: a complex RHS against a real matrix is
+        # two real solves, keeping dtype promotion identical.
+        return (self.solve(np.ascontiguousarray(rhs.real))
+                + 1j * self.solve(np.ascontiguousarray(rhs.imag)))
 
-    def _refine(self, block: np.ndarray):
-        """Chord-refined ``(n, k)`` solution; ``None`` unless certified."""
-        row_scale = self._row_scale
-        bound = CHORD_TOLERANCE * _row_scaled_norms(row_scale, block)
-        x = np.zeros(block.shape, dtype=np.result_type(
-            self.dtype, self._reference.dtype, block.dtype))
-        active = np.arange(block.shape[1])
-        residual, previous = block, None
-        for step in range(1, CHORD_MAX_STEPS + 1):
-            x[:, active] += self._reference.solve(residual)
-            _AC_CHORD_STEPS.inc()
-            residual = block[:, active] - self._matrix @ x[:, active]
-            norms = _row_scaled_norms(row_scale, residual)
-            if not np.all(np.isfinite(norms)):
-                return None
-            open_ = norms > bound[active]
-            if not np.any(open_):
-                return x
-            if step >= 3 and np.any(
-                    norms[open_] > CHORD_CONTRACTION * previous[open_]):
-                return None
-            active = active[open_]
-            residual, previous = residual[:, open_], norms[open_]
-        return None
+    def _iterates(self, rhs: np.ndarray) -> bool:
+        """Does ``rhs`` go through the chord itself — not through the
+        fallback, the empty system or a real/imaginary split?"""
+        return (self._direct is None and self.shape[0] > 0
+                and rhs.shape[0] == self.shape[0]
+                and (np.issubdtype(self.dtype, np.complexfloating)
+                     or not np.iscomplexobj(rhs)))
+
+
+def solve_chords(factors, blocks) -> list:
+    """``factor.solve(block)`` of every pair, the chords in lockstep.
+
+    ``factors`` are solve-ready factors (chord factors, or any other
+    factor, which simply solves its block) and ``blocks`` their
+    ``(n,)`` / ``(n, k)`` right-hand sides.  Chord factors that share a
+    reference iterate together: each step is one multi-RHS
+    back-substitution through the reference over the open columns of
+    every system (one ``repro_solver_ac_chord_steps_total`` step).
+    Each system keeps its own certificate, contraction check, step cap
+    and non-finite stop; a system whose chord fails leaves the block
+    and is answered by its own fallback factorization, while the
+    others go on unchanged.  A complex SuperLU back-substitution (that
+    of every AC reference) treats every column on its own, so each
+    answer then equals ``factor.solve(block)`` bitwise; a real one
+    does not promise that.
+
+    The call is one ``chord_batch`` span (execution-only) with attrs
+    ``samples`` (systems), ``columns`` and ``steps``.
+    """
+    blocks = [np.asarray(block) for block in blocks]
+    results = [None] * len(factors)
+    groups = {}
+    with span("chord_batch", samples=len(factors),
+              columns=sum(1 if block.ndim == 1 else block.shape[1]
+                          for block in blocks)) as node:
+        for i, (factor, block) in enumerate(zip(factors, blocks)):
+            if isinstance(factor, _ChordFactor) and factor._iterates(block):
+                groups.setdefault(id(factor._reference), []).append(i)
+            else:
+                results[i] = factor.solve(block)
+        steps = 0
+        for members in groups.values():
+            chords = [factors[i] for i in members]
+            solved, taken = _refine(chords, [blocks[i] for i in members])
+            steps += taken
+            for i, chord, x in zip(members, chords, solved):
+                if x is None:
+                    _AC_CHORD_FALLBACKS.inc()
+                    chord._direct = chord._fallback()
+                    x = chord._direct.solve(blocks[i])
+                results[i] = x.reshape(blocks[i].shape)
+        node.attrs["steps"] = steps
+    return results
+
+
+def _refine(chords, blocks):
+    """Lockstep chord refinement of systems sharing one reference.
+
+    Returns ``(solutions, steps)``: each system's ``(n, k)`` solution,
+    or ``None`` where its chord was not certified, and the number of
+    multi-RHS back-substitutions taken.
+    """
+    reference = chords[0]._reference
+    states = [_ChordState(chord, block if block.ndim == 2
+                          else block[:, None], reference)
+              for chord, block in zip(chords, blocks)]
+    open_, steps = states, 0
+    while open_ and steps < CHORD_MAX_STEPS:
+        steps += 1
+        update = reference.solve(
+            np.hstack([state.residual for state in open_]))
+        _AC_CHORD_STEPS.inc()
+        start = 0
+        for state in open_:
+            width = state.active.size
+            state.advance(steps, update[:, start:start + width])
+            start += width
+        open_ = [state for state in open_ if state.open]
+    # Still open here means CHORD_MAX_STEPS without certification.
+    return [None if state.failed or state.active.size else state.x
+            for state in states], steps
+
+
+class _ChordState:
+    """One system's iterate inside :func:`_refine`."""
+
+    def __init__(self, chord, block, reference):
+        self.chord = chord
+        self.block = block
+        self.bound = CHORD_TOLERANCE * _row_scaled_norms(chord._row_scale,
+                                                         block)
+        self.x = np.zeros(block.shape, dtype=np.result_type(
+            chord.dtype, reference.dtype, block.dtype))
+        self.active = np.arange(block.shape[1])
+        self.residual = block
+        self.previous = None
+        self.failed = False
+
+    @property
+    def open(self) -> bool:
+        return not self.failed and self.active.size > 0
+
+    def advance(self, step: int, update: np.ndarray) -> None:
+        """Apply one step's update; certify columns, or fail."""
+        active = self.active
+        self.x[:, active] += update
+        residual = (self.block[:, active]
+                    - self.chord._matrix @ self.x[:, active])
+        norms = _row_scaled_norms(self.chord._row_scale, residual)
+        if not np.all(np.isfinite(norms)):
+            self.failed = True
+            return
+        open_ = norms > self.bound[active]
+        if step >= 3 and np.any(
+                norms[open_] > CHORD_CONTRACTION * self.previous[open_]):
+            self.failed = True
+            return
+        self.active = active[open_]
+        self.residual, self.previous = residual[:, open_], norms[open_]
 
 
 def _row_scaled_norms(row_scale: np.ndarray,

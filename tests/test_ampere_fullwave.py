@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.materials.doping import UniformDoping
 from repro.solver import AVSolver
 from repro.solver.ampere import AmpereSystem
 from repro.extraction import port_current
@@ -81,3 +82,31 @@ class TestFullWaveMode:
         i1 = port_current(sol, "plug1")
         i2 = port_current(sol, "plug2")
         assert abs(i1 + i2) < 1e-8 * abs(i1)
+
+    @pytest.mark.parametrize("ports", [False, True])
+    def test_batched_samples_match_single_solves(self, coarse_plug_structure,
+                                                 ports):
+        # Every sample of a block takes its own Ampere pass after the
+        # block's lockstep AC solve.
+        net = coarse_plug_structure.primary_semiconductor().net_doping
+        samples = [(None, None), (None, UniformDoping(1.02 * net)),
+                   (None, UniformDoping(0.98 * net))]
+        drive = {"plug1": 1.0, "plug2": 0.0}
+        batched, single = (AVSolver(coarse_plug_structure, frequency=1.0e9,
+                                    full_wave=True) for _ in range(2))
+        if ports:
+            answers = batched.solve_samples(samples, ports=list(drive))
+        else:
+            answers = batched.solve_samples(samples, excitations=drive)
+        for (geometry, doping), answer in zip(samples, answers):
+            if ports:
+                alone = single.solve_ports(list(drive), geometry=geometry,
+                                           doping_profile=doping)
+            else:
+                answer, alone = [answer], [single.solve(
+                    drive, geometry=geometry, doping_profile=doping)]
+            for solution, expected in zip(answer, alone):
+                assert np.array_equal(solution.potential,
+                                      expected.potential)
+                assert np.array_equal(solution.vector_potential,
+                                      expected.vector_potential)

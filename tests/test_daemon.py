@@ -540,6 +540,22 @@ class TestDaemonHTTP:
         assert status == 200
         assert stats["builds"] == 0 and stats["requests"] >= 1
 
+    def test_a_read_response_is_already_counted(self, daemon,
+                                                 monkeypatch):
+        # However long recording a request takes, a client that has
+        # read the /health response finds it counted by /stats.
+        _, url = daemon
+        observe = ReproDaemon._observe_request
+
+        def stalled(self, *args, **kwargs):
+            time.sleep(0.3)
+            observe(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReproDaemon, "_observe_request", stalled)
+        _get(url + "/health")
+        _, stats = _get(url + "/stats")
+        assert stats["requests"] == 1
+
     def test_unknown_route_is_404(self, daemon):
         _, url = daemon
         with pytest.raises(urllib.error.HTTPError) as excinfo:

@@ -41,6 +41,7 @@ from repro.obs import (
     span_coverage,
 )
 from repro.serving import SurrogateStore, ensure_surrogate
+from repro.solver.avsolver import AC_BATCH
 
 from test_daemon import tiny_spec
 
@@ -385,6 +386,22 @@ class TestBuildInstrumentation:
         root = find_root(tracer, "build")
         assert root is not None
         assert span_coverage(tracer, root=root) >= 0.95
+
+    def test_build_traces_its_lockstep_chord_blocks(self, tmp_path):
+        """Every collocation sample solves its AC system inside one
+        ``chord_batch`` span of at most ``AC_BATCH`` samples."""
+        tracer = Tracer()
+        with activate(tracer):
+            report = ensure_surrogate(tiny_spec(),
+                                      SurrogateStore(tmp_path / "s"))
+        blocks = [span.attrs for span in tracer.spans
+                  if span.name == "chord_batch"]
+        assert sum(block["samples"] for block in blocks) \
+            == report.record.num_runs
+        for block in blocks:
+            assert 1 <= block["samples"] <= AC_BATCH
+            assert block["columns"] == block["samples"]
+            assert block["steps"] >= 1
 
     def test_cold_build_reports_timings_warm_hit_does_not(self,
                                                           tmp_path):

@@ -351,6 +351,14 @@ class TestEnsureSurrogate:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(AVSolver, name, counting)
+        original_samples = AVSolver.solve_samples
+
+        def counting_samples(self, *args, **kwargs):
+            for answer in original_samples(self, *args, **kwargs):
+                counter["count"] += 1
+                yield answer
+
+        monkeypatch.setattr(AVSolver, "solve_samples", counting_samples)
         return counter
 
     def test_build_then_hit(self, store, solve_counter):

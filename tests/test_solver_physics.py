@@ -10,7 +10,9 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import repro.solver.avsolver as avsolver
 import repro.solver.newton as newton
 from repro.constants import EPS0
 from repro.errors import GeometryError
@@ -29,7 +31,8 @@ from repro.mesh.refine import uniform_axis
 from repro.serving import build_surrogate
 from repro.mesh.perturbed import PerturbedGrid
 from repro.solver import AVSolver, SparseFactor, backends
-from repro.solver.ac import ACSystem
+from repro.solver.ac import ACSystem, solve_systems
+from repro.solver.avsolver import AC_BATCH
 from repro.solver.dc import solve_equilibrium
 from repro.solver.linear import _FACTORIZATIONS
 from repro.units import um
@@ -397,7 +400,7 @@ class TestACChord:
         nominal = problem.solver.system_for()
         unknown = nominal._restricted_system(contacts).unknown
         wrong = SparseFactor(
-            100.0 * nominal.global_matrix[unknown][:, unknown])
+            100.0 * nominal._assemble()[unknown][:, unknown])
         geometry, doping = problem._sample_inputs(_draws(problem, 1)[0])
         sample = problem.solver.system_for(geometry, doping)
         fallbacks = backends._AC_CHORD_FALLBACKS.value()
@@ -469,6 +472,158 @@ class TestACChord:
                                    atol=0)
         np.testing.assert_allclose(chord.std, plain.std, rtol=1e-11,
                                    atol=0)
+
+
+def _lone_rows(name, xis):
+    """QoI rows of ``xis``, each sample evaluated on its own."""
+    problem = _AC_CHORD_SPECS[name]().build_problem()
+    return np.vstack([problem.evaluate_sample(xi) for xi in xis])
+
+
+def _ac_steps() -> float:
+    return backends._AC_CHORD_STEPS.value()
+
+
+class TestBatchedChords:
+    """A wave's samples solve their AC chords ``AC_BATCH`` to a
+    lockstep block, each bitwise what it gets alone."""
+
+    @pytest.mark.parametrize("name", sorted(_AC_CHORD_SPECS))
+    def test_blocks_match_lone_samples_bitwise(self, name):
+        problem = _AC_CHORD_SPECS[name]().build_problem()
+        xis = _draws(problem, 2 * AC_BATCH + 1)  # blocks of 4, 4 and 1
+        fallbacks = backends._AC_CHORD_FALLBACKS.value()
+        batched = problem.evaluate_samples(xis)
+        assert backends._AC_CHORD_FALLBACKS.value() == fallbacks
+        assert batched.shape == (len(xis), len(problem.qoi_names))
+        assert np.array_equal(batched, _lone_rows(name, xis))
+
+    def test_a_failing_sample_leaves_the_others_unchanged(self):
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        contacts = frozenset(problem.excitations)
+        solver = problem.solver
+        nominal = solver.system_for()
+        unknown = nominal._restricted_system(contacts).unknown
+        wrong = SparseFactor(100.0 * nominal._assemble()[unknown][:, unknown])
+        references = {contacts: solver.ac_reference(contacts)}
+        samples = [solver.system_for(*problem._sample_inputs(xi))
+                   for xi in _draws(problem, AC_BATCH)]
+
+        def twins(failing):
+            return [ACSystem(problem.structure, sample.geometry,
+                             sample.equilibrium, problem.frequency,
+                             references=({contacts: wrong}
+                                         if i == failing else references))
+                    for i, sample in enumerate(samples)]
+
+        fallbacks = backends._AC_CHORD_FALLBACKS.value()
+        block = solve_systems(twins(1), excitations=problem.excitations)
+        assert backends._AC_CHORD_FALLBACKS.value() == fallbacks + 1
+        lone = [system.solve(problem.excitations) for system in twins(None)]
+        for i, (solution, alone) in enumerate(zip(block, lone)):
+            if i != 1:
+                assert np.array_equal(solution.potential, alone.potential)
+        exact = _direct(samples[1], problem.frequency,
+                        lambda s: s.solve(problem.excitations))
+        assert np.array_equal(block[1].potential, exact.potential)
+
+    def test_a_diverging_chord_leaves_its_block(self):
+        # Four chords through one reference, one of them on a matrix
+        # 100x off it: that one falls back mid-block while the others
+        # keep stepping to their lone answers.
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        solver = problem.solver
+        reference = solver.ac_reference(problem.excitations)
+        backend = backends.LUBackend()
+        matrices, rhs = [], []
+        for xi in _draws(problem, AC_BATCH):
+            system = solver.system_for(*problem._sample_inputs(xi))
+            factor, b, _ = system._drive(problem.excitations)
+            matrices.append(factor._matrix)
+            rhs.append(b)
+        matrices[2] = 100.0 * matrices[2]
+
+        def chords():
+            return [backend.chord(matrix, reference) for matrix in matrices]
+
+        lone = []
+        for chord, b in zip(chords(), rhs):
+            before = _ac_steps()
+            lone.append((chord.solve(b), _ac_steps() - before))
+        fallbacks = backends._AC_CHORD_FALLBACKS.value()
+        before = _ac_steps()
+        block = backends.solve_chords(chords(), rhs)
+        assert _ac_steps() - before == max(steps for _, steps in lone)
+        assert backends._AC_CHORD_FALLBACKS.value() == fallbacks + 1
+        for x, (alone, _) in zip(block, lone):
+            assert np.array_equal(x, alone)
+        assert np.array_equal(
+            block[2], SparseFactor(matrices[2]).solve(rhs[2]))
+
+    def test_block_steps_equal_its_longest_chord(self):
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        problem.nominal_solution()
+        xis = _draws(problem, AC_BATCH, seed=3)
+        lone = []
+        for xi in xis:
+            before = _ac_steps()
+            problem.evaluate_sample(xi)
+            lone.append(_ac_steps() - before)
+        before = _ac_steps()
+        problem.evaluate_samples(xis)
+        assert _ac_steps() - before == max(lone)
+        assert max(lone) < sum(lone)
+
+    def test_at_most_one_block_of_samples_alive(self, monkeypatch):
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        problem.nominal_solution()
+        alive, peak = [], []
+
+        class Counted(ACSystem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                alive.append(weakref.ref(self))
+                peak.append(sum(ref() is not None for ref in alive))
+
+        monkeypatch.setattr(avsolver, "ACSystem", Counted)
+        xis = _draws(problem, 14)
+        gc.collect()
+        gc.disable()
+        try:
+            problem.evaluate_samples(xis)
+        finally:
+            gc.enable()
+        assert len(alive) == 14
+        assert max(peak) == AC_BATCH
+        assert all(ref() is None for ref in alive)
+
+
+class TestACAssembly:
+    """The 3N x 3N matrix lives only while a contact set is
+    restricted."""
+
+    def test_solved_sample_keeps_no_global_matrix(self):
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        system = problem.solve_sample(_draws(problem, 1)[0]).system
+        size = 3 * system.num_nodes
+        held = [vars(system)]
+        for restricted in system._factor_cache.values():
+            held += [vars(restricted), vars(restricted.factor)]
+        assert not [value for fields in held for value in fields.values()
+                    if sp.issparse(value) and size in value.shape]
+
+    def test_second_contact_set_solves_as_on_a_fresh_system(self):
+        problem = _CHORD_SPECS["table2"]().build_problem()
+        second = {"tsv1": 1.0, "tsv2": 0.0}
+        # Solving a sample restricts it, and the nominal, to the
+        # problem's contact set first.
+        sample = problem.solve_sample(_draws(problem, 1)[0]).system
+        for system in (problem.solver.system_for(), sample):
+            again = system.solve(second)
+            fresh = _direct(system, problem.frequency,
+                            lambda s: s.solve(second))
+            assert np.array_equal(again.potential, fresh.potential)
+            assert np.array_equal(again.n, fresh.n)
 
 
 class TestACSolverBasics:
