@@ -4,16 +4,29 @@ Once a quadratic chaos is fitted, every statistic the paper reports —
 and many it doesn't — is a NumPy-speed operation: mean and std are
 closed-form in the coefficients, and distributional queries (quantiles,
 yield against a spec limit) are surrogate Monte Carlo at millions of
-samples per second.  Sampling is chunked so memory stays bounded by
-``chunk_size`` rows regardless of the sample count, and yields are
-accumulated streaming (no sample matrix at all).
+samples per second.  Sampling is chunked so the design matrix stays
+bounded by ``chunk_size`` rows regardless of the sample count.
+
+A drawn stream is fully determined by the surrogate, the sample count
+and the seed, so a quantile query keeps its draw in the process-level
+:data:`SAMPLE_BANK` as per-output *sorted* columns: repeating the
+query interpolates two order statistics per level instead of drawing
+again, and a yield on a banked stream is a ``searchsorted`` count.  A
+yield on any other stream is accumulated streaming (no sample matrix at
+all) and is not banked.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+from collections import OrderedDict
+from functools import cached_property
+
 import numpy as np
 
 from repro.errors import ServingError
+from repro.obs.metrics import counter, gauge
 from repro.stochastic.pce import DEFAULT_CHUNK_SIZE, PolynomialChaos
 
 #: Monte-Carlo sample count of a distributional query that names none.
@@ -25,6 +38,24 @@ DEFAULT_NUM_SAMPLES = 1000000
 #: unbounded daemon memory or a handler thread busy for hours.
 MAX_NUM_SAMPLES = 10 * DEFAULT_NUM_SAMPLES
 
+#: Byte budget of :data:`SAMPLE_BANK`: two default quantile draws
+#: (10^6 samples x 6 outputs x 8 B = 48 MB each), which is what one
+#: quantile query already held at its peak before streams were banked.
+SAMPLE_BANK_BYTES = 128 * 2**20
+
+_BANK_HITS = counter(
+    "repro_sample_bank_hits_total",
+    "Distributional queries answered from a banked sorted stream")
+_BANK_MISSES = counter(
+    "repro_sample_bank_misses_total",
+    "Distributional queries that found no banked stream (quantiles "
+    "draw and bank it, yields stream)")
+_BANK_EVICTIONS = counter(
+    "repro_sample_bank_evictions_total",
+    "Banked streams evicted least-recently-used to fit the byte budget")
+_BANK_BYTES = gauge(
+    "repro_sample_bank_bytes", "Bytes of sorted streams held in the bank")
+
 
 def _sample_count(value) -> int:
     """``value`` as a sample count, rejected above the cap."""
@@ -33,6 +64,78 @@ def _sample_count(value) -> int:
             f"num_samples={value!r} exceeds the limit of "
             f"{MAX_NUM_SAMPLES} samples per query")
     return int(value)
+
+
+class SampleBank:
+    """LRU of sorted sample streams under a fixed byte budget.
+
+    A stream is keyed by ``(digest, num_samples, seed)``, where
+    ``digest`` hashes the surrogate's basis and coefficients, and is
+    held as a read-only ``(output_dim, num_samples)`` array whose rows
+    are sorted.  The key names the content, not the store entry, so a
+    rebuilt surrogate never reads a stale stream and nothing has to be
+    evicted when an entry is deleted: unused streams age out.
+    Thread-safe; the caller draws and sorts outside the lock, and when
+    two callers bank the same stream the first insert wins.
+    """
+
+    def __init__(self, budget_bytes: int = SAMPLE_BANK_BYTES):
+        self.budget_bytes = int(budget_bytes)
+        self.nbytes = 0
+        self._streams = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        """The banked stream under ``key`` (now most recent), or None."""
+        with self._lock:
+            columns = self._streams.get(key)
+            if columns is not None:
+                self._streams.move_to_end(key)
+        (_BANK_MISSES if columns is None else _BANK_HITS).inc()
+        return columns
+
+    def put(self, key, columns: np.ndarray) -> None:
+        """Bank ``columns``, evicting least-recently-used streams until
+        it fits; a stream larger than the whole budget is not banked."""
+        if columns.nbytes > self.budget_bytes:
+            return
+        with self._lock:
+            if key in self._streams:
+                return
+            while self.nbytes + columns.nbytes > self.budget_bytes:
+                _, evicted = self._streams.popitem(last=False)
+                self.nbytes -= evicted.nbytes
+                _BANK_EVICTIONS.inc()
+            self._streams[key] = columns
+            self.nbytes += columns.nbytes
+            _BANK_BYTES.set(self.nbytes)
+
+
+#: The process-level bank every :class:`QueryEngine` shares.
+SAMPLE_BANK = SampleBank()
+
+
+def _sorted_quantiles(columns: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(samples, q, axis=0)`` from sorted sample rows.
+
+    Bitwise numpy's default (``linear``) method: virtual index
+    ``(n - 1) q`` between its floor and the next order statistic, and
+    numpy's two-sided lerp, which subtracts from the upper neighbour
+    when the weight is at least one half.  A row holding a NaN (sorted
+    last) answers NaN at every level, as ``np.quantile`` does.
+    """
+    n = columns.shape[1]
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    weight = (virtual - below)[:, None]
+    below = below.astype(np.intp)
+    lower = columns[:, below].T
+    upper = columns[:, np.minimum(below + 1, n - 1)].T
+    span = upper - lower
+    out = lower + span * weight
+    np.subtract(upper, span * (1.0 - weight), out=out, where=weight >= 0.5)
+    np.copyto(out, columns[:, -1], where=np.isnan(columns[:, -1]))
+    return out
 
 
 class QueryEngine:
@@ -72,10 +175,6 @@ class QueryEngine:
         self.num_samples = _sample_count(num_samples)
         self.seed = int(seed)
         self.chunk_size = int(chunk_size)
-        # One-slot sample cache: a multi-query request re-uses the
-        # (num_samples, seed) matrix instead of re-drawing it per query.
-        self._cached_samples = None
-        self._cached_for = None
 
     # ------------------------------------------------------------------
     @property
@@ -96,26 +195,48 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _draw(self, num_samples, seed) -> tuple:
         """``(num_samples, seed)`` of one draw, defaults filled in."""
-        return (self.num_samples if num_samples is None
-                else _sample_count(num_samples),
-                self.seed if seed is None else int(seed))
+        m = (self.num_samples if num_samples is None
+             else _sample_count(num_samples))
+        if m < 1:
+            raise ServingError(f"num_samples must be >= 1, got {m}")
+        return m, self.seed if seed is None else int(seed)
+
+    @cached_property
+    def _digest(self) -> str:
+        """SHA-256 of the basis multi-indices and the coefficients."""
+        digest = hashlib.sha256()
+        for array in (np.asarray(self.pce.basis.indices, dtype=np.int64),
+                      np.ascontiguousarray(self.pce.coefficients)):
+            digest.update(repr(array.shape).encode())
+            digest.update(array.tobytes())
+        return digest.hexdigest()
 
     def sample(self, num_samples: int = None,
                seed: int = None) -> np.ndarray:
-        """Raw ``(m, output_dim)`` surrogate samples (chunked eval).
-
-        The matrix is cached for the last ``(num_samples, seed)`` pair
-        so successive queries over the same sample set (quantiles, then
-        a yield, ...) evaluate the surrogate once.  Treat the returned
-        array as read-only.
-        """
+        """A fresh raw ``(m, output_dim)`` surrogate draw (chunked
+        evaluation), in draw order."""
         m, s = self._draw(num_samples, seed)
-        if self._cached_for != (m, s):
-            rng = np.random.default_rng(s)
-            self._cached_samples = self.pce.sample_values(
-                rng, m, chunk_size=self.chunk_size)
-            self._cached_for = (m, s)
-        return self._cached_samples
+        return self.pce.sample_values(np.random.default_rng(s), m,
+                                      chunk_size=self.chunk_size)
+
+    def _sorted_stream(self, m: int, s: int) -> np.ndarray:
+        """The ``(m, s)`` stream as sorted rows, banked or drawn.
+
+        A miss streams the draw straight into one ``(output_dim, m)``
+        buffer, sorts each row in place and banks it, so a miss holds
+        one copy of the samples, never two.
+        """
+        key = (self._digest, m, s)
+        columns = SAMPLE_BANK.get(key)
+        if columns is None:
+            columns = np.empty((self.pce.output_dim, m))
+            for start, values in self.pce.sample_chunks(
+                    np.random.default_rng(s), m, self.chunk_size):
+                columns[:, start:start + values.shape[0]] = values.T
+            columns.sort(axis=1)
+            columns.flags.writeable = False
+            SAMPLE_BANK.put(key, columns)
+        return columns
 
     def quantiles(self, q, num_samples: int = None,
                   seed: int = None) -> np.ndarray:
@@ -131,14 +252,16 @@ class QueryEngine:
         Returns
         -------
         numpy.ndarray
-            ``(len(q), output_dim)`` quantile values.
+            ``(len(q), output_dim)`` quantile values, bitwise equal to
+            ``np.quantile(self.sample(...), q, axis=0)``.  The draw is
+            banked, so repeating the query reads order statistics.
         """
         q = np.atleast_1d(np.asarray(q, dtype=float))
-        if q.size == 0 or np.any((q < 0.0) | (q > 1.0)):
+        if q.size == 0 or not np.all((q >= 0.0) & (q <= 1.0)):
             raise ServingError(
                 f"quantile levels must lie in [0, 1], got {q}")
-        samples = self.sample(num_samples=num_samples, seed=seed)
-        return np.quantile(samples, q, axis=0)
+        m, s = self._draw(num_samples, seed)
+        return _sorted_quantiles(self._sorted_stream(m, s), q)
 
     def yield_above(self, limit, num_samples: int = None,
                     seed: int = None) -> np.ndarray:
@@ -154,8 +277,10 @@ class QueryEngine:
         Returns
         -------
         numpy.ndarray
-            ``(output_dim,)`` pass fractions in ``[0, 1]``.  Streaming:
-            only per-chunk counts are kept in memory.
+            ``(output_dim,)`` pass fractions in ``[0, 1]``.  A banked
+            stream is counted by binary search; any other stream is
+            counted chunk by chunk (only per-chunk counts are kept in
+            memory) and is not banked.
         """
         return self._yield(limit, above=True, num_samples=num_samples,
                            seed=seed)
@@ -174,11 +299,13 @@ class QueryEngine:
         limit = np.broadcast_to(
             np.asarray(limit, dtype=float), (self.pce.output_dim,))
         m, s = self._draw(num_samples, seed)
-        if m < 1:
-            raise ServingError(f"num_samples must be >= 1, got {m}")
-        if self._cached_for == (m, s):
-            # Same stream as a fresh draw — reuse instead of redrawing.
-            counts = (self._cached_samples > limit).sum(axis=0)
+        columns = SAMPLE_BANK.get((self._digest, m, s))
+        if columns is not None:
+            # NaNs sort last and are never above a limit.
+            counts = np.array([
+                max(np.searchsorted(row, np.nan)
+                    - np.searchsorted(row, bound, side="right"), 0)
+                for row, bound in zip(columns, limit)], dtype=np.int64)
         else:
             rng = np.random.default_rng(s)
             counts = np.zeros(self.pce.output_dim, dtype=np.int64)

@@ -645,8 +645,9 @@ class TestDaemonHTTP:
         record = fabricated_record(margin_um=1.0)
         store.save(record)
         draws = []
-        monkeypatch.setattr(PolynomialChaos, "sample_values",
-                            lambda *args, **kwargs: draws.append(args))
+        monkeypatch.setattr(PolynomialChaos, "sample_chunks",
+                            lambda *args, **kwargs: draws.append(args)
+                            or iter(()))
         instance = ReproDaemon(store_path=store.root, port=0,
                                build_missing=False)
         instance.start()
@@ -799,6 +800,33 @@ class TestDaemonObservability:
         assert parsed["repro_store_misses_total"]["type"] == "counter"
         assert parsed["repro_http_request_seconds"]["type"] \
             == "histogram"
+
+    def test_metrics_count_sample_bank_traffic(self, daemon, monkeypatch):
+        from repro.obs import parse_prometheus
+        from repro.serving import query
+
+        monkeypatch.setattr(query, "SAMPLE_BANK", query.SampleBank())
+        instance, url = daemon
+        record = fabricated_record(margin_um=3.0)
+        instance.store.save(record)
+
+        def bank_counts():
+            parsed = parse_prometheus(_get_text(url + "/metrics")[2])
+            return [parsed[name]["samples"].get((name, ()), 0.0)
+                    for name in
+                    ("repro_sample_bank_misses_total",
+                     "repro_sample_bank_hits_total",
+                     "repro_sample_bank_bytes")]
+
+        document = {"spec": record.spec.to_dict(),
+                    "queries": [{"kind": "quantiles", "q": [0.5],
+                                 "num_samples": 1000, "seed": 123456}]}
+        before = bank_counts()
+        answers = [_post(url + "/query", document)[1] for _ in range(2)]
+        assert answers[0] == answers[1]
+        misses, hits, nbytes = bank_counts()
+        assert (misses - before[0], hits - before[1]) == (1, 1)
+        assert nbytes == 1000 * 8
 
     def test_metrics_endpoint_labels_are_bounded(self, daemon):
         from repro.obs import parse_prometheus

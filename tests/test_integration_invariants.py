@@ -9,7 +9,7 @@ collocation statistics meaningful.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import run_mc_analysis
@@ -61,21 +61,26 @@ class TestPerturbedSampleInvariants:
         assert port_current(solution, "plug1").real > 0.0
 
     @given(seed=st.integers(0, 10_000))
+    @example(seed=384)
+    @example(seed=972)
     @settings(max_examples=8, deadline=None)
     def test_qoi_continuous_at_nominal(self, tiny_problem, seed):
-        """A vanishing perturbation leaves the QoI at its nominal value
-        (the smoothness the collocation quadrature relies on)."""
+        """A vanishing perturbation moves the QoI linearly away from its
+        nominal value (the smoothness the collocation quadrature relies
+        on).  Only the small-scale moves are compared: a full-size draw
+        can land near a root of the response, where its move bounds
+        nothing (seeds 384 and 972)."""
         rng = np.random.default_rng(seed)
-        xi_full = _random_sample(tiny_problem, rng)
-        xi_tiny = {k: 1e-4 * v for k, v in xi_full.items()}
-        xi_zero = {k: 0.0 * v for k, v in xi_full.items()}
-        q_tiny = tiny_problem.evaluate_sample(xi_tiny)[0]
-        q_zero = tiny_problem.evaluate_sample(xi_zero)[0]
-        q_full = tiny_problem.evaluate_sample(xi_full)[0]
-        # The tiny sample moves the QoI by a tiny fraction of what the
-        # full sample moves it (first-order scaling).
-        full_move = abs(q_full - q_zero)
-        assert abs(q_tiny - q_zero) <= 1e-2 * full_move + 1e-9 * q_zero
+        xi = _random_sample(tiny_problem, rng)
+
+        def qoi(scale):
+            return tiny_problem.evaluate_sample(
+                {k: scale * v for k, v in xi.items()})[0]
+
+        q_zero, q_tiny, q_double = qoi(0.0), qoi(1e-4), qoi(2e-4)
+        move = q_tiny - q_zero
+        assert abs(q_double - q_zero - 2.0 * move) \
+            <= 1e-2 * abs(move) + 1e-9 * abs(q_zero)
 
     def test_mc_never_raises_with_csv(self, tiny_problem):
         """Every CSV sample solves (the Fig. 1 robustness property,

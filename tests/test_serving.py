@@ -11,11 +11,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.problem import VariationalProblem
 from repro.analysis.runner import run_sscm_analysis
@@ -26,7 +29,9 @@ from repro.errors import (
     StoreSchemaError,
 )
 from repro.experiments import table1_spec, table2_spec
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer, activate
+from repro.serving import query as query_module
 from repro.serving import (
     ProblemSpec,
     QueryEngine,
@@ -434,12 +439,6 @@ class TestQueryEngine:
         np.testing.assert_array_equal(
             engine.quantiles(q), np.quantile(samples, q, axis=0))
 
-    def test_sample_matrix_is_cached_per_request(self, engine):
-        first = engine.sample()
-        assert engine.sample() is first          # same (m, seed) reused
-        assert engine.sample(seed=99) is not first
-        np.testing.assert_array_equal(engine.sample(), first)
-
     def test_yield_matches_numpy_on_same_samples(self, engine):
         samples = engine.sample()
         limit = engine.mean() + 0.5 * engine.std()
@@ -546,6 +545,176 @@ class TestQueryEngine:
         with pytest.raises(StochasticError, match="chunk_size"):
             engine.pce.sample_statistics(np.random.default_rng(0), 10,
                                          chunk_size=-1)
+
+
+class _HoledChaos(PolynomialChaos):
+    """A chaos whose last output is NaN wherever ``zeta_0 > 2``."""
+
+    def evaluate(self, zeta):
+        values = super().evaluate(zeta)
+        values[zeta[:, 0] > 2.0, -1] = np.nan
+        return values
+
+
+def _bank_counts() -> tuple:
+    return tuple(REGISTRY.counter(f"repro_sample_bank_{name}_total").value()
+                 for name in ("hits", "misses", "evictions"))
+
+
+class TestSampleBank:
+    """Repeated quantile streams are read from the process-level sample
+    bank as sorted columns; every answer stays bitwise what
+    ``np.quantile`` and the streaming yield count give on a raw draw."""
+
+    M = 2001  # (M - 1) * q is an exact order statistic at q = k / 4
+
+    @pytest.fixture(scope="class")
+    def pce(self):
+        rng = np.random.default_rng(13)
+        basis = HermiteBasis(3)
+        return PolynomialChaos(basis, rng.standard_normal((basis.size, 3)))
+
+    @pytest.fixture(scope="class")
+    def holed(self, pce):
+        # Coefficients of its own: an equal plain chaos would share the
+        # holed one's banked streams.
+        engine = QueryEngine(_HoledChaos(pce.basis, -pce.coefficients),
+                             num_samples=self.M, seed=4, chunk_size=256)
+        raw = engine.sample()
+        assert np.isnan(raw[:, -1]).any() and not np.isnan(raw[:, :-1]).any()
+        return engine, raw
+
+    @pytest.fixture()
+    def bank(self, monkeypatch):
+        bank = query_module.SampleBank()
+        monkeypatch.setattr(query_module, "SAMPLE_BANK", bank)
+        return bank
+
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        calls = []
+        original = PolynomialChaos.sample_chunks
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PolynomialChaos, "sample_chunks", counting)
+        return calls
+
+    @given(levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+    @example(levels=[0.0, 1.0])
+    @example(levels=[0.25, 0.5, 0.75])
+    @example(levels=[0.5 / (M - 1), 1.5 / (M - 1), 1.0 - 0.5 / (M - 1)])
+    @settings(max_examples=60, deadline=None)
+    def test_quantiles_bitwise_numpy(self, holed, levels):
+        engine, raw = holed
+        answer = engine.quantiles(levels)
+        np.testing.assert_array_equal(
+            answer, np.quantile(raw, levels, axis=0))
+        assert np.isnan(answer[:, -1]).all()
+
+    def test_banked_yields_equal_streaming_counts(self, holed, bank,
+                                                  draws):
+        engine, raw = holed
+        ties = raw[17]
+        limits = [engine.mean(), ties, [np.nan, np.inf, -np.inf],
+                  [raw[:, 0].min(), np.median(raw[:, 1]), 0.0]]
+        streamed = [(engine.yield_above(limit), engine.yield_below(limit))
+                    for limit in limits]
+        assert bank.nbytes == 0          # yields never bank a stream
+        engine.quantiles([0.5])
+        hits, drawn = _bank_counts()[0], len(draws)
+        for limit, (above, below) in zip(limits, streamed):
+            np.testing.assert_array_equal(engine.yield_above(limit), above)
+            np.testing.assert_array_equal(engine.yield_below(limit), below)
+            np.testing.assert_array_equal(
+                above, (raw > np.asarray(limit, dtype=float)).mean(axis=0))
+        assert _bank_counts()[0] == hits + 2 * len(limits)
+        assert len(draws) == drawn       # banked yields draw nothing
+
+    def test_equal_surrogates_share_one_draw(self, pce, bank, draws):
+        twin = PolynomialChaos(pce.basis, pce.coefficients.copy())
+        first = QueryEngine(pce, num_samples=self.M, seed=8)
+        second = QueryEngine(twin, num_samples=self.M, seed=8)
+        hits, misses, _ = _bank_counts()
+        answer = first.quantiles([0.1, 0.9])
+        np.testing.assert_array_equal(second.quantiles([0.1, 0.9]), answer)
+        assert len(draws) == 1
+        assert _bank_counts()[:2] == (hits + 1, misses + 1)
+        # sample() draws afresh; it never hands out the banked columns.
+        np.testing.assert_array_equal(
+            np.quantile(first.sample(), [0.1, 0.9], axis=0), answer)
+        assert len(draws) == 2
+
+    def test_other_coefficients_under_one_key_draw_anew(self, bank, draws,
+                                                        synthetic_record):
+        rebuilt = SurrogateRecord(
+            pce=PolynomialChaos(synthetic_record.pce.basis,
+                                2.0 * synthetic_record.pce.coefficients),
+            spec=synthetic_record.spec)
+        assert rebuilt.cache_key == synthetic_record.cache_key
+        old = QueryEngine(synthetic_record, num_samples=self.M)
+        new = QueryEngine(rebuilt, num_samples=self.M)
+        np.testing.assert_array_equal(
+            new.quantiles([0.3]), 2.0 * old.quantiles([0.3]))
+        assert len(draws) == 2
+
+    def test_lru_eviction_within_budget(self, pce, monkeypatch, draws):
+        engine = QueryEngine(pce, num_samples=self.M)
+        stream_bytes = self.M * pce.output_dim * 8
+        bank = query_module.SampleBank(budget_bytes=2 * stream_bytes + 7)
+        monkeypatch.setattr(query_module, "SAMPLE_BANK", bank)
+        evictions = _bank_counts()[2]
+        for seed in (1, 2, 1, 3):      # 1 is used again, so 2 goes first
+            engine.quantiles([0.5], seed=seed)
+            assert bank.nbytes <= bank.budget_bytes
+        assert len(draws) == 3
+        assert _bank_counts()[2] == evictions + 1
+        engine.quantiles([0.5], seed=1)
+        engine.quantiles([0.5], seed=3)
+        assert len(draws) == 3
+        engine.quantiles([0.5], seed=2)
+        assert len(draws) == 4 and bank.nbytes == 2 * stream_bytes
+
+    def test_stream_over_budget_is_answered_not_banked(self, pce,
+                                                       monkeypatch, draws):
+        engine = QueryEngine(pce, num_samples=self.M)
+        bank = query_module.SampleBank(
+            budget_bytes=self.M * pce.output_dim * 8 - 1)
+        monkeypatch.setattr(query_module, "SAMPLE_BANK", bank)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                engine.quantiles([0.2, 0.7]),
+                np.quantile(engine.sample(), [0.2, 0.7], axis=0))
+        assert bank.nbytes == 0
+        assert len(draws) == 4         # two answers, two raw draws
+
+    def test_concurrent_cold_misses_agree(self, pce, bank):
+        engines = [QueryEngine(pce, num_samples=20000, seed=21)
+                   for _ in range(8)]
+        answers = [None] * len(engines)
+
+        def ask(index):
+            answers[index] = engines[index].quantiles([0.05, 0.5, 0.95])
+
+        threads = [threading.Thread(target=ask, args=(index,))
+                   for index in range(len(engines))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = np.quantile(engines[0].sample(), [0.05, 0.5, 0.95],
+                               axis=0)
+        for answer in answers:
+            np.testing.assert_array_equal(answer, expected)
+        assert bank.nbytes == 20000 * pce.output_dim * 8
 
 
 class TestSampleBudget:
