@@ -13,9 +13,13 @@ of the fast-mesh Table II TSV twice — by a direct LU and by the chord
 — on the same equilibria, and reports the factorizations each path
 pays, the chord's fallbacks, the largest relative QoI gap between the
 two answers and the speedup of the AC solve (factorization or chord,
-and back-substitution; the shared assembly is not timed).  Expected
-shape: no factorization and no fallback on the chord path,
-capacitances within ~1e-13 relative, and a speedup near 2x.
+and back-substitution; the shared assembly is not timed).  Each
+sample's direct and chord solves run ``REPEATS`` times, interleaved,
+each on a fresh system, and each path keeps its fastest; every system
+restricts through the solver's shared sparsity patterns, so neither
+timed solve builds one.  Expected shape: no factorization and no
+fallback on the chord path, capacitances within ~1e-13 relative, and
+a speedup near 2x.
 
 A third pass solves the same samples ``AC_BATCH`` to a block, their
 chords in lockstep (one multi-RHS back-substitution per step for the
@@ -41,6 +45,8 @@ from conftest import write_bench_json, write_report
 
 SAMPLES = 24
 SEED = 20120316
+#: Interleaved repeats per solve; each path keeps its fastest.
+REPEATS = 3
 
 
 def _perturbed_systems(problem, count: int, seed: int) -> list:
@@ -60,26 +66,32 @@ def _perturbed_systems(problem, count: int, seed: int) -> list:
 
 
 def _system(problem, sample, references):
-    """A fresh AC system of ``sample`` (assembled, not yet solved)."""
+    """A fresh AC system of ``sample`` (assembled, not yet solved) on
+    the solver's shared sparsity patterns."""
     return ACSystem(problem.structure, sample.geometry,
                     sample.equilibrium, problem.frequency,
                     recombination=problem.recombination,
-                    references=references)
+                    references=references,
+                    patterns=problem.solver._ac_patterns)
 
 
 def _timed_solve(problem, sample, references):
-    """``(qoi, wall seconds, LUs)`` of one AC solve.
+    """``(qoi, wall seconds, LUs, chord steps, fallbacks)`` of one AC
+    solve.
 
     The assembly, which both paths share, is not timed: the wall is
     the factorization (or chord) and the back-substitutions.
     """
     system = _system(problem, sample, references)
-    factorizations = _FACTORIZATIONS.value()
+    before = (_FACTORIZATIONS.value(), _AC_CHORD_STEPS.value(),
+              _AC_CHORD_FALLBACKS.value())
     start = time.perf_counter()
     solution = system.solve(problem.excitations)
     wall = time.perf_counter() - start
+    counts = (_FACTORIZATIONS.value(), _AC_CHORD_STEPS.value(),
+              _AC_CHORD_FALLBACKS.value())
     return (np.asarray(problem.qoi(solution)), wall,
-            int(_FACTORIZATIONS.value() - factorizations))
+            *(int(after - was) for after, was in zip(counts, before)))
 
 
 def _timed_block(problem, block, references):
@@ -98,48 +110,56 @@ def _compare(problem, samples) -> dict:
     solver = problem.solver
     references = {frozenset(problem.excitations):
                   solver.ac_reference(problem.excitations)}
-    fallbacks = _AC_CHORD_FALLBACKS.value()
-    steps = _AC_CHORD_STEPS.value()
     totals = {"t_direct": 0.0, "t_chord": 0.0, "lu_direct": 0,
-              "lu_chord": 0, "gap": 0.0}
+              "lu_chord": 0, "gap": 0.0, "fallbacks": 0, "steps": 0}
     for sample in samples:
-        # Interleaved, so host-speed drift hits both paths alike.
-        direct, t_direct, lu_direct = _timed_solve(problem, sample,
-                                                   None)
-        chord, t_chord, lu_chord = _timed_solve(problem, sample,
-                                                references)
+        # Interleaved run by run, so host-speed drift hits both paths
+        # alike; each keeps its fastest run.
+        t_direct = t_chord = np.inf
+        for repeat in range(REPEATS):
+            direct, wall, lu_direct, _, _ = _timed_solve(
+                problem, sample, None)
+            t_direct = min(t_direct, wall)
+            chord, wall, lu_chord, steps, fallbacks = _timed_solve(
+                problem, sample, references)
+            t_chord = min(t_chord, wall)
+            if repeat == 0:
+                totals["lu_direct"] += lu_direct
+                totals["lu_chord"] += lu_chord
+                totals["steps"] += steps
+                totals["fallbacks"] += fallbacks
+                totals["gap"] = max(totals["gap"], float(np.max(
+                    np.abs(chord - direct) / np.abs(direct))))
         totals["t_direct"] += t_direct
         totals["t_chord"] += t_chord
-        totals["lu_direct"] += lu_direct
-        totals["lu_chord"] += lu_chord
-        totals["gap"] = max(totals["gap"], float(np.max(
-            np.abs(chord - direct) / np.abs(direct))))
-    totals["fallbacks"] = int(_AC_CHORD_FALLBACKS.value() - fallbacks)
-    totals["steps"] = int(_AC_CHORD_STEPS.value() - steps)
     return totals
 
 
 def _compare_batched(problem, samples) -> dict:
     """The per-sample chord against lockstep blocks of ``AC_BATCH``,
-    interleaved block by block."""
+    interleaved block by block, each path keeping its fastest of
+    ``REPEATS`` runs."""
     references = {frozenset(problem.excitations):
                   problem.solver.ac_reference(problem.excitations)}
     totals = {"t_single": 0.0, "t_batched": 0.0, "batched_steps": 0,
               "bitwise": True}
     for start in range(0, len(samples), AC_BATCH):
         block = samples[start:start + AC_BATCH]
-        singles = []
-        for sample in block:
-            chord, t_chord, _ = _timed_solve(problem, sample,
-                                             references)
-            singles.append(chord)
-            totals["t_single"] += t_chord
-        batched, t_batched, steps = _timed_block(problem, block,
-                                                 references)
+        t_single = t_batched = np.inf
+        for repeat in range(REPEATS):
+            singles = [_timed_solve(problem, sample, references)
+                       for sample in block]
+            t_single = min(t_single, sum(run[1] for run in singles))
+            batched, wall, steps = _timed_block(problem, block,
+                                                references)
+            t_batched = min(t_batched, wall)
+            if repeat == 0:
+                totals["batched_steps"] += steps
+                totals["bitwise"] &= all(
+                    np.array_equal(row, single[0])
+                    for row, single in zip(batched, singles))
+        totals["t_single"] += t_single
         totals["t_batched"] += t_batched
-        totals["batched_steps"] += steps
-        totals["bitwise"] &= all(np.array_equal(row, single)
-                                 for row, single in zip(batched, singles))
     return totals
 
 

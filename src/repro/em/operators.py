@@ -63,6 +63,21 @@ def link_material_areas(geometry: GridGeometry,
     return np.where(inside, geometry.link_quadrant_areas, 0.0).sum(axis=1)
 
 
+def laplacian_entries(geometry: GridGeometry,
+                      link_conductance: np.ndarray) -> tuple:
+    """COO ``(rows, cols, data)`` of :func:`scalar_laplacian`: four
+    entries per link, duplicates unsummed."""
+    link_conductance = np.asarray(link_conductance)
+    links = geometry.links
+    a = links.node_a
+    b = links.node_b
+    rows = np.concatenate([a, a, b, b])
+    cols = np.concatenate([b, a, a, b])
+    data = np.concatenate([link_conductance, -link_conductance,
+                           link_conductance, -link_conductance])
+    return rows, cols, data
+
+
 def scalar_laplacian(geometry: GridGeometry,
                      link_conductance: np.ndarray) -> sp.csr_matrix:
     """Assemble ``(N, N)`` nodal balance matrix from link conductances.
@@ -72,13 +87,6 @@ def scalar_laplacian(geometry: GridGeometry,
     ``link_conductance`` is ``c_l A_l / L_l`` per link (real or
     complex).
     """
-    link_conductance = np.asarray(link_conductance)
-    links = geometry.links
+    rows, cols, data = laplacian_entries(geometry, link_conductance)
     n = geometry.num_nodes
-    a = links.node_a
-    b = links.node_b
-    rows = np.concatenate([a, a, b, b])
-    cols = np.concatenate([b, a, a, b])
-    data = np.concatenate([link_conductance, -link_conductance,
-                           link_conductance, -link_conductance])
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))

@@ -52,11 +52,31 @@ def conductor_labels(structure: Structure, links: LinkSet) -> np.ndarray:
     return out
 
 
+def _structure_labels(structure: Structure, links: LinkSet) -> np.ndarray:
+    """:func:`conductor_labels`, computed once per structure.
+
+    The labels depend on the structure and its grid's links only, and
+    every :class:`LinkSet` of the structure's own grid is the same, so
+    the samples of a stochastic build share one read-only array
+    (:meth:`~repro.geometry.structure.Structure.derived`).  Links of
+    another grid object are labeled afresh.
+    """
+    if links.grid is not structure.grid:
+        return conductor_labels(structure, links)
+
+    def compute():
+        labels = conductor_labels(structure, links)
+        labels.setflags(write=False)
+        return labels
+
+    return structure.derived("conductor_labels", compute)
+
+
 def conductor_mask_for_contact(structure: Structure, links: LinkSet,
                                contact: str) -> np.ndarray:
     """Boolean mask of the conductor containing ``contact``."""
     return _contact_conductor_mask(
-        structure, conductor_labels(structure, links), contact)
+        structure, _structure_labels(structure, links), contact)
 
 
 def _contact_conductor_mask(structure: Structure, labels: np.ndarray,
@@ -117,7 +137,7 @@ def capacitance_column(solution: ACSolution, driven_contact: str,
             f"nonzero voltage in the solution")
     if contacts is None:
         contacts = sorted(structure.contacts)
-    labels = conductor_labels(structure, links)
+    labels = _structure_labels(structure, links)
     column = {}
     for name in contacts:
         mask = _contact_conductor_mask(structure, labels, name)

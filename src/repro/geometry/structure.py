@@ -80,6 +80,7 @@ class Structure:
         self.doping: DopingProfile = None
         self.regions: list = []  # (material name, Box) in paint order
         self._node_kinds = None
+        self._derived = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -102,6 +103,7 @@ class Structure:
         self.cell_materials[cell_ids] = material_id
         self.regions.append((material.name, box))
         self._node_kinds = None
+        self._derived = {}
         return int(cell_ids.size)
 
     def set_doping(self, profile: DopingProfile) -> None:
@@ -171,6 +173,20 @@ class Structure:
                 ohmic_contact=ohmic,
             )
         return self._node_kinds
+
+    def derived(self, key: str, compute):
+        """``compute()``, cached under ``key`` until the layout changes.
+
+        For data that other layers derive from the material layout
+        alone, such as the conductor labels of
+        :mod:`repro.extraction.capacitance`: computed once per
+        structure instead of once per sample, and dropped with the
+        node classification when a box is painted.  The cache lives
+        on the structure, so it dies with it.
+        """
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     def semiconductor_node_ids(self) -> np.ndarray:
         """Flat ids of nodes carrying carrier unknowns (incl. contacts)."""

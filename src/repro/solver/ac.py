@@ -47,6 +47,7 @@ from repro.semiconductor.scharfetter_gummel import (
 )
 from repro.solver.backends import resolve_backend, solve_chords
 from repro.solver.dc import EquilibriumState
+from repro.solver.linear import pattern_blocks
 
 
 @dataclass
@@ -135,12 +136,22 @@ class ACSystem:
         (:meth:`~repro.solver.backends.SolverBackend.chord`) instead of
         a factorization of its own; the mapping is read when the set
         is first solved.
+    patterns:
+        Optional mapping ``frozenset(contacts) -> (pattern, block,
+        coupling)`` shared by the systems of one structure (see
+        :func:`~repro.solver.linear.pattern_blocks`): an
+        :class:`~repro.solver.avsolver.AVSolver` hands every sample its
+        nominal's, and a frequency sweep one map to all frequencies.
+        A contact set found there with this system's COO structure is
+        restricted by scattering values into it; any other set builds
+        its own entry and adds it unless the key is taken.  Without a
+        mapping the system keeps its own.
     """
 
     def __init__(self, structure: Structure, geometry: GridGeometry,
                  equilibrium: EquilibriumState, frequency: float,
                  recombination: bool = True, backend=None,
-                 references=None):
+                 references=None, patterns=None):
         if frequency <= 0.0:
             raise GeometryError(
                 f"frequency must be positive, got {frequency}")
@@ -156,11 +167,15 @@ class ACSystem:
         # contact set shares one factorization.
         self._factor_cache = {}
         self._references = references if references is not None else {}
+        self._patterns = patterns if patterns is not None else {}
+        # The sparsity pattern this system's COO structure was checked
+        # against (or built), once it restricted a contact set.
+        self._pattern = None
         self._build_coefficients()
-        # The 3N x 3N matrix only feeds restrictions: it is kept until
-        # the first contact set is restricted (for a sample, the only
-        # one) and assembled again for any later set.
-        self._global_matrix = self._assemble()
+        # The 3N x 3N COO entries only feed restrictions: they are kept
+        # until the first contact set is restricted (for a sample, the
+        # only one) and assembled again for any later set.
+        self._entries = self._assemble()
 
     # ------------------------------------------------------------------
     def _build_coefficients(self) -> None:
@@ -183,10 +198,11 @@ class ACSystem:
 
         _, semi_cells, _ = structure.cell_kind_masks()
         self.semi_areas = link_material_areas(geometry, semi_cells)
-        self.semi_volumes = node_masked_volumes(geometry, semi_cells)
-
         eq = self.equilibrium
         self.has_carriers = eq.has_semiconductor
+        # The equilibrium computed the same volumes on the same geometry.
+        self.semi_volumes = (eq.semi_node_volumes if self.has_carriers
+                             else node_masked_volumes(geometry, semi_cells))
         links = geometry.links
         self.carrier_links = np.nonzero(self.semi_areas > 0.0)[0]
         if self.has_carriers and self.carrier_links.size:
@@ -220,13 +236,14 @@ class ACSystem:
             self.du_dp = np.zeros(self.num_nodes)
 
     # ------------------------------------------------------------------
-    def _assemble(self) -> sp.csr_matrix:
-        """The global (3N x 3N) matrix, built in COO form.
+    def _assemble(self) -> tuple:
+        """The global (3N x 3N) matrix as COO ``(rows, cols, vals)``.
 
         Global unknown ids: ``V_i = i``, ``n_i = N + i``,
-        ``p_i = 2N + i``.  Restriction to the actual unknown set happens
-        at solve time, once the Dirichlet data is known; the system
-        keeps only the restrictions.
+        ``p_i = 2N + i``.  Duplicates are summed, and the matrix
+        restricted to the actual unknown set, at solve time through
+        the contact set's sparsity pattern; the system keeps only the
+        restrictions.
         """
         geometry = self.geometry
         links = geometry.links
@@ -317,11 +334,9 @@ class ACSystem:
             add(2 * n_nodes + carrier_nodes, n_nodes + carrier_nodes,
                 self.du_dn[carrier_nodes] * vol)
 
-        rows = np.concatenate([np.ravel(r) for r in rows])
-        cols = np.concatenate([np.ravel(c) for c in cols])
-        vals = np.concatenate([np.ravel(v) for v in vals])
-        return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(3 * n_nodes, 3 * n_nodes))
+        return (np.concatenate([np.ravel(r) for r in rows]),
+                np.concatenate([np.ravel(c) for c in cols]),
+                np.concatenate([np.ravel(v) for v in vals]))
 
     # ------------------------------------------------------------------
     def _partition(self, contacts):
@@ -361,16 +376,22 @@ class ACSystem:
             return cached
         unknown, free_v, free_carriers, dirichlet_ids = \
             self._partition(excitations)
-        matrix = self._global_matrix
-        if matrix is None:
-            matrix = self._assemble()
-        self._global_matrix = None
+        entries = self._entries
+        if entries is None:
+            entries = self._assemble()
+        self._entries = None
+        rows, cols, vals = entries
+        size = 3 * self.num_nodes
+        self._pattern, block, coupling = pattern_blocks(
+            self._patterns, key, rows, cols, (size, size), unknown,
+            dirichlet_ids, "ac", self._pattern)
+        data = self._pattern.data(vals)
         restricted = _RestrictedSystem(
             unknown=unknown,
             free_v=free_v,
             free_carriers=free_carriers,
             dirichlet_ids=dirichlet_ids,
-            coupling=matrix[unknown][:, dirichlet_ids].tocsr(),
+            coupling=coupling.matrix(data),
             # The reuse key names the pinned-contact set: across
             # frequencies or samples, the same set yields the same
             # restriction pattern, so a shared backend instance can
@@ -378,8 +399,7 @@ class ACSystem:
             # A reference for the set makes the backend chord through
             # it; without one this is a plain factorization.
             factor=self._backend.chord(
-                matrix[unknown][:, unknown], self._references.get(key),
-                key=key),
+                block.matrix(data), self._references.get(key), key=key),
         )
         self._factor_cache[key] = restricted
         return restricted
@@ -609,7 +629,8 @@ def solve_systems(systems, excitations: dict = None,
     samples of one :class:`~repro.solver.avsolver.AVSolver`) pay one
     multi-RHS back-substitution per step between them.  ``systems``
     may be a generator: each system is restricted before the next is
-    drawn, so only one unrestricted 3N x 3N matrix is alive at a time.
+    drawn, so only one system's unrestricted 3N x 3N COO entries are
+    alive at a time.
     """
     drives = [system._drive(excitations) if ports is None
               else system._port_drives(ports) for system in systems]

@@ -20,9 +20,14 @@ sample's :class:`ACSystem`, solved once by full Newton.  Its converged
 DC Jacobian factor is the chord reference of every perturbed sample's
 equilibrium, and its AC factor per pinned-contact set is the chord
 reference of every perturbed sample's AC solve — so a perturbed
-sample factorizes nothing.  The nominal comes from the nominal solve
-itself, or is computed on first need, so a sample's answer never
-depends on which samples ran before it or in which process.
+sample factorizes nothing.  The nominal's sparsity patterns, one per
+pinned-contact set for the AC system and one for the DC Laplacian,
+are shared the same way: the perturbations never change the mesh
+topology, so a perturbed sample scatters its matrix values into them
+and builds no sparse structure of its own.  The nominal comes from
+the nominal solve itself, or is computed on first need, so a sample's
+answer never depends on which samples ran before it or in which
+process.
 
 :meth:`AVSolver.solve_samples` solves many samples ``AC_BATCH`` at a
 time: each block's AC chords step in lockstep, one multi-RHS
@@ -105,6 +110,11 @@ class AVSolver:
         # refers back to this solver, so dropping it frees its
         # assembly at once.
         self._ac_references = {}
+        # The nominal's sparsity patterns (see pattern_blocks), shared
+        # the same way: AC ones by frozenset(contacts), and the DC
+        # Laplacian's.
+        self._ac_patterns = {}
+        self._dc_patterns = {}
 
     # ------------------------------------------------------------------
     @property
@@ -162,23 +172,27 @@ class AVSolver:
         grid_geometry = self.geometry_for(geometry)
         equilibrium = solve_equilibrium(self.structure, grid_geometry,
                                         doping_profile=doping_profile,
-                                        reference=self.dc_reference())
+                                        reference=self.dc_reference(),
+                                        patterns=self._dc_patterns)
         return ACSystem(self.structure, grid_geometry, equilibrium,
                         self.frequency, recombination=self.recombination,
-                        references=self._ac_references)
+                        references=self._ac_references,
+                        patterns=self._ac_patterns)
 
     def _nominal_system(self) -> ACSystem:
         """The nominal sample, solved by full Newton on first need;
         adopts its DC Jacobian factor as the DC chord reference."""
         if self._nominal is None:
             equilibrium = solve_equilibrium(self.structure,
-                                            self.nominal_geometry)
+                                            self.nominal_geometry,
+                                            patterns=self._dc_patterns)
             if equilibrium.jacobian is not None:
                 self._dc_factor = SparseFactor(equilibrium.jacobian())
             self._nominal = ACSystem(self.structure,
                                      self.nominal_geometry, equilibrium,
                                      self.frequency,
-                                     recombination=self.recombination)
+                                     recombination=self.recombination,
+                                     patterns=self._ac_patterns)
         return self._nominal
 
     def dc_reference(self):

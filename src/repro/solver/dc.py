@@ -14,7 +14,10 @@ sample re-runs it because the RDF perturbation changes ``N_net`` and the
 geometric perturbation changes the FVM coefficients.  Those changes are
 small, so a perturbed sample can iterate through the *nominal* sample's
 converged Jacobian factor (a chord iteration, ``reference=``) instead
-of factorizing its own at every step.
+of factorizing its own at every step.  The perturbations never change
+the mesh topology either, so the samples also share the nominal's
+sparsity pattern of the Laplacian (``patterns=``) and scatter only
+their values into it.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import scipy.sparse as sp
 from repro.constants import Q
 from repro.em.operators import (
     cell_property_array,
+    laplacian_entries,
     link_weighted_coefficients,
-    scalar_laplacian,
 )
 from repro.errors import MaterialError
 from repro.geometry.structure import Structure
@@ -39,7 +42,12 @@ from repro.materials.physics import (
 )
 from repro.materials.material import Semiconductor
 from repro.mesh.dual import GridGeometry, node_masked_volumes
+from repro.solver.linear import pattern_blocks
 from repro.solver.newton import NewtonOptions, damped_newton
+
+#: The key of the Laplacian's entry in a ``patterns`` mapping: its
+#: pinned set, every metal node, is fixed by the structure.
+_DC_KEY = "laplacian"
 
 
 @dataclass
@@ -88,18 +96,54 @@ def node_net_doping(structure: Structure,
     return values
 
 
+def permittivity_laplacian(structure: Structure,
+                           geometry: GridGeometry) -> tuple:
+    """COO ``(rows, cols, vals)`` of the permittivity Laplacian
+    ``div(eps grad V)`` on ``geometry`` (duplicates unsummed)."""
+    eps_cells = cell_property_array(structure, lambda m: m.permittivity)
+    g_eps = (link_weighted_coefficients(geometry, eps_cells)
+             / geometry.link_lengths)
+    return laplacian_entries(geometry, g_eps)
+
+
+def restricted_laplacian(structure: Structure, geometry: GridGeometry,
+                         patterns=None) -> tuple:
+    """``(lap_ff, lap_fd)``: the permittivity Laplacian's rows at the
+    free (non-metal) nodes, restricted to the free columns and to the
+    pinned metal columns.
+
+    The restriction scatters the Laplacian's values into the sparsity
+    pattern entered in ``patterns`` (see
+    :func:`~repro.solver.linear.pattern_blocks`), building it when the
+    mapping has none for this COO structure.
+    """
+    rows, cols, vals = permittivity_laplacian(structure, geometry)
+    metal = structure.node_kinds().metal
+    num_nodes = structure.grid.num_nodes
+    pattern, block, coupling = pattern_blocks(
+        {} if patterns is None else patterns, _DC_KEY, rows, cols,
+        (num_nodes, num_nodes), np.nonzero(~metal)[0],
+        np.nonzero(metal)[0], "dc")
+    data = pattern.data(vals)
+    return block.matrix(data), coupling.matrix(data)
+
+
 def solve_equilibrium(structure: Structure, geometry: GridGeometry,
                       doping_profile: DopingProfile = None,
                       newton_options: NewtonOptions = None,
-                      reference=None) -> EquilibriumState:
+                      reference=None, patterns=None) -> EquilibriumState:
     """Solve the zero-bias operating point on (possibly perturbed)
     ``geometry``.
 
     ``reference`` is an optional factor of a nearby sample's converged
     Jacobian (see :func:`~repro.solver.newton.damped_newton`); without
-    it every Newton step factorizes.  Returns a trivial all-zero state
-    when the structure contains no semiconductor (the capacitance-only
-    fast path).
+    it every Newton step factorizes.  ``patterns`` is an optional
+    mapping shared by the samples of one structure (see
+    :func:`~repro.solver.linear.pattern_blocks`): the first solve
+    enters the Laplacian's sparsity pattern, and every later solve
+    whose COO structure matches scatters its values into it.  Returns
+    a trivial all-zero state when the structure contains no
+    semiconductor (the capacitance-only fast path).
     """
     grid = structure.grid
     kinds = structure.node_kinds()
@@ -123,10 +167,7 @@ def solve_equilibrium(structure: Structure, geometry: GridGeometry,
 
     net_doping = node_net_doping(structure, doping_profile)
 
-    eps_cells = cell_property_array(structure, lambda m: m.permittivity)
-    g_eps = (link_weighted_coefficients(geometry, eps_cells)
-             / geometry.link_lengths)
-    laplacian = scalar_laplacian(geometry, g_eps)
+    lap_ff, lap_fd = restricted_laplacian(structure, geometry, patterns)
 
     _, semi_cells, _ = structure.cell_kind_masks()
     semi_volumes = node_masked_volumes(geometry, semi_cells)
@@ -140,10 +181,7 @@ def solve_equilibrium(structure: Structure, geometry: GridGeometry,
         net_doping[ohmic], ni, vt)
 
     free = ~dirichlet_mask
-    free_ids = np.nonzero(free)[0]
-    lap_ff = laplacian[free_ids][:, free_ids].tocsr()
-    rhs_dirichlet = laplacian[free_ids][:, np.nonzero(dirichlet_mask)[0]] \
-        @ dirichlet_values[dirichlet_mask]
+    rhs_dirichlet = lap_fd @ dirichlet_values[dirichlet_mask]
 
     carrier_free = carrier_mask[free]
     doping_free = net_doping[free]

@@ -15,6 +15,13 @@ Two entry points:
   only the Dirichlet data changes.
 * :func:`solve_sparse` — the one-shot convenience wrapper (factorize,
   solve, discard), kept for callers with a single right-hand side.
+
+The symbolic half of assembly lives here too: a
+:class:`SparsityPattern` turns COO *values* into the restricted CSR
+blocks a solve needs, bitwise what scipy's own COO→CSR conversion and
+fancy indexing give, so every sample of a fixed mesh topology shares
+one pattern (:func:`pattern_blocks`) and builds no sparse structure of
+its own.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ _FACTORIZATIONS = counter(
 _SOLVES = counter(
     "repro_solver_solves_total",
     "Triangular back-substitutions through an existing factorization")
+_PATTERNS = counter(
+    "repro_solver_sparsity_patterns_total",
+    "Symbolic sparsity patterns built (SparsityPattern constructions), "
+    "labeled by system: ac or dc")
 
 
 def _max_abs_rows(matrix: sp.csr_matrix) -> np.ndarray:
@@ -220,3 +231,153 @@ def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
         # its RHS, so this beats two real solves.
         matrix = matrix.astype(complex)
     return SparseFactor(matrix).solve(rhs)
+
+
+def _index_dtype(limit: int):
+    """The CSR index dtype scipy picks for indices up to ``limit``."""
+    return np.int32 if limit <= np.iinfo(np.int32).max else np.int64
+
+
+class PatternBlock:
+    """One restriction ``A[row_ids][:, col_ids]`` of a
+    :class:`SparsityPattern`.
+
+    ``take`` picks each block entry out of the pattern's CSR ``data``;
+    ``indices``, ``indptr`` and ``shape`` are the block's CSR
+    structure, shared (not copied) by every matrix :meth:`matrix`
+    builds.
+    """
+
+    def __init__(self, take, indices, indptr, shape):
+        self.take = take
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = shape
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The block of the matrix whose pattern ``data`` this is."""
+        return sp.csr_matrix((data[self.take], self.indices, self.indptr),
+                             shape=self.shape)
+
+
+class SparsityPattern:
+    """The symbolic half of a COO→CSR conversion, done once.
+
+    Built from the COO ``rows`` and ``cols`` of a matrix (duplicates
+    allowed), it turns any values on those entries into the CSR
+    ``data`` of ``sp.csr_matrix((vals, (rows, cols)), shape)`` — bit
+    for bit, explicit zeros kept — and restricts that matrix to row
+    and column subsets (:meth:`block`).  Every sample of a fixed mesh
+    topology has the same COO structure, so one pattern serves them
+    all and a sample computes only its values.
+
+    The sums are bitwise because the pattern replays scipy's order.
+    scipy sorts the entries by row with a stable counting sort, then
+    (unless the columns already come sorted) sorts each row by column
+    with ``csr_sort_indices``, an unstable sort whose permutation
+    depends only on the column keys, and sums each run of duplicates
+    left to right.  The pattern runs that same column sort once, on a
+    matrix whose data are the entry ids, and adds the runs one
+    vectorized layer per duplicate rank.  A lexsort order, or
+    ``np.add.reduceat``'s pairwise sums, would move last bits.
+    """
+
+    def __init__(self, rows, cols, shape):
+        rows = np.asarray(rows, dtype=np.intp).ravel()
+        cols = np.asarray(cols, dtype=np.intp).ravel()
+        self.shape = (int(shape[0]), int(shape[1]))
+        n_rows = self.shape[0]
+        index = _index_dtype(max(rows.size, *self.shape))
+        # Kept for matches() only.
+        self._rows = rows.astype(index)
+        self._cols = cols.astype(index)
+
+        # scipy's row pass: a stable counting sort ...
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n_rows + 1, dtype=index)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        # ... then its column sort, read back from a matrix of entry ids.
+        ids = sp.csr_matrix((by_row, cols[by_row].astype(index), indptr),
+                            shape=self.shape)
+        ids.sort_indices()
+        order = ids.data
+        sorted_rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+        sorted_cols = cols[order]
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = ((sorted_cols[1:] != sorted_cols[:-1])
+                      | (sorted_rows[1:] != sorted_rows[:-1]))
+        first = np.flatnonzero(starts)
+        #: Stored entries (slots) of the converted matrix.
+        self.nnz = int(first.size)
+        # Slots ordered by run length, longest first, make every layer
+        # a prefix: layer k adds the k-th duplicate of each slot whose
+        # run is longer than k, so each run sums left to right.
+        runs = np.diff(np.append(first, order.size))
+        by_run = np.argsort(-runs, kind="stable")
+        self._first = order[first[by_run]]
+        self._layers = [order[first[by_run[:np.count_nonzero(runs > k)]]
+                              + k]
+                        for k in range(1, int(runs.max(initial=1)))]
+        self._unpermute = np.empty(self.nnz, dtype=np.intp)
+        self._unpermute[by_run] = np.arange(self.nnz)
+        # CSR structure of the converted matrix, for block().
+        self._indices = sorted_cols[first].astype(index)
+        self._indptr = np.zeros(n_rows + 1, dtype=index)
+        np.cumsum(np.bincount(sorted_rows[first], minlength=n_rows),
+                  out=self._indptr[1:])
+
+    def matches(self, rows, cols) -> bool:
+        """Is ``rows, cols`` exactly the COO structure of this pattern?"""
+        return (np.array_equal(rows, self._rows)
+                and np.array_equal(cols, self._cols))
+
+    def data(self, vals) -> np.ndarray:
+        """The CSR ``data`` of ``sp.csr_matrix((vals, (rows, cols)),
+        shape)``, bit for bit."""
+        vals = np.asarray(vals)
+        out = vals[self._first]
+        for entries in self._layers:
+            out[:entries.size] += vals[entries]
+        return out[self._unpermute]
+
+    def block(self, row_ids, col_ids) -> PatternBlock:
+        """The restriction ``matrix[row_ids][:, col_ids]``: scipy's own
+        fancy indexing, run once on a matrix whose data are the slot
+        ids.  Indexing only selects entries, so the block of any
+        ``data`` is exact."""
+        slots = sp.csr_matrix(
+            (np.arange(self.nnz), self._indices, self._indptr),
+            shape=self.shape)[row_ids][:, col_ids]
+        return PatternBlock(slots.data, slots.indices, slots.indptr,
+                            slots.shape)
+
+
+def pattern_blocks(patterns: dict, key, rows, cols, shape, unknown,
+                   pinned, system: str, pattern=None) -> tuple:
+    """``(pattern, block, coupling)`` of one COO structure restricted
+    to the ``unknown`` rows: ``block`` keeps the ``unknown`` columns,
+    ``coupling`` the ``pinned`` ones.
+
+    ``patterns`` maps a pinned-set ``key`` to such triples; the
+    systems of one structure's samples share it, so the first of them
+    builds the pattern and the others only scatter their values.  The
+    entry under ``key`` serves only when its pattern has exactly these
+    ``rows`` and ``cols`` (the guard).  Otherwise the triple is built
+    from ``pattern`` (one the caller already knows matches) or a new
+    pattern, and entered under ``key`` only when the key is free: a
+    mismatched shared entry stays.  ``system`` (``"ac"`` or ``"dc"``)
+    labels the ``repro_solver_sparsity_patterns_total`` count of new
+    patterns.
+    """
+    entry = patterns.get(key)
+    if entry is not None and (entry[0] is pattern
+                              or entry[0].matches(rows, cols)):
+        return entry
+    if pattern is None:
+        pattern = SparsityPattern(rows, cols, shape)
+        _PATTERNS.inc(system=system)
+    entry = (pattern, pattern.block(unknown, unknown),
+             pattern.block(unknown, pinned))
+    if key not in patterns:
+        patterns[key] = entry
+    return entry

@@ -15,7 +15,10 @@ single LU as one multi-RHS solve (:meth:`ACSystem.solve_ports`).  With
 ``P`` ports and ``F`` frequencies this costs 1 equilibrium + ``F``
 factorizations instead of the ``P x F`` equilibria and factorizations
 of a per-port rebuild.  Every factorization is a direct LU unless the
-caller asks for the ``"krylov"`` backend.
+caller asks for the ``"krylov"`` backend.  The frequencies share one
+sparsity-pattern map (:func:`~repro.solver.linear.pattern_blocks`):
+the frequency changes only the matrix values, so the first frequency
+builds the pattern and the others scatter into it.
 """
 
 from __future__ import annotations
@@ -134,9 +137,11 @@ def frequency_sweep(structure: Structure, frequencies, ports=None,
 
     admittance = np.zeros((frequencies.size, len(ports), len(ports)),
                           dtype=complex)
+    patterns = {}
     for k, frequency in enumerate(frequencies):
         system = ACSystem(structure, geometry, equilibrium, frequency,
-                          recombination=recombination, backend=backend)
+                          recombination=recombination, backend=backend,
+                          patterns=patterns)
         solutions = system.solve_ports(ports)
         if full_wave:
             solutions = [staggered_correction(system, ampere, solution)

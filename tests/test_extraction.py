@@ -15,7 +15,27 @@ from repro.extraction.capacitance import (
     conductor_charge,
     conductor_mask_for_contact,
 )
+from repro.geometry import Box, Structure
+from repro.materials import silicon_dioxide, tungsten
+from repro.mesh import CartesianGrid, LinkSet
+from repro.mesh.refine import uniform_axis
 from repro.solver import AVSolver
+from repro.units import um
+
+
+def _two_plates():
+    """Two tungsten plates in oxide, contacts ``bot`` and ``top``."""
+    grid = CartesianGrid(uniform_axis(0, um(4.0), 4),
+                         uniform_axis(0, um(4.0), 4),
+                         uniform_axis(0, um(4.0), 4))
+    structure = Structure(grid, background=silicon_dioxide())
+    bottom = Box((0.0, 0.0, 0.0), (um(4.0), um(4.0), um(1.0)))
+    top = Box((0.0, 0.0, um(3.0)), (um(4.0), um(4.0), um(4.0)))
+    structure.add_box(tungsten("m1"), bottom)
+    structure.add_box(tungsten("m2"), top)
+    structure.add_contact_on_box_face("bot", bottom, "z-")
+    structure.add_contact_on_box_face("top", top, "z+")
+    return structure, grid
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +125,9 @@ class TestCapacitance:
 
     def test_column_labels_conductors_once(self, tsv_solution,
                                            monkeypatch):
-        """One connected-components pass per column, and the same
-        charges as per-contact masks."""
+        """One connected-components pass per structure, however many
+        columns and masks read it, and the same charges as
+        per-contact masks."""
         import repro.extraction.capacitance as capacitance
 
         structure = tsv_solution.structure
@@ -120,8 +141,42 @@ class TestCapacitance:
         monkeypatch.setattr(
             capacitance, "conductor_labels",
             lambda *args: calls.append(1) or labels(*args))
+        # From a cold structure cache: the first column labels, the
+        # second column and a mask read the stored labels.
+        monkeypatch.setattr(structure, "_derived", {})
         assert capacitance_column(tsv_solution, "tsv1") == expected
+        assert capacitance_column(tsv_solution, "tsv1") == expected
+        conductor_mask_for_contact(structure, links, "tsv2")
         assert len(calls) == 1
+
+    def test_a_wave_labels_conductors_once(self, monkeypatch):
+        import repro.extraction.capacitance as capacitance
+        from repro.experiments import table2_spec
+
+        problem = table2_spec(max_step_um=2.5, margin_um=2.5,
+                              rdf_nodes=8).build_problem()
+        calls = []
+        labels = capacitance.conductor_labels
+        monkeypatch.setattr(
+            capacitance, "conductor_labels",
+            lambda *args: calls.append(1) or labels(*args))
+        zero = {group.name: np.zeros(group.size)
+                for group in problem.groups}
+        rows = problem.evaluate_samples([zero] * 5)
+        assert rows.shape[0] == 5
+        assert len(calls) == 1
+
+    def test_painting_a_box_drops_the_labels(self):
+        structure, _ = _two_plates()
+        links = LinkSet(structure.grid)
+        before = conductor_mask_for_contact(structure, links, "top")
+        structure.add_box(tungsten("m3"), Box((0.0, 0.0, 0.0),
+                                              (um(4.0), um(4.0), um(4.0))))
+        # One conductor now joins both contacts' nodes.
+        after = conductor_mask_for_contact(structure, links, "top")
+        assert np.array_equal(
+            after, conductor_mask_for_contact(structure, links, "bot"))
+        assert after.sum() > before.sum()
 
     def test_requires_driven_contact(self, tsv_solution):
         with pytest.raises(ExtractionError):

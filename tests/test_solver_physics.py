@@ -363,6 +363,14 @@ _AC_CHORD_SPECS = {
 }
 
 
+def _global_matrix(system):
+    """The system's 3N x 3N matrix, built by scipy's own COO→CSR
+    conversion (the reference the shared patterns reproduce)."""
+    rows, cols, vals = system._assemble()
+    size = 3 * system.num_nodes
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+
+
 def _direct(system, frequency, solve):
     """``solve`` run on a twin of ``system`` without AC references."""
     return solve(ACSystem(system.structure, system.geometry,
@@ -400,7 +408,7 @@ class TestACChord:
         nominal = problem.solver.system_for()
         unknown = nominal._restricted_system(contacts).unknown
         wrong = SparseFactor(
-            100.0 * nominal._assemble()[unknown][:, unknown])
+            100.0 * _global_matrix(nominal)[unknown][:, unknown])
         geometry, doping = problem._sample_inputs(_draws(problem, 1)[0])
         sample = problem.solver.system_for(geometry, doping)
         fallbacks = backends._AC_CHORD_FALLBACKS.value()
@@ -504,7 +512,8 @@ class TestBatchedChords:
         solver = problem.solver
         nominal = solver.system_for()
         unknown = nominal._restricted_system(contacts).unknown
-        wrong = SparseFactor(100.0 * nominal._assemble()[unknown][:, unknown])
+        wrong = SparseFactor(
+            100.0 * _global_matrix(nominal)[unknown][:, unknown])
         references = {contacts: solver.ac_reference(contacts)}
         samples = [solver.system_for(*problem._sample_inputs(xi))
                    for xi in _draws(problem, AC_BATCH)]
