@@ -21,6 +21,10 @@ timed solve builds one.  Expected shape: no factorization and no
 fallback on the chord path, capacitances within ~1e-13 relative, and
 a speedup near 2x.
 
+The bench also records the fill of the nominal AC factor every chord
+step back-substitutes through (``reference_fill``, SuperLU's stored
+entries of L and U), so a change of ordering shows as an exact field.
+
 A third pass solves the same samples ``AC_BATCH`` to a block, their
 chords in lockstep (one multi-RHS back-substitution per step for the
 whole block, as a build's waves do), and reports the block steps, that
@@ -171,6 +175,8 @@ def test_ac_chord_speedup(benchmark, output_dir):
         problem = table2_spec(max_step_um=2.5, margin_um=2.5,
                               rdf_nodes=8).build_problem()
         samples = _perturbed_systems(problem, SAMPLES, SEED)
+        holder["fill"] = problem.solver.ac_reference(
+            problem.excitations).fill
         holder.update(_compare(problem, samples))
         holder.update(_compare_batched(problem, samples))
         return holder
@@ -183,6 +189,7 @@ def test_ac_chord_speedup(benchmark, output_dir):
         "AC CHORD: perturbed table2 AC solves, direct LU vs the "
         "nominal-factor chord",
         f"  samples: {SAMPLES} (seed {SEED})",
+        f"  nominal AC factor: {holder['fill']} stored entries",
         f"  direct: {holder['lu_direct']} LUs, "
         f"{holder['t_direct']:.2f}s",
         f"  chord:  {holder['lu_chord']} LUs, {holder['steps']} steps, "
@@ -195,6 +202,7 @@ def test_ac_chord_speedup(benchmark, output_dir):
         f"bitwise identical: {holder['bitwise']}",
     ]))
     write_bench_json(output_dir, "ac_chord", {
+        "reference_fill": holder["fill"],
         "direct_factorizations": holder["lu_direct"],
         "chord_factorizations": holder["lu_chord"],
         "chord_fallbacks": holder["fallbacks"],

@@ -12,7 +12,9 @@ This bench solves the same seeded perturbed samples of the fast-mesh
 Table II TSV twice — by full Newton and by the chord — and reports
 the factorizations each path pays, the chord's fallbacks to Newton,
 the largest potential gap between the two answers and the DC wall
-speedup.  Expected shape: no factorization and no fallback on the
+speedup, and the fill of the nominal DC factor every chord step
+back-substitutes through (``reference_fill``, SuperLU's stored entries
+of L and U).  Expected shape: no factorization and no fallback on the
 chord path, potentials within ~1e-13 V, and a several-fold speedup.
 """
 
@@ -66,7 +68,8 @@ def _compare(problem, samples) -> dict:
     reference = problem.solver.dc_reference()
     fallbacks = _CHORD_FALLBACKS.value()
     totals = {"t_newton": 0.0, "t_chord": 0.0, "lu_newton": 0,
-              "lu_chord": 0, "gap": 0.0, "steps": 0}
+              "lu_chord": 0, "gap": 0.0, "steps": 0,
+              "fill": reference.fill}
     for geometry, doping in samples:
         # Interleaved, so host-speed drift hits both paths alike.
         newton, t_newton, lu_newton = _timed_solve(
@@ -102,6 +105,7 @@ def test_dc_chord_speedup(benchmark, output_dir):
         "DC CHORD: perturbed table2 equilibria, full Newton vs the "
         "nominal-factor chord",
         f"  samples: {SAMPLES} (seed {SEED})",
+        f"  nominal DC factor: {holder['fill']} stored entries",
         f"  newton: {holder['lu_newton']} LUs, "
         f"{holder['t_newton']:.2f}s",
         f"  chord:  {holder['lu_chord']} LUs, {holder['steps']} steps, "
@@ -111,6 +115,7 @@ def test_dc_chord_speedup(benchmark, output_dir):
     ]))
     write_bench_json(output_dir, "dc_chord", {
         "samples": SAMPLES,
+        "reference_fill": holder["fill"],
         "newton_factorizations": holder["lu_newton"],
         "chord_factorizations": holder["lu_chord"],
         "chord_fallbacks": holder["fallbacks"],

@@ -10,10 +10,17 @@ NumPy cost.
 This bench builds the TSV (Table II) preset cold through
 ``ensure_surrogate``, then times a full warm round trip: spec hash ->
 store hit -> load -> mean + std + three quantiles from
-``query_samples`` surrogate samples.  Expected shape: the warm query is
-orders of magnitude (>= 50x asserted) faster than the cold build, and
-the second ``ensure_surrogate`` call performs *zero* deterministic
-solves — the instrumented solver count stays at 0.
+``query_samples`` surrogate samples.  The second ``ensure_surrogate``
+call must perform *zero* deterministic solves — the instrumented
+solver count stays at 0.
+
+The gate is the warm round trip's own wall, calibrated: the fastest of
+``WARM_REPEATS`` round trips, each drawing a fresh quantile stream (a
+sample-bank miss), divided by the fastest run of a reference kernel
+timed beside them.  The kernel is the bench's own numpy code (draw,
+evaluate a quadratic, sort), so no program change can move it, and
+the ratio cancels most of the machine's speed.  The cold/warm ratio is
+reported, not gated: a faster build would read as a slower query.
 """
 
 import statistics
@@ -25,11 +32,22 @@ import pytest
 from repro.experiments import table2_spec
 from repro.reporting import format_kv_block
 from repro.serving import QueryEngine, SurrogateStore, ensure_surrogate
+from repro.serving.query import _BANK_MISSES
 from repro.solver.avsolver import AVSolver
 
 from conftest import write_bench_json, write_report
 
 QUANTILES = (0.01, 0.5, 0.99)
+#: Warm round trips timed, each on a fresh seed; the fastest counts.
+WARM_REPEATS = 3
+#: Ceiling on ``warm_query_calibrated``.  Twenty runs on a 2-core host,
+#: ten on each of two builds of different speed, read 1.16-1.56 (medians
+#: 1.32 and 1.28); a warm path twice as slow reads above it.
+WARM_CALIBRATED_CEILING = 2.0
+#: Shape of the reference kernel's draw: standard normals per sample,
+#: and outputs of the quadratic it evaluates.
+REFERENCE_DIM = 8
+REFERENCE_OUTPUTS = 6
 
 
 @pytest.fixture()
@@ -70,6 +88,22 @@ def _serving_spec(profile):
     return table2_spec(reduction={"caps": caps}, **cfg["params"])
 
 
+def _reference_kernel(num_samples: int) -> float:
+    """Seconds of the bench's yardstick: draw ``num_samples`` standard
+    normal rows, evaluate a fixed quadratic of them and sort each
+    output, in plain numpy — a warm quantile query's arithmetic
+    without the program's code."""
+    rng = np.random.default_rng(0)
+    coefficients = rng.standard_normal(
+        (2 * REFERENCE_DIM + 1, REFERENCE_OUTPUTS))
+    start = time.perf_counter()
+    zeta = rng.standard_normal((num_samples, REFERENCE_DIM))
+    design = np.hstack([np.ones((num_samples, 1)), zeta, zeta**2 - 1.0])
+    values = (design @ coefficients).T.copy()
+    values.sort(axis=1)
+    return time.perf_counter() - start
+
+
 def test_warm_query_vs_cold_build(profile, output_dir, tmp_path,
                                   solve_counter):
     spec = _serving_spec(profile)
@@ -83,16 +117,23 @@ def test_warm_query_vs_cold_build(profile, output_dir, tmp_path,
     cold_solves = solve_counter["count"]
     assert cold_solves == cold.num_solves > 0
 
-    # Warm round trip: hash -> hit -> load -> mean/std/quantiles.
+    # Warm round trips: hash -> hit -> load -> mean/std/quantiles, each
+    # on a stream no earlier query drew, interleaved with the kernel.
     solve_counter["count"] = 0
-    start = time.perf_counter()
-    warm = ensure_surrogate(spec, store)
-    engine = QueryEngine(warm.record, num_samples=samples)
-    mean = engine.mean()
-    std = engine.std()
-    quantiles = engine.quantiles(QUANTILES)
-    warm_time = time.perf_counter() - start
+    misses = _BANK_MISSES.value()
+    warm_time = reference_time = float("inf")
+    for trip in range(WARM_REPEATS):
+        reference_time = min(reference_time, _reference_kernel(samples))
+        start = time.perf_counter()
+        warm = ensure_surrogate(spec, store)
+        engine = QueryEngine(warm.record, num_samples=samples,
+                             seed=1 + trip)
+        mean = engine.mean()
+        std = engine.std()
+        quantiles = engine.quantiles(QUANTILES)
+        warm_time = min(warm_time, time.perf_counter() - start)
 
+    assert _BANK_MISSES.value() - misses == WARM_REPEATS
     assert not warm.built
     assert warm.num_solves == 0
     assert solve_counter["count"] == 0, \
@@ -102,7 +143,7 @@ def test_warm_query_vs_cold_build(profile, output_dir, tmp_path,
     assert np.all(std > 0.0)
     assert np.all(quantiles[0] <= quantiles[-1])
 
-    speedup = cold_time / warm_time
+    calibrated = warm_time / reference_time
     rows = [
         ("cache key", spec.cache_key()[:16] + "..."),
         ("reduced dim d", str(sum(g["reduced_size"]
@@ -110,9 +151,11 @@ def test_warm_query_vs_cold_build(profile, output_dir, tmp_path,
         ("cold build solves", str(cold_solves)),
         ("cold build [s]", f"{cold_time:.3f}"),
         ("warm solves", "0"),
-        (f"warm query [s] (mean/std/q x {samples} samples)",
-         f"{warm_time:.4f}"),
-        ("speedup", f"{speedup:.1f}x"),
+        (f"warm query [s] (mean/std/q x {samples} samples, fastest of "
+         f"{WARM_REPEATS})", f"{warm_time:.4f}"),
+        ("reference kernel [s]", f"{reference_time:.4f}"),
+        ("warm query / reference kernel", f"{calibrated:.2f}"),
+        ("cold build / warm query", f"{cold_time / warm_time:.1f}x"),
         ("C_T1 mean/std [F]", f"{mean[0]:.4e} / {std[0]:.4e}"),
         ("C_T1 q01/q50/q99 [F]",
          " / ".join(f"{q:.4e}" for q in quantiles[:, 0])),
@@ -124,10 +167,12 @@ def test_warm_query_vs_cold_build(profile, output_dir, tmp_path,
         "cold_build_solves": int(cold_solves),
         "wall_time_cold_s": cold_time,
         "wall_time_warm_s": warm_time,
-        "speedup": speedup,
+        "wall_time_reference_s": reference_time,
+        "warm_query_calibrated": calibrated,
         "query_samples": int(samples),
     })
-    assert speedup >= 50.0
+    assert calibrated <= WARM_CALIBRATED_CEILING, \
+        f"warm round trip {calibrated:.2f}x the reference kernel"
 
 
 def test_observability_zero_overhead(profile, output_dir, tmp_path):

@@ -21,6 +21,10 @@ the snapshot:
 * **speedup fields** — wall-clock-derived and therefore machine-
   dependent; the fresh value must stay above 30% of the baseline
   (a collapsed speedup means a hot path got slow).
+* **calibrated fields** (name contains ``calibrated``) — a wall time
+  divided by a reference kernel the bench times beside it, so most
+  of the machine's speed cancels; the fresh value may not exceed
+  2 x the baseline (a path that got twice as slow).
 * **overhead fields** (name contains ``overhead``) — ratios of
   instrumented to uninstrumented wall time; gated against an absolute
   ceiling (1.05) rather than the baseline, because the contract is
@@ -62,6 +66,8 @@ ERROR_SLACK = 2.0
 ERROR_FLOOR = 1e-12
 #: Wall-derived speedups must keep this fraction of the baseline.
 SPEEDUP_FLOOR = 0.3
+#: Calibrated walls may grow to this multiple of the baseline.
+CALIBRATED_SLACK = 2.0
 #: Overhead ratios (instrumented / uninstrumented wall) must stay
 #: below this absolute ceiling — the baseline value is irrelevant.
 #: 1.05 = the 2% observability contract plus the ±3% wall-clock noise
@@ -79,6 +85,8 @@ def classify(name: str) -> str:
     leaf = name.rsplit(".", 1)[-1]
     if any(token in leaf for token in IGNORE_TOKENS):
         return "ignore"
+    if "calibrated" in leaf:
+        return "calibrated"
     if "speedup" in leaf:
         return "speedup"
     if "overhead" in leaf:
@@ -110,6 +118,14 @@ def _compare_number(path: str, fresh, base, problems: list) -> None:
             problems.append(
                 f"{path}: speedup {fresh:.3g} fell below {floor:.3g} "
                 f"(baseline {base:.3g} x {SPEEDUP_FLOOR})")
+        return
+    if rule == "calibrated":
+        ceiling = CALIBRATED_SLACK * base
+        if fresh > ceiling:
+            problems.append(
+                f"{path}: calibrated wall {fresh:.3g} exceeds "
+                f"{ceiling:.3g} (baseline {base:.3g} x "
+                f"{CALIBRATED_SLACK})")
         return
     if rule == "overhead":
         if fresh > OVERHEAD_CEILING:

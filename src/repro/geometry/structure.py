@@ -135,12 +135,21 @@ class Structure:
     # Derived data
     # ------------------------------------------------------------------
     def cell_kind_masks(self):
-        """Per-cell boolean masks ``(metal, semiconductor, insulator)``."""
-        kinds = np.array([m.kind for m in self.materials.materials])
-        cell_kinds = kinds[self.cell_materials]
-        return (cell_kinds == MaterialKind.METAL,
-                cell_kinds == MaterialKind.SEMICONDUCTOR,
-                cell_kinds == MaterialKind.INSULATOR)
+        """Per-cell boolean masks ``(metal, semiconductor, insulator)``.
+
+        Read-only arrays, computed once per layout (:meth:`derived`).
+        """
+        def compute():
+            kinds = np.array([m.kind for m in self.materials.materials])
+            cell_kinds = kinds[self.cell_materials]
+            masks = tuple(cell_kinds == kind for kind in (
+                MaterialKind.METAL, MaterialKind.SEMICONDUCTOR,
+                MaterialKind.INSULATOR))
+            for mask in masks:
+                mask.setflags(write=False)
+            return masks
+
+        return self.derived("cell_kind_masks", compute)
 
     def _scatter_cells_to_nodes(self, cell_mask: np.ndarray) -> np.ndarray:
         """True for nodes touching at least one cell where the mask holds."""
@@ -177,8 +186,8 @@ class Structure:
     def derived(self, key: str, compute):
         """``compute()``, cached under ``key`` until the layout changes.
 
-        For data that other layers derive from the material layout
-        alone, such as the conductor labels of
+        For data derived from the material layout alone, such as
+        :meth:`cell_kind_masks` and the conductor labels of
         :mod:`repro.extraction.capacitance`: computed once per
         structure instead of once per sample, and dropped with the
         node classification when a box is painted.  The cache lives

@@ -53,10 +53,10 @@ from repro.solver.linear import SparseFactor
 
 #: Samples per lockstep AC block in :meth:`AVSolver.solve_samples`.  A
 #: back-substitution through the nominal complex factor of the fast
-#: TSV mesh costs 1.24 ms for one column and 0.77 ms per column for 4
-#: (0.55 ms for 16), while every sample of a block keeps its system
-#: alive until the block is solved: 4 takes most of the per-column
-#: saving at the memory of 4 samples.
+#: TSV mesh costs 0.79 ms for one column and 0.54 ms per column for 4
+#: (0.53 ms for 16), while every sample of a block keeps its system
+#: alive until the block is solved: 4 takes the per-column saving at
+#: the memory of 4 samples.
 AC_BATCH = 4
 
 

@@ -7,6 +7,15 @@ Row/column max-scaling (:func:`max_scaled`) before the LU keeps
 SuperLU's pivoting healthy; the scaling is undone on the solution so
 callers never see it.
 
+Every LU of the program is one ``splu`` call with one fixed setting:
+SuperLU's symmetric mode, a minimum-degree ordering on the pattern of
+``A^T + A`` (:data:`PERMC_SPEC`) and a diagonal pivot threshold of
+:data:`DIAG_PIVOT_THRESH`.  The scaled coupled and DC matrices are
+nearly symmetric in pattern with strong diagonals, so the ordering
+keeps far less fill than the default COLAMD, and every later
+back-substitution walks a smaller factor (``docs/SOLVER.md``,
+"Ordering").
+
 Two entry points:
 
 * :class:`SparseFactor` — factorize once, solve many right-hand sides
@@ -46,6 +55,15 @@ _PATTERNS = counter(
     "repro_solver_sparsity_patterns_total",
     "Symbolic sparsity patterns built (SparsityPattern constructions), "
     "labeled by system: ac or dc")
+
+#: SuperLU's column ordering: minimum degree on the pattern of A^T + A.
+PERMC_SPEC = "MMD_AT_PLUS_A"
+#: A diagonal entry is kept as the pivot while it is at least this
+#: fraction of its column's largest candidate.
+DIAG_PIVOT_THRESH = 0.1
+#: SuperLU's symmetric mode: pivot on the diagonal where the threshold
+#: allows, so the symmetric ordering survives the factorization.
+SYMMETRIC_MODE = True
 
 
 def _max_abs_rows(matrix: sp.csr_matrix) -> np.ndarray:
@@ -113,10 +131,13 @@ class SparseFactor:
     """Reusable max-scaled sparse LU factorization of a square matrix.
 
     Factorizes once in ``__init__`` (row/column max-scaling plus a
-    SuperLU decomposition) and answers any number of :meth:`solve` calls
-    against the same matrix — the expensive part of a multi-port or
-    multi-excitation study is thereby paid once per matrix instead of
-    once per right-hand side.
+    SuperLU decomposition in symmetric mode, ordered by
+    :data:`PERMC_SPEC` with pivot threshold :data:`DIAG_PIVOT_THRESH`)
+    and answers any number of :meth:`solve` calls against the same
+    matrix — the expensive part of a multi-port or multi-excitation
+    study is thereby paid once per matrix instead of once per
+    right-hand side.  Each back-substitution walks the whole factor,
+    so its cost scales with :attr:`fill`.
 
     Parameters
     ----------
@@ -145,14 +166,31 @@ class SparseFactor:
             self._col_scale = None
             return
 
-        with span("factorize", n=n):
+        with span("factorize", n=n) as node:
             scaled, self._row_scale, self._col_scale = max_scaled(matrix)
             try:
-                self._lu = spla.splu(scaled.tocsc())
+                self._lu = spla.splu(
+                    scaled.tocsc(), permc_spec=PERMC_SPEC,
+                    diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                    options={"SymmetricMode": SYMMETRIC_MODE})
             except RuntimeError as exc:
                 raise SingularSystemError(
                     f"sparse LU failed: {exc}") from exc
+            node.attrs["fill"] = self.fill
         _FACTORIZATIONS.inc()
+
+    @property
+    def fill(self) -> int:
+        """Entries of the L and U factors as SuperLU stores them
+        (0 for an empty system).
+
+        SuperLU's own count, its supernodal storage with the explicit
+        zeros a back-substitution also walks.  It is read without
+        converting the factor: scipy's ``L`` and ``U`` attributes
+        build CSC copies of both factors and keep them on the factor
+        for its life.
+        """
+        return 0 if self._lu is None else int(self._lu.nnz)
 
     # ------------------------------------------------------------------
     def solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ BASE = {
     "solve_reduction": 5.551724137931035,
     "wall_adaptive_s": 4.2,
     "warm_obs_overhead": 1.004,
+    "warm_query_calibrated": 1.5,
     "nested": {"grid_points": 29, "zero_weight_points": 0},
 }
 
@@ -78,6 +79,15 @@ class TestGatePasses:
         _write(fresh, {**BASE, "speedup": 40.0})
         assert _run(baseline, fresh) == 0
 
+    def test_calibrated_wall_within_slack_passes(self, dirs):
+        # Calibrated walls may drift (and improve) freely up to twice
+        # the baseline.
+        baseline, fresh = dirs
+        _write(baseline, BASE)
+        for value in (0.5, 2.9):
+            _write(fresh, {**BASE, "warm_query_calibrated": value})
+            assert _run(baseline, fresh) == 0
+
     def test_overhead_under_ceiling_passes(self, dirs):
         # Overhead is an absolute gate: even an overhead well above
         # the baseline value passes as long as it stays under the
@@ -109,6 +119,7 @@ class TestGateFails:
         {"warm_obs_overhead": 1.06},          # > absolute ceiling
         {"nested": {"grid_points": 31,
                     "zero_weight_points": 0}},
+        {"warm_query_calibrated": 3.1},       # > 2x baseline
     ])
     def test_regressions_fail(self, dirs, perturbation, capsys):
         baseline, fresh = dirs

@@ -71,6 +71,12 @@ class TestSparseFactor:
         with pytest.raises(SingularSystemError):
             factor.solve(np.ones(4))
 
+    def test_fill(self):
+        # An identity stores the unit diagonal of L and the diagonal of
+        # U; an empty system has no factor at all.
+        assert SparseFactor(sp.eye(3, format="csr")).fill == 6
+        assert SparseFactor(sp.csr_matrix((0, 0))).fill == 0
+
 
 class TestEmptySystemDtype:
     """The ``n == 0`` early return promotes to the result dtype."""

@@ -72,6 +72,42 @@ class TestStructure:
         assert metal_cells.sum() == 2 * 2 * 2
         assert semi_cells.sum() == 4 * 4 * 2
 
+    def test_cell_kind_masks_are_cached_read_only(self):
+        s = self._structure()
+        masks = s.cell_kind_masks()
+        assert all(a is b for a, b in zip(masks, s.cell_kind_masks()))
+        assert not any(mask.flags.writeable for mask in masks)
+
+    def test_painting_a_box_drops_the_cell_kind_masks(self):
+        s = self._structure()
+        metal_before, _, _ = s.cell_kind_masks()
+        s.add_box(tungsten("w2"), Box((0, 0, 0), (1e-6, 1e-6, 1e-6)))
+        metal_after, _, _ = s.cell_kind_masks()
+        assert metal_after.sum() == metal_before.sum() + 1
+
+    def test_a_wave_computes_the_cell_kind_masks_once(self, monkeypatch):
+        from repro.experiments import table2_spec
+        from repro.variation.random_field import stable_cholesky
+
+        computed = []
+        derived = Structure.derived
+
+        def counting(self, key, compute):
+            def counted():
+                computed.append(key)
+                return compute()
+            return derived(self, key, counted)
+
+        monkeypatch.setattr(Structure, "derived", counting)
+        problem = table2_spec(max_step_um=2.5, margin_um=2.5,
+                              rdf_nodes=8).build_problem()
+        rng = np.random.default_rng(3)
+        xis = [{group.name: stable_cholesky(group.covariance)
+                @ rng.standard_normal(group.size)
+                for group in problem.groups} for _ in range(5)]
+        assert problem.evaluate_samples(xis).shape[0] == 5
+        assert computed.count("cell_kind_masks") == 1
+
     def test_empty_box_rejected(self):
         s = self._structure()
         with pytest.raises(GeometryError):

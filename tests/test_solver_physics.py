@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import repro.solver.avsolver as avsolver
 import repro.solver.newton as newton
@@ -34,7 +35,7 @@ from repro.solver import AVSolver, SparseFactor, backends
 from repro.solver.ac import ACSystem, solve_systems
 from repro.solver.avsolver import AC_BATCH
 from repro.solver.dc import solve_equilibrium
-from repro.solver.linear import _FACTORIZATIONS
+from repro.solver.linear import _FACTORIZATIONS, max_scaled, row_scaling
 from repro.units import um
 from repro.variation.random_field import stable_cholesky
 
@@ -605,6 +606,45 @@ class TestBatchedChords:
         assert len(alive) == 14
         assert max(peak) == AC_BATCH
         assert all(ref() is None for ref in alive)
+
+
+@pytest.fixture(scope="module", params=sorted(_CHORD_SPECS))
+def nominal_matrices(request):
+    """The nominal restricted AC matrix and converged DC Jacobian of a
+    paper structure, by system."""
+    problem = _CHORD_SPECS[request.param]().build_problem()
+    nominal = problem.solver.system_for()
+    unknown = nominal._restricted_system(
+        frozenset(problem.excitations)).unknown
+    return {"ac": _global_matrix(nominal)[unknown][:, unknown].tocsr(),
+            "dc": nominal.equilibrium.jacobian().tocsr()}
+
+
+@pytest.mark.parametrize("system", ["ac", "dc"])
+class TestOrdering:
+    """The symmetric-mode LU of the paper's matrices: less fill than
+    SuperLU's default, at the chord's certificate."""
+
+    def test_fill_is_below_the_default_ordering(self, nominal_matrices,
+                                                system):
+        matrix = nominal_matrices[system]
+        default = spla.splu(max_scaled(matrix)[0].tocsc())
+        assert 0 < SparseFactor(matrix).fill < default.nnz
+
+    def test_solves_reach_the_chord_certificate(self, nominal_matrices,
+                                                system):
+        matrix = nominal_matrices[system]
+        factor = SparseFactor(matrix)
+        rows = row_scaling(matrix)
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            rhs = rng.standard_normal(matrix.shape[0])
+            if system == "ac":
+                rhs = rhs + 1j * rng.standard_normal(matrix.shape[0])
+            residual = rhs - matrix @ factor.solve(rhs)
+            assert (np.linalg.norm(rows * residual)
+                    <= backends.CHORD_TOLERANCE
+                    * np.linalg.norm(rows * rhs))
 
 
 class TestACAssembly:

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the linear-solve substrate.
 
-Three invariants that example-based tests only sample:
+Four invariants that example-based tests only sample:
 
 * ``_max_abs_rows`` — the dense-free CSR per-row max used by the
   equilibration — agrees with the dense definition on *any* sparsity
@@ -9,6 +9,9 @@ Three invariants that example-based tests only sample:
   indefinite diagonally-dominant systems (real and complex) within a
   tight residual, and a multi-RHS solve equals its stacked
   single-RHS solves bit for bit;
+* its symmetric-mode pivoting keeps a small row-scaled residual on
+  non-symmetric matrices with an empty diagonal, badly row- and
+  column-scaled;
 * :func:`~repro.solver.sweep.frequency_sweep` dedups duplicate
   frequencies: any multiset drawn from a palette yields exactly the
   matching rows of the full sweep, bitwise.
@@ -20,11 +23,11 @@ shrink to a minimal reproducible seed instead of a flaky array.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.solver import SparseFactor
-from repro.solver.linear import _max_abs_rows
+from repro.solver.linear import _max_abs_rows, row_scaling
 from repro.solver.sweep import frequency_sweep
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -112,6 +115,56 @@ class TestSparseFactorRoundTrip:
         for j in range(k):
             single = factor.solve(np.ascontiguousarray(block[:, j]))
             assert np.array_equal(stacked[:, j], single)
+
+
+def _zero_diagonal_matrix(n, density, rng, complex_matrix):
+    """A random non-symmetric matrix with an empty diagonal.
+
+    Each row holds one entry of magnitude 2-6 on a random permutation
+    without fixed points, so every pivot must come off the diagonal,
+    plus random entries of magnitude 0.5-1.5 and random sign (or
+    phase) elsewhere.
+    """
+    perm = rng.permutation(n)
+    while np.any(perm == np.arange(n)):
+        perm = rng.permutation(n)
+    extra = rng.random((n, n)) < density
+    np.fill_diagonal(extra, False)
+    rows, cols = np.nonzero(extra)
+    size = n + rows.size
+    values = rng.uniform(0.5, 1.5, size) * rng.choice([-1.0, 1.0], size)
+    values[:n] *= 4.0
+    if complex_matrix:
+        values = values * np.exp(2j * np.pi * rng.random(size))
+    return sp.csr_matrix(
+        (values, (np.concatenate([np.arange(n), rows]),
+                  np.concatenate([perm, cols]))), shape=(n, n))
+
+
+class TestPivoting:
+    """The LU's symmetric mode prefers diagonal pivots under a 0.1
+    threshold; a zero diagonal and wild scaling must not cost it its
+    accuracy."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 40), density=st.floats(0.0, 0.3),
+           seed=SEEDS, complex_matrix=st.booleans())
+    def test_zero_diagonal_badly_scaled_residual(self, n, density, seed,
+                                                 complex_matrix):
+        rng = np.random.default_rng(seed)
+        matrix = _zero_diagonal_matrix(n, density, rng, complex_matrix)
+        assume(np.linalg.cond(matrix.toarray()) <= 1.0e6)
+        # Rows over 24 orders of magnitude, columns over 6: the spread
+        # max-scaling must undo before SuperLU pivots.
+        matrix = (sp.diags(10.0 ** rng.uniform(-12.0, 12.0, n)) @ matrix
+                  @ sp.diags(10.0 ** rng.uniform(-3.0, 3.0, n))).tocsr()
+        rhs = rng.standard_normal(n)
+        if complex_matrix:
+            rhs = rhs + 1j * rng.standard_normal(n)
+        x = SparseFactor(matrix).solve(rhs)
+        rows = row_scaling(matrix)
+        assert (np.linalg.norm(rows * (rhs - matrix @ x))
+                <= 1.0e-10 * np.linalg.norm(rows * rhs))
 
 
 # ----------------------------------------------------------------------
