@@ -4,8 +4,9 @@ authoritative.
 A plain :class:`~repro.serving.store.SurrogateStore` lists and looks up
 warm starts by reading every JSON sidecar.  A long-lived daemon keeps
 one :class:`~repro.serving.store.EntrySummary` per entry in memory
-instead, so those paths cost one directory scan plus the sidecars that
-changed since the last one.
+instead, beside the entry's listing row already encoded as JSON, so
+those paths cost one directory scan plus the sidecars that changed
+since the last one, and a listing joins encoded rows.
 
 * **Disk wins.**  :meth:`StoreIndex.refresh` runs before every cached
   read and re-reads exactly the sidecars whose ``(st_ino, st_mtime_ns,
@@ -18,10 +19,15 @@ changed since the last one.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 
-from repro.serving.store import SurrogateStore, is_cache_key
+from repro.serving.store import (
+    CACHE_KEY_PATTERN,
+    SurrogateStore,
+    inventory_order,
+)
 
 
 class StoreIndex:
@@ -29,14 +35,15 @@ class StoreIndex:
 
     def __init__(self):
         self._lock = threading.Lock()
-        #: key -> ((st_ino, st_mtime_ns, st_size), EntrySummary)
+        #: key -> ((st_ino, st_mtime_ns, st_size), EntrySummary,
+        #: the summary's row as JSON text)
         self._entries = {}
 
     def refresh(self, store: SurrogateStore) -> int:
         """Sync with the directory; returns how many entries changed.
 
         An unchanged store costs one ``os.scandir`` pass with a
-        ``stat`` per sidecar and no JSON parsing.
+        ``stat`` per sidecar and no JSON parsing or encoding.
         """
         with self._lock:
             disk = _scan(store.root)
@@ -53,7 +60,9 @@ class StoreIndex:
                 if summary is None:
                     self._entries.pop(key, None)
                 else:
-                    self._entries[key] = (stamp, summary)
+                    self._entries[key] = (
+                        stamp, summary,
+                        json.dumps(summary.row, sort_keys=True))
                     changed += 1
             return changed
 
@@ -61,24 +70,40 @@ class StoreIndex:
         """The cached ``key -> EntrySummary`` (call refresh first)."""
         with self._lock:
             return {key: summary
-                    for key, (_, summary) in self._entries.items()}
+                    for key, (_, summary, _) in self._entries.items()}
+
+    def inventory_json(self) -> str:
+        """The cached inventory as JSON text, byte for byte
+        ``json.dumps(store.inventory(), sort_keys=True)`` (call refresh
+        first): the rows' own encodings, joined in inventory order."""
+        with self._lock:
+            held = [(summary.row, encoded)
+                    for _, summary, encoded in self._entries.values()]
+        held.sort(key=lambda item: inventory_order(item[0]))
+        return "[" + ", ".join(encoded for _, encoded in held) + "]"
 
 
 def _scan(root) -> dict:
-    """Complete entries on disk: key -> sidecar stat stamp."""
+    """Complete entries on disk: key -> sidecar stat stamp.
+
+    An entry's files are named ``<key>.npz`` and ``<key>.json``; the
+    length test turns every other name away before the pattern runs.
+    """
     sidecars, payloads = {}, set()
     try:
         with os.scandir(root) as scan:
             for entry in scan:
                 name = entry.name
-                if name.endswith(".npz") and is_cache_key(name[:-4]):
-                    payloads.add(name[:-4])
-                elif name.endswith(".json") and is_cache_key(name[:-5]):
+                if len(name) == 68 and name.endswith(".npz") \
+                        and CACHE_KEY_PATTERN.fullmatch(name, 0, 64):
+                    payloads.add(name[:64])
+                elif len(name) == 69 and name.endswith(".json") \
+                        and CACHE_KEY_PATTERN.fullmatch(name, 0, 64):
                     try:
                         stat = entry.stat()
                     except OSError:
                         continue
-                    sidecars[name[:-5]] = (stat.st_ino, stat.st_mtime_ns,
+                    sidecars[name[:64]] = (stat.st_ino, stat.st_mtime_ns,
                                            stat.st_size)
     except FileNotFoundError:
         return {}
@@ -97,3 +122,10 @@ class IndexedSurrogateStore(SurrogateStore):
     def summaries(self) -> dict:
         self.index.refresh(self)
         return self.index.summaries()
+
+    def inventory_json(self) -> str:
+        """:meth:`inventory` as JSON text, ``json.dumps(self.inventory(),
+        sort_keys=True)`` byte for byte, from rows encoded when their
+        sidecar last changed."""
+        self.index.refresh(self)
+        return self.index.inventory_json()

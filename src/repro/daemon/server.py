@@ -298,6 +298,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-daemon"
     protocol_version = "HTTP/1.1"
+    # A response goes out as two writes, headers then body.  With
+    # Nagle's algorithm on, a client that keeps its connection alive
+    # (HTTP/1.1's default) got the body only after its own delayed ACK,
+    # ~40 ms per request; TCP_NODELAY sends it at once.
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ReproDaemon:
@@ -387,10 +392,14 @@ class _Handler(BaseHTTPRequestHandler):
             elif self.path == "/stats":
                 self._send(200, self.app.stats())
             elif self.path == "/store":
-                self._send(200, {
-                    "store": str(self.app.store.root),
-                    "entries": self.app.store.inventory(),
-                })
+                # What _send makes of {"store": ..., "entries":
+                # inventory()}, byte for byte, from rows the index
+                # encoded when their sidecars last changed.
+                store = self.app.store
+                body = ('{"entries": ' + store.inventory_json()
+                        + ', "store": ' + json.dumps(str(store.root))
+                        + "}\n")
+                self._send_bytes(200, body.encode(), "application/json")
             elif self.path == "/campaign":
                 self._send(200, {
                     "store": str(self.app.store.root),

@@ -66,49 +66,77 @@ def _sample_count(value) -> int:
     return int(value)
 
 
-class SampleBank:
+class BudgetLRU:
+    """Thread-safe least-recently-used map under a fixed byte budget.
+
+    Every ``get`` of a key hands out the same object, so callers keep
+    only values nobody writes to.  Keys should name content, never a
+    store entry: then nothing has to be evicted when an entry is
+    rewritten or deleted, and unused values age out.  The caller
+    builds a value outside the lock; when two callers put the same key
+    the first insert wins.
+    """
+
+    def __init__(self, budget_bytes: int):
+        self.budget_bytes = int(budget_bytes)
+        self.nbytes = 0
+        self._values = OrderedDict()  # key -> (value, nbytes)
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        """The value under ``key`` (now most recent), or None."""
+        with self._lock:
+            held = self._values.get(key)
+            if held is None:
+                return None
+            self._values.move_to_end(key)
+            return held[0]
+
+    def put(self, key, value, nbytes: int) -> int:
+        """Hold ``value``, counted as ``nbytes``, evicting
+        least-recently-used values until it fits; returns how many
+        were evicted.  A value larger than the whole budget is not
+        held."""
+        if nbytes > self.budget_bytes:
+            return 0
+        evicted = 0
+        with self._lock:
+            if key in self._values:
+                return 0
+            while self.nbytes + nbytes > self.budget_bytes:
+                _, (_, size) = self._values.popitem(last=False)
+                self.nbytes -= size
+                evicted += 1
+            self._values[key] = (value, nbytes)
+            self.nbytes += nbytes
+        return evicted
+
+
+class SampleBank(BudgetLRU):
     """LRU of sorted sample streams under a fixed byte budget.
 
     A stream is keyed by ``(digest, num_samples, seed)``, where
     ``digest`` hashes the surrogate's basis and coefficients, and is
     held as a read-only ``(output_dim, num_samples)`` array whose rows
     are sorted.  The key names the content, not the store entry, so a
-    rebuilt surrogate never reads a stale stream and nothing has to be
-    evicted when an entry is deleted: unused streams age out.
-    Thread-safe; the caller draws and sorts outside the lock, and when
-    two callers bank the same stream the first insert wins.
+    rebuilt surrogate never reads a stale stream.
     """
 
     def __init__(self, budget_bytes: int = SAMPLE_BANK_BYTES):
-        self.budget_bytes = int(budget_bytes)
-        self.nbytes = 0
-        self._streams = OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(budget_bytes)
 
     def get(self, key):
         """The banked stream under ``key`` (now most recent), or None."""
-        with self._lock:
-            columns = self._streams.get(key)
-            if columns is not None:
-                self._streams.move_to_end(key)
+        columns = super().get(key)
         (_BANK_MISSES if columns is None else _BANK_HITS).inc()
         return columns
 
     def put(self, key, columns: np.ndarray) -> None:
-        """Bank ``columns``, evicting least-recently-used streams until
-        it fits; a stream larger than the whole budget is not banked."""
-        if columns.nbytes > self.budget_bytes:
-            return
-        with self._lock:
-            if key in self._streams:
-                return
-            while self.nbytes + columns.nbytes > self.budget_bytes:
-                _, evicted = self._streams.popitem(last=False)
-                self.nbytes -= evicted.nbytes
-                _BANK_EVICTIONS.inc()
-            self._streams[key] = columns
-            self.nbytes += columns.nbytes
-            _BANK_BYTES.set(self.nbytes)
+        """Bank ``columns`` (see :meth:`BudgetLRU.put`)."""
+        evicted = super().put(key, columns, columns.nbytes)
+        if evicted:
+            _BANK_EVICTIONS.inc(evicted)
+        _BANK_BYTES.set(self.nbytes)
 
 
 #: The process-level bank every :class:`QueryEngine` shares.

@@ -8,7 +8,8 @@ metadata, schema version and the payload's sha256).  Writes are atomic
 (tmp file + rename) and reads verify the checksum, the schema version
 and the key, so a torn write or a bit flip surfaces as
 :class:`~repro.errors.StoreCorruptionError` instead of silently wrong
-statistics.
+statistics.  Every read verifies; only the decode of payload bytes
+this process has decoded before is reused (:data:`DECODED_PAYLOADS`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from repro.errors import (
     StoreCorruptionError,
     StoreSchemaError,
 )
+from repro.obs.metrics import counter
+from repro.serving.query import BudgetLRU
 from repro.serving.spec import ProblemSpec, canonical_json
 from repro.stochastic.pce import PolynomialChaos
 
@@ -52,11 +55,33 @@ EXPLICIT_BASIS_SCHEMA_VERSION = 2
 SUPPORTED_SCHEMA_VERSIONS = (SCHEMA_VERSION,
                              EXPLICIT_BASIS_SCHEMA_VERSION)
 
+#: Byte budget of :data:`DECODED_PAYLOADS`, counted in payload bytes
+#: (the npz holds the arrays its decode builds).  A Table II-shaped
+#: payload (d=7, six outputs) is 2.9 KB and a paper-size one (d=34)
+#: 31 KB, so the budget holds ~500 paper-size decodes.
+DECODED_PAYLOAD_BYTES = 16 * 2**20
+
+#: ``payload sha256 -> PolynomialChaos`` of every payload this process
+#: decoded recently.  The key names the bytes, not the entry, so a
+#: rewrite under the same key reads as new bytes, and a deleted or
+#: evicted entry's decode just ages out.
+DECODED_PAYLOADS = BudgetLRU(DECODED_PAYLOAD_BYTES)
+
+_PAYLOAD_DECODES = counter(
+    "repro_store_payload_decodes_total",
+    "Verified store payloads decoded into a chaos; a hit on bytes "
+    "already decoded reuses that decode")
+
+#: 64 lowercase hex digits: the form of every cache key and campaign
+#: id (see :func:`is_cache_key`).
+CACHE_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
+
+
 def is_cache_key(name) -> bool:
     """Is ``name`` 64 lowercase hex digits, the form of every cache key
     and campaign id?  Listings skip any other name in the store."""
-    return isinstance(name, str) \
-        and re.fullmatch(r"[0-9a-f]{64}", name) is not None
+    return isinstance(name, str) and len(name) == 64 \
+        and CACHE_KEY_PATTERN.fullmatch(name) is not None
 
 
 @dataclass
@@ -246,7 +271,9 @@ class SurrogateStore:
         SurrogateRecord or None
             ``None`` on a clean miss; raises
             :class:`~repro.errors.StoreCorruptionError` /
-            :class:`~repro.errors.StoreSchemaError` on damage.
+            :class:`~repro.errors.StoreSchemaError` on damage.  The
+            record's chaos is shared with every other read of the same
+            payload bytes, and its arrays are read-only.
 
         Notes
         -----
@@ -402,8 +429,7 @@ class SurrogateStore:
         """
         entries = [dict(summary.row)
                    for summary in self.summaries().values()]
-        entries.sort(key=lambda entry: (-entry.get("last_used", 0.0),
-                                        entry["key"]))
+        entries.sort(key=inventory_order)
         return entries
 
     def _read(self, key: str) -> SurrogateRecord | None:
@@ -425,12 +451,13 @@ class SurrogateStore:
             raise StoreCorruptionError(
                 f"payload checksum mismatch for {key}: stored "
                 f"{sidecar['npz_sha256'][:12]}..., found {digest[:12]}...")
-        try:
-            with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
-                pce = PolynomialChaos.from_arrays(dict(npz.items()))
-        except Exception as exc:
-            raise StoreCorruptionError(
-                f"undecodable payload for {key}: {exc}") from exc
+        # Only verified bytes reach the decode cache, and every hit
+        # verifies its own bytes first, so the cache never answers for
+        # a payload that changed on disk.
+        pce = DECODED_PAYLOADS.get(digest)
+        if pce is None:
+            pce = _decode_payload(key, payload)
+            DECODED_PAYLOADS.put(digest, pce, len(payload))
         try:
             spec = ProblemSpec.from_dict(sidecar["spec"])
         except ServingError as exc:
@@ -541,6 +568,21 @@ class SurrogateStore:
         return None
 
 
+def _decode_payload(key: str, payload: bytes) -> PolynomialChaos:
+    """The chaos a verified payload holds, with read-only arrays: the
+    decode cache hands the same object to every hit on these bytes."""
+    try:
+        with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+            pce = PolynomialChaos.from_arrays(dict(npz.items()))
+    except Exception as exc:
+        raise StoreCorruptionError(
+            f"undecodable payload for {key}: {exc}") from exc
+    pce.coefficients.flags.writeable = False
+    pce.basis.norms_squared.flags.writeable = False
+    _PAYLOAD_DECODES.inc()
+    return pce
+
+
 @dataclass(frozen=True)
 class EntrySummary:
     """What listings and warm-start lookups need from one sidecar.
@@ -577,6 +619,11 @@ def inventory_row(key: str, sidecar: dict, size_bytes: int) -> dict:
         "created_at": created,
         "last_used": float(sidecar.get("last_used", created)),
     }
+
+
+def inventory_order(row: dict) -> tuple:
+    """Sort key of an inventory row: newest use first, then key."""
+    return -row.get("last_used", 0.0), row["key"]
 
 
 def warm_family(spec: dict) -> str:

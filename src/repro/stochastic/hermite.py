@@ -16,6 +16,7 @@ the higher orders those bases need.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,6 +99,19 @@ def multi_indices_upto(dim: int, order: int) -> list:
     return indices
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _total_degree(dim: int, order: int) -> tuple:
+    """``(indices, norms_squared, max axis order)`` of one total-degree
+    basis, built once per process: every payload decode, fit and
+    adaptive driver builds one, and rebuilding the paper's d=7
+    quadratic basis took ~0.4 ms.  The indices are a tuple and the
+    norms read-only, so no caller can change what the next one gets."""
+    indices = tuple(multi_indices_upto(dim, order))
+    norms = np.array([hermite_norm_squared(ix) for ix in indices])
+    norms.flags.writeable = False
+    return indices, norms, max(max(index) for index in indices)
+
+
 def _compositions(dim: int, total: int) -> list:
     """Multi-indices of exactly ``total`` over ``dim`` slots."""
     if dim == 1:
@@ -148,6 +162,10 @@ class HermiteBasis:
         order with the constant index first; ``order`` then reports
         the largest total degree present.  ``truncation`` records
         which flavor was built (``"total"`` or ``"explicit"``).
+
+    A total-degree basis shares its read-only ``norms_squared`` with
+    every other instance of the same ``(dim, order)``; its ``indices``
+    list is its own.
     """
 
     dim: int
@@ -156,15 +174,18 @@ class HermiteBasis:
 
     def __post_init__(self) -> None:
         if self.indices is None:
-            self.indices = multi_indices_upto(self.dim, self.order)
+            indices, self.norms_squared, self._max_axis_order = \
+                _total_degree(self.dim, self.order)
+            # A list of its own: appending to it leaves the shared
+            # build (and the next instance) as it was.
+            self.indices = list(indices)
             self.truncation = "total"
-        else:
-            if self.dim < 1:
-                raise StochasticError(
-                    f"dim must be >= 1, got {self.dim}")
-            self.indices = _validated_indices(self.dim, self.indices)
-            self.truncation = "explicit"
-            self.order = max(sum(index) for index in self.indices)
+            return
+        if self.dim < 1:
+            raise StochasticError(f"dim must be >= 1, got {self.dim}")
+        self.indices = _validated_indices(self.dim, self.indices)
+        self.truncation = "explicit"
+        self.order = max(sum(index) for index in self.indices)
         self.norms_squared = np.array(
             [hermite_norm_squared(ix) for ix in self.indices])
         self._max_axis_order = max(

@@ -18,10 +18,12 @@ break:
   structured access log records what the handlers actually served.
 """
 
+import http.client
 import json
 import multiprocessing
 import os
 import socket
+import statistics
 import sys
 import tempfile
 import threading
@@ -395,6 +397,53 @@ class TestStoreIndex:
         finally:
             daemon.shutdown()
 
+    def test_listing_body_is_the_plain_inventory_bytes(self, tmp_path):
+        # GET /store joins rows the index encoded when their sidecars
+        # changed; the body stays what json.dumps makes of the plain
+        # store's inventory, through every way a sidecar can change.
+        store = self._populated(tmp_path)
+        keys = [row["key"] for row in store.inventory()]
+        daemon = ReproDaemon(store_path=store.root, port=0,
+                             build_missing=False)
+        daemon.start()
+        try:
+            host, port = daemon.address
+            url = f"http://{host}:{port}"
+
+            def listing() -> bytes:
+                with urllib.request.urlopen(url + "/store",
+                                            timeout=30.0) as response:
+                    body = response.read()
+                plain = SurrogateStore(store.root)
+                assert body == (json.dumps(
+                    {"store": str(plain.root),
+                     "entries": plain.inventory()},
+                    sort_keys=True) + "\n").encode()
+                return body
+
+            listing()
+            spec = fabricated_record(margin_um=1.0).spec
+            for _ in range(3):
+                _post(url + "/query", {"spec": spec.to_dict(),
+                                       "queries": [{"kind": "mean"}]})
+            listing()
+            SurrogateStore(store.root).touch(keys[2], when=3.0e9)
+            listing()
+            victim = keys[0]
+            SurrogateStore(store.root).delete(victim)
+            assert victim.encode() not in listing()
+            assert victim not in daemon.store.index.summaries()
+            sidecar_path = store.root / f"{keys[1]}.json"
+            sidecar_path.write_text(
+                sidecar_path.read_text().replace('"margin_um"', '"x"'))
+            assert b'"damaged"' in listing()
+            new = SurrogateStore(store.root).save(
+                fabricated_record(margin_um=9.0))
+            assert new.encode() in listing()
+            assert len(daemon.store.index.summaries()) == 4
+        finally:
+            daemon.shutdown()
+
 
 # ----------------------------------------------------------------------
 # GC
@@ -680,6 +729,39 @@ class TestDaemonHTTP:
         assert status_line.split()[1] == b"400", status_line
         status, health = _get(url + "/health")
         assert status == 200 and health["status"] == "ok"
+
+    def test_kept_alive_connection_answers_without_stalling(self,
+                                                            tmp_path):
+        # Headers and body go out as two writes; under Nagle's
+        # algorithm a kept-alive client waited for its own delayed ACK
+        # (>= 40 ms) before it saw each body.
+        record = fabricated_record(margin_um=1.0)
+        SurrogateStore(tmp_path / "store").save(record)
+        instance = ReproDaemon(store_path=tmp_path / "store", port=0,
+                               build_missing=False)
+        instance.start()
+        try:
+            host, port = instance.address
+            document = {"spec": record.spec.to_dict(),
+                        "queries": [{"kind": "mean"}, {"kind": "std"}]}
+            _, fresh = _post(f"http://{host}:{port}/query", document)
+            connection = http.client.HTTPConnection(host, port,
+                                                    timeout=30.0)
+            walls, answers = [], []
+            try:
+                for _ in range(10):
+                    start = time.perf_counter()
+                    connection.request(
+                        "POST", "/query", body=json.dumps(document),
+                        headers={"Content-Type": "application/json"})
+                    answers.append(json.load(connection.getresponse()))
+                    walls.append(time.perf_counter() - start)
+            finally:
+                connection.close()
+            assert answers == [fresh] * 10
+            assert statistics.median(walls) < 0.020, walls
+        finally:
+            instance.shutdown()
 
     def test_store_listing_reflects_builds(self, daemon):
         instance, url = daemon

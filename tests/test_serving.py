@@ -32,6 +32,7 @@ from repro.experiments import table1_spec, table2_spec
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import Tracer, activate
 from repro.serving import query as query_module
+from repro.serving import store as store_module
 from repro.serving import (
     ProblemSpec,
     QueryEngine,
@@ -340,6 +341,101 @@ class TestStoreRoundTrip:
         loaded = store.load(key)
         np.testing.assert_array_equal(loaded.pce.coefficients,
                                       synthetic_record.pce.coefficients)
+
+
+def _decodes() -> float:
+    return REGISTRY.counter("repro_store_payload_decodes_total").value()
+
+
+class TestDecodedPayloads:
+    """A store hit decodes only payload bytes this process has not
+    decoded before, and still verifies every byte it reads."""
+
+    @pytest.fixture()
+    def cache(self, monkeypatch):
+        cache = store_module.BudgetLRU(store_module.DECODED_PAYLOAD_BYTES)
+        monkeypatch.setattr(store_module, "DECODED_PAYLOADS", cache)
+        return cache
+
+    @staticmethod
+    def _record(scale=1.0, **params):
+        basis = HermiteBasis(2)
+        coefficients = scale * np.arange(basis.size * 2.0).reshape(-1, 2)
+        return SurrogateRecord(
+            pce=PolynomialChaos(basis, coefficients,
+                                output_names=["a", "b"]),
+            spec=ProblemSpec(preset="table2", params=params,
+                             reduction={}))
+
+    def test_damage_after_a_cached_decode_still_raises(self, store,
+                                                       cache):
+        key = store.save(self._record(margin_um=1.0))
+        store.get(key)
+        payload = store.root / f"{key}.npz"
+        data = bytearray(payload.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        payload.write_bytes(bytes(data))
+        with pytest.raises(StoreCorruptionError, match="checksum"):
+            store.get(key)
+        # An intact payload under an edited sidecar spec fails too.
+        other = store.save(self._record(margin_um=2.0))
+        store.get(other)
+        sidecar = store.root / f"{other}.json"
+        meta = json.loads(sidecar.read_text())
+        meta["spec"]["params"]["margin_um"] = 3.0
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(StoreCorruptionError, match="edited"):
+            store.get(other)
+
+    def test_identical_payloads_under_two_keys_decode_once(self, store,
+                                                           cache):
+        first = store.save(self._record(margin_um=1.0))
+        second = store.save(self._record(margin_um=2.0))
+        before = _decodes()
+        records = [store.get(key) for key in (first, second, first)]
+        assert _decodes() == before + 1
+        assert records[0].pce is records[1].pce is records[2].pce
+        assert [r.spec.cache_key() for r in records] \
+            == [first, second, first]
+
+    def test_rewrite_under_one_key_decodes_anew(self, store, cache):
+        key = store.save(self._record(margin_um=1.0))
+        old = store.get(key).pce.coefficients
+        before = _decodes()
+        assert store.save(self._record(3.0, margin_um=1.0)) == key
+        np.testing.assert_array_equal(store.get(key).pce.coefficients,
+                                      3.0 * old)
+        assert _decodes() == before + 1
+
+    def test_cached_arrays_are_read_only(self, store, cache):
+        key = store.save(self._record(margin_um=1.0))
+        pce = store.get(key).pce
+        with pytest.raises(ValueError, match="read-only"):
+            pce.coefficients[0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            pce.basis.norms_squared[0] = 7.0
+        np.testing.assert_array_equal(store.get(key).pce.coefficients,
+                                      self._record().pce.coefficients)
+
+    def test_lru_within_budget(self, store, monkeypatch):
+        keys = [store.save(self._record(1.0 + i, margin_um=float(i)))
+                for i in range(3)]
+        sizes = {(store.root / f"{key}.npz").stat().st_size
+                 for key in keys}
+        (size,) = sizes
+        cache = store_module.BudgetLRU(2 * size + 7)
+        monkeypatch.setattr(store_module, "DECODED_PAYLOADS", cache)
+        first, second, third = keys
+        before = _decodes()
+        for key in (first, second, first, third):  # second goes first
+            store.get(key)
+            assert cache.nbytes <= cache.budget_bytes
+        assert _decodes() == before + 3
+        store.get(first)
+        store.get(third)
+        assert _decodes() == before + 3
+        store.get(second)
+        assert _decodes() == before + 4 and cache.nbytes == 2 * size
 
 
 class TestEnsureSurrogate:

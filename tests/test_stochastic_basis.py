@@ -68,6 +68,40 @@ class TestHermite:
             basis.evaluate(np.zeros((4, 2)))
 
 
+class TestTotalDegreeBuiltOnce:
+    """Each total-degree ``(dim, order)`` is built once per process;
+    every instance still reads as a fresh build."""
+
+    def test_equals_an_uncached_build(self):
+        shapes = [(dim, order) for dim in range(1, 11)
+                  for order in range(5)]
+        for _ in range(2):  # the second pass reads the shared builds
+            for dim, order in shapes:
+                basis = HermiteBasis(dim, order=order)
+                indices = multi_indices_upto(dim, order)
+                assert basis.indices == indices
+                assert basis.truncation == "total"
+                np.testing.assert_array_equal(
+                    basis.norms_squared,
+                    [hermite_norm_squared(ix) for ix in indices])
+                assert basis._max_axis_order == max(map(max, indices))
+
+    def test_instances_own_their_indices(self):
+        first = HermiteBasis(3)
+        first.indices.append((9, 9, 9))
+        second = HermiteBasis(3)
+        assert second.indices == multi_indices_upto(3, 2)
+        assert second.size == 10 and second.indices is not first.indices
+
+    def test_norms_are_read_only(self):
+        basis = HermiteBasis(4, order=3)
+        with pytest.raises(ValueError, match="read-only"):
+            basis.norms_squared[1] = 5.0
+        np.testing.assert_array_equal(
+            HermiteBasis(4, order=3).norms_squared,
+            [hermite_norm_squared(ix) for ix in basis.indices])
+
+
 def _column_loop_design(basis, points):
     """The design matrix built one strided column at a time: the
     reference the row-wise ``HermiteBasis.evaluate`` must reproduce
