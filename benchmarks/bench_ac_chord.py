@@ -76,7 +76,7 @@ def _system(problem, sample, references):
                     sample.equilibrium, problem.frequency,
                     recombination=problem.recombination,
                     references=references,
-                    patterns=problem.solver._ac_patterns)
+                    patterns=problem.solver.nominal_state.ac_patterns)
 
 
 def _timed_solve(problem, sample, references):

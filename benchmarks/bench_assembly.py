@@ -103,9 +103,9 @@ def _compare(problem, systems) -> dict:
             "scipy": (_scipy_path, ac + (3 * num_nodes, unknown, dirichlet),
                       dc + (num_nodes, free, pinned)),
             "scatter": (_scatter_path,
-                        (solver._ac_patterns, key) + ac
+                        (solver.nominal_state.ac_patterns, key) + ac
                         + (3 * num_nodes, unknown, dirichlet, "ac"),
-                        (solver._dc_patterns, _DC_KEY) + dc
+                        (solver.nominal_state.dc_patterns, _DC_KEY) + dc
                         + (num_nodes, free, pinned, "dc")),
         }
         walls = {name: np.inf for name in paths}
@@ -121,7 +121,7 @@ def _compare(problem, systems) -> dict:
 
         (ac_block, ac_coupling), (lap_ff, lap_fd) = results["scipy"]
         lap_ff_eq, lap_fd_eq = restricted_laplacian(
-            structure, system.geometry, solver._dc_patterns)
+            structure, system.geometry, solver.nominal_state.dc_patterns)
         dirichlet_values = np.linspace(-0.5, 0.5, pinned.size)
         totals["bitwise"] &= bool(
             _same_csr(restricted.factor._matrix, ac_block)

@@ -16,6 +16,11 @@ Measured and gated:
 * **accuracy** — every warm-started member's surrogate is compared
   against its independently cold-built twin; scaled mean/std gaps
   must stay within the same bounds PR 4's warm-start bench asserts.
+* **one nominal** — the chained campaign starts with no nominal in
+  the process, and its four members, which share one structure,
+  solve it once: ``nominal_solves_chained`` (1) and the LUs of the
+  whole campaign, ``factorizations_chained`` (8: six Newton steps and
+  the DC and AC references), are exact fields.
 
 Results land in ``output/BENCH_campaign.json``.
 """
@@ -28,6 +33,8 @@ from repro.campaign import run_campaign
 from repro.experiments import table2_spec
 from repro.reporting import format_kv_block
 from repro.serving import SurrogateStore, ensure_surrogate
+from repro.solver.avsolver import _NOMINAL_SOLVES, NOMINAL_SLOT
+from repro.solver.linear import _FACTORIZATIONS
 
 from conftest import write_bench_json, write_report
 
@@ -81,9 +88,16 @@ def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
         "name": "bench-sigma-sweep",
     }
     campaign_store = SurrogateStore(tmp_path / "campaign")
+    # The cold builds above left their shared nominal in the process;
+    # the campaign starts without one, as a fresh process does.
+    NOMINAL_SLOT.clear()
+    factorizations = _FACTORIZATIONS.value()
+    nominal_solves = _NOMINAL_SOLVES.value()
     start = time.perf_counter()
     catalog = run_campaign(grid, campaign_store)
     wall_chained = time.perf_counter() - start
+    factorizations = int(_FACTORIZATIONS.value() - factorizations)
+    nominal_solves = int(_NOMINAL_SOLVES.value() - nominal_solves)
 
     solves_independent = sum(r.num_solves for r in cold.values())
     totals = catalog["totals"]
@@ -113,6 +127,8 @@ def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
         "solve_speedup": solves_independent / totals["total_solves"],
         "warm_started": int(totals["warm_started"]),
         "failed": int(totals["failed"]),
+        "factorizations_chained": factorizations,
+        "nominal_solves_chained": nominal_solves,
         "wall_independent_s": wall_independent,
         "wall_chained_s": wall_chained,
         "members": members,
@@ -126,6 +142,8 @@ def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
          f"{stats['solves_chained']} solves {wall_chained:.1f}s "
          f"({stats['solve_speedup']:.2f}x fewer, "
          f"{stats['warm_started']} warm-started)"),
+        ("chained campaign's nominal",
+         f"{nominal_solves} nominal solve(s), {factorizations} LUs"),
     ]
     for label in sorted(members, key=float):
         member = members[label]
@@ -145,6 +163,8 @@ def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
     assert stats["solves_chained"] < stats["solves_independent"]
     assert stats["warm_started"] >= 1
     assert stats["failed"] == 0
+    # One structure, one nominal solve for the whole sweep.
+    assert stats["nominal_solves_chained"] == 1
     for row in catalog["members"]:
         if row["warm_source"] is not None:
             assert (row["warm_source"].split(":")[0]

@@ -32,6 +32,7 @@ import pytest  # noqa: E402
 
 from repro.experiments import Table1Config, Table2Config  # noqa: E402
 from repro.geometry import MetalPlugDesign, TsvDesign  # noqa: E402
+from repro.solver.avsolver import NOMINAL_SLOT  # noqa: E402
 from repro.units import um  # noqa: E402
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -91,6 +92,14 @@ PROFILES = {
         "daemon": {"store_entries": 4000, "concurrent_queries": 8},
     },
 }
+
+
+@pytest.fixture(autouse=True)
+def _empty_nominal_slot():
+    """Start every bench with no shared nominal state, so the work it
+    counts (factorizations, Newton steps, sparsity patterns) does not
+    depend on which benches ran before it in the same process."""
+    NOMINAL_SLOT.clear()
 
 
 @pytest.fixture(scope="session")

@@ -119,10 +119,16 @@ class VariationalProblem:
     # ------------------------------------------------------------------
     @property
     def solver(self) -> AVSolver:
+        """The problem's own solver, built on first need.  Its nominal
+        state is shared with every problem of the same structure
+        content, frequency and flags the process solved last
+        (:meth:`AVSolver.for_structure
+        <repro.solver.avsolver.AVSolver.for_structure>`)."""
         if self._solver is None:
-            self._solver = AVSolver(self.structure, self.frequency,
-                                    recombination=self.recombination,
-                                    full_wave=self.full_wave)
+            self._solver = AVSolver.for_structure(
+                self.structure, self.frequency,
+                recombination=self.recombination,
+                full_wave=self.full_wave)
         return self._solver
 
     @property

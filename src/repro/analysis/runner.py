@@ -184,8 +184,11 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
             "functools.partial over a preset, or spec.build_problem)")
     weights = None
     if method == "wpfa":
-        with span("nominal_solve"):
+        with span("nominal_solve") as node:
             weights = nominal_weights(problem)
+            # Execution-only: was the nominal state shared from an
+            # earlier build of the same structure?
+            node.attrs["shared"] = problem.solver.nominal_shared
     with span("reduction", method=method):
         reduced_space = reduce_groups(
             problem.groups, method=method, weights_by_group=weights,

@@ -59,7 +59,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.campaign.catalog import list_catalogs, read_catalog
 from repro.errors import CampaignError, ReproError, ServingError
-from repro.daemon.index import IndexedSurrogateStore
+from repro.daemon.index import IndexedSurrogateStore, count_entries
 from repro.daemon.singleflight import SingleFlight
 from repro.obs.export import prometheus_text
 from repro.obs.log import EventLog
@@ -232,7 +232,7 @@ class ReproDaemon:
             "latency": self._latency_stats(),
             "uptime_s": time.monotonic() - self._started,
             "in_flight_builds": self.flights.in_flight(),
-            "entries": len(self.store.keys()),
+            "entries": count_entries(self.store.root),
             "store": str(self.store.root),
             "build_missing": self.build_missing,
         }
@@ -249,7 +249,7 @@ class ReproDaemon:
         """
         self._uptime.set(time.monotonic() - self._started)
         self._in_flight.set(self.flights.in_flight())
-        self._entries.set(len(self.store.keys()))
+        self._entries.set(count_entries(self.store.root))
         return prometheus_text(self.metrics.snapshot()
                                + REGISTRY.snapshot())
 
@@ -387,7 +387,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "status": "ok",
                     "uptime_s": time.monotonic() - app._started,
                     "store": str(app.store.root),
-                    "entries": len(app.store.keys()),
+                    "entries": count_entries(app.store.root),
                 })
             elif self.path == "/stats":
                 self._send(200, self.app.stats())

@@ -55,13 +55,15 @@ def conductor_labels(structure: Structure, links: LinkSet) -> np.ndarray:
 def _structure_labels(structure: Structure, links: LinkSet) -> np.ndarray:
     """:func:`conductor_labels`, computed once per structure.
 
-    The labels depend on the structure and its grid's links only, and
-    every :class:`LinkSet` of the structure's own grid is the same, so
-    the samples of a stochastic build share one read-only array
-    (:meth:`~repro.geometry.structure.Structure.derived`).  Links of
-    another grid object are labeled afresh.
+    The labels depend on the structure and its grid's links only.  A
+    :class:`LinkSet` depends on its grid's lattice shape alone, so
+    every link set of that shape is the same, including one a solver
+    shares between structures built alike, and the samples of a
+    stochastic build share one read-only array
+    (:meth:`~repro.geometry.structure.Structure.derived`).  Links of a
+    lattice of another shape are labeled afresh.
     """
-    if links.grid is not structure.grid:
+    if links.grid.shape != structure.grid.shape:
         return conductor_labels(structure, links)
 
     def compute():

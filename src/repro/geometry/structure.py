@@ -18,6 +18,7 @@ the carriers (charge-neutral equilibrium, zero excess carriers in AC).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,10 @@ class Structure:
         cells (almost always a units or alignment mistake).
         """
         material_id = self.materials.add(material)
+        # Dropped before the check below: the table may have grown
+        # even when the box paints nothing.
+        self._node_kinds = None
+        self._derived = {}
         if tol is None:
             tol = 1e-9 * max(*box.size)
         cell_ids = self.grid.cells_in_box(box.lo, box.hi, tol=tol)
@@ -102,13 +107,12 @@ class Structure:
                 f"grid alignment")
         self.cell_materials[cell_ids] = material_id
         self.regions.append((material.name, box))
-        self._node_kinds = None
-        self._derived = {}
         return int(cell_ids.size)
 
     def set_doping(self, profile: DopingProfile) -> None:
         """Attach the net-doping profile for all semiconductor regions."""
         self.doping = profile
+        self._derived = {}
 
     def add_contact(self, name: str, node_ids) -> None:
         """Register a named port as an explicit node set."""
@@ -120,6 +124,7 @@ class Structure:
         if name in self.contacts:
             raise GeometryError(f"contact {name!r} already defined")
         self.contacts[name] = node_ids
+        self._derived = {}
 
     def add_contact_on_box_face(self, name: str, box: Box, face: str) -> None:
         """Register the grid nodes lying on one face of ``box``."""
@@ -184,18 +189,55 @@ class Structure:
         return self._node_kinds
 
     def derived(self, key: str, compute):
-        """``compute()``, cached under ``key`` until the layout changes.
+        """``compute()``, cached under ``key`` until the structure
+        changes.
 
-        For data derived from the material layout alone, such as
-        :meth:`cell_kind_masks` and the conductor labels of
-        :mod:`repro.extraction.capacitance`: computed once per
-        structure instead of once per sample, and dropped with the
-        node classification when a box is painted.  The cache lives
-        on the structure, so it dies with it.
+        For data derived from the structure alone, such as
+        :meth:`cell_kind_masks`, :meth:`fingerprint` and the conductor
+        labels of :mod:`repro.extraction.capacitance`: computed once
+        per structure instead of once per sample, and dropped by every
+        mutator (:meth:`add_box`, :meth:`add_contact`,
+        :meth:`set_doping`).  The cache lives on the structure, so it
+        dies with it.
         """
         if key not in self._derived:
             self._derived[key] = compute()
         return self._derived[key]
+
+    def fingerprint(self) -> str:
+        """SHA-256 hex digest of everything a solver reads from the
+        structure.
+
+        It covers the grid axes, the per-cell material ids, the
+        material table's entries, the contacts (names and node ids, in
+        definition order) and the net doping at every node, which is
+        all a solver reads of the doping profile.  Structures built
+        alike share a fingerprint, so the process-level nominal cache
+        of :mod:`repro.solver.avsolver` keys on it.  It is computed
+        once per structure (:meth:`derived`), and every mutator drops
+        it; assigning to the attributes directly bypasses that.
+        """
+        def compute():
+            digest = hashlib.sha256()
+
+            def add(array):
+                array = np.ascontiguousarray(array)
+                digest.update(f"{array.dtype.str}{array.shape}".encode())
+                digest.update(array.tobytes())
+
+            for axis in (self.grid.xs, self.grid.ys, self.grid.zs):
+                add(axis)
+            add(self.cell_materials)
+            # Frozen dataclasses: the repr names the class and every
+            # field, each float in its round-trip form.
+            digest.update(repr(self.materials.materials).encode())
+            for name, node_ids in self.contacts.items():
+                digest.update(repr(name).encode())
+                add(node_ids)
+            add(self.net_doping_at_nodes())
+            return digest.hexdigest()
+
+        return self.derived("fingerprint", compute)
 
     def semiconductor_node_ids(self) -> np.ndarray:
         """Flat ids of nodes carrying carrier unknowns (incl. contacts)."""

@@ -74,8 +74,9 @@ class AmpereSystem:
         self._build_curl_curl()
         self._build_divergence()
         # Both operators are frequency- and excitation-independent, so
-        # their LU factorizations are built once (lazily) and reused by
-        # every staggered pass of a sweep or multi-port study.
+        # their LU factorizations are built once (lazily, see factors)
+        # and reused by every staggered pass of a sweep or multi-port
+        # study.
         self._projection_factor = None
         self._curl_curl_factor = None
 
@@ -135,16 +136,9 @@ class AmpereSystem:
         """
         link_current = np.asarray(link_current, dtype=complex)
         divergence = self.div @ link_current
-        if self._projection_factor is None:
-            laplacian = (self.div @ self.div.T).tolil()
-            # Ground node 0 to fix the nullspace of the graph Laplacian.
-            laplacian[0, :] = 0.0
-            laplacian[0, 0] = 1.0
-            self._projection_factor = self._backend.factorize(
-                laplacian.tocsr(), key="ampere.projection")
         rhs = divergence.copy()
         rhs[0] = 0.0
-        phi = self._projection_factor.solve(rhs)
+        phi = self._projection_lu().solve(rhs)
         projected = link_current - self.div.T @ phi
         return projected
 
@@ -152,12 +146,31 @@ class AmpereSystem:
         """Edge line-integrals of A [V s] driven by the total link
         currents [A] of the quasi-static solve."""
         rhs = self.solenoidal_projection(link_current)
+        return self._curl_curl_lu().solve(rhs)
+
+    def factors(self) -> list:
+        """``[projection, curl_curl]``: the factorizations of the
+        grounded graph Laplacian and of the gauged curl-curl operator,
+        each built on first need."""
+        return [self._projection_lu(), self._curl_curl_lu()]
+
+    def _projection_lu(self):
+        if self._projection_factor is None:
+            laplacian = (self.div @ self.div.T).tolil()
+            # Ground node 0 to fix the nullspace of the graph Laplacian.
+            laplacian[0, :] = 0.0
+            laplacian[0, 0] = 1.0
+            self._projection_factor = self._backend.factorize(
+                laplacian.tocsr(), key="ampere.projection")
+        return self._projection_factor
+
+    def _curl_curl_lu(self):
         if self._curl_curl_factor is None:
             self._curl_curl_factor = self._backend.factorize(
                 (self.curl_curl + self.gauge * sp.eye(
                     self.links.num_links, format="csr")).tocsr(),
                 key="ampere.curl_curl")
-        return self._curl_curl_factor.solve(rhs)
+        return self._curl_curl_factor
 
 
 def staggered_correction(system, ampere: AmpereSystem, solution):

@@ -192,6 +192,16 @@ class SparseFactor:
         """
         return 0 if self._lu is None else int(self._lu.nnz)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the factor's values (:attr:`fill` entries of its
+        dtype) and of its row and column scalings: a lower bound on
+        what it holds, SuperLU's index arrays not counted."""
+        if self._lu is None:
+            return 0
+        return (self.fill * np.dtype(self.dtype).itemsize
+                + self._row_scale.nbytes + self._col_scale.nbytes)
+
     # ------------------------------------------------------------------
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve against one or many right-hand sides.
@@ -292,6 +302,11 @@ class PatternBlock:
         self.indptr = indptr
         self.shape = shape
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the block's index arrays."""
+        return self.take.nbytes + self.indices.nbytes + self.indptr.nbytes
+
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The block of the matrix whose pattern ``data`` this is."""
         return sp.csr_matrix((data[self.take], self.indices, self.indptr),
@@ -363,6 +378,13 @@ class SparsityPattern:
         self._indptr = np.zeros(n_rows + 1, dtype=index)
         np.cumsum(np.bincount(sorted_rows[first], minlength=n_rows),
                   out=self._indptr[1:])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the pattern's index arrays."""
+        return sum(array.nbytes for array in (
+            self._rows, self._cols, self._first, self._unpermute,
+            self._indices, self._indptr, *self._layers))
 
     def matches(self, rows, cols) -> bool:
         """Is ``rows, cols`` exactly the COO structure of this pattern?"""

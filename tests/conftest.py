@@ -24,7 +24,20 @@ from repro.geometry import (  # noqa: E402
     build_tsv_structure,
 )
 from repro.mesh import CartesianGrid, LinkSet, compute_geometry  # noqa: E402
+from repro.solver.avsolver import NOMINAL_SLOT  # noqa: E402
 from repro.units import um  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _empty_nominal_slot():
+    """Start every test with no shared nominal state.
+
+    Problems of one structure share the nominal the process solved
+    last (``NOMINAL_SLOT``).  A test that counts one solver's
+    factorizations, Newton steps or sparsity patterns, or patches a
+    solver, would otherwise depend on which tests ran before it.
+    """
+    NOMINAL_SLOT.clear()
 
 
 @pytest.fixture(scope="session")

@@ -45,6 +45,7 @@ from repro.daemon import (
     run_gc,
     try_build_lock,
 )
+from repro.daemon.index import count_entries
 from repro.errors import ServingError, StochasticError
 from repro.experiments import table1_spec
 from repro.serving import (
@@ -443,6 +444,53 @@ class TestStoreIndex:
             assert len(daemon.store.index.summaries()) == 4
         finally:
             daemon.shutdown()
+
+
+class TestEntryCount:
+    """``/health``, ``/stats`` and ``/metrics`` count the store in one
+    pass over its names, and the count is ``len(store.keys())``."""
+
+    def _untidy(self, tmp_path):
+        """Three complete entries, one of them with a damaged sidecar,
+        next to a half-written entry each way and stray files."""
+        store = IndexedSurrogateStore(tmp_path / "store")
+        keys = [store.save(fabricated_record(margin_um=1.0 + i))
+                for i in range(5)]
+        (store.root / f"{keys[0]}.json").write_text("{not json")
+        (store.root / f"{keys[3]}.npz").unlink()     # sidecar only
+        (store.root / f"{keys[4]}.json").unlink()    # payload only
+        (store.root / f"{keys[1]}.json.tmp").write_text("{}")
+        (store.root / f".{keys[2]}.npz.tmp").write_bytes(b"partial")
+        (store.root / f"{keys[2].upper()}.json").write_text("{}")
+        # A sidecar whose payload is a dangling symlink.
+        stray = "f" * 64
+        (store.root / f"{stray}.json").write_text("{}")
+        (store.root / f"{stray}.npz").symlink_to(store.root / "gone.npz")
+        return store
+
+    def test_count_is_the_number_of_keys(self, tmp_path):
+        store = self._untidy(tmp_path)
+        assert len(SurrogateStore(store.root).keys()) == 3
+        assert count_entries(store.root) == 3
+        assert count_entries(tmp_path / "missing") == 0
+
+    def test_handlers_do_not_list_the_keys(self, tmp_path, monkeypatch):
+        store = self._untidy(tmp_path)
+        instance = ReproDaemon(store_path=store.root, port=0)
+        instance.start()
+        try:
+            host, port = instance.address
+            url = f"http://{host}:{port}"
+
+            def listing(self):
+                raise AssertionError("a handler listed the store's keys")
+
+            monkeypatch.setattr(SurrogateStore, "keys", listing)
+            assert _get(url + "/health")[1]["entries"] == 3
+            assert _get(url + "/stats")[1]["entries"] == 3
+            assert "repro_store_entries 3" in _get_text(url + "/metrics")[2]
+        finally:
+            instance.shutdown()
 
 
 # ----------------------------------------------------------------------

@@ -166,6 +166,29 @@ class TestCapacitance:
         assert rows.shape[0] == 5
         assert len(calls) == 1
 
+    def test_a_shared_nominal_keeps_one_labeling(self, monkeypatch):
+        """A problem whose solver shares an earlier problem's nominal
+        state, and so its link set, still labels its conductors once."""
+        import repro.extraction.capacitance as capacitance
+        from repro.experiments import table2_spec
+
+        def build():
+            return table2_spec(max_step_um=2.5, margin_um=2.5,
+                               rdf_nodes=8).build_problem()
+
+        build().nominal_solution()
+        problem = build()
+        calls = []
+        labels = capacitance.conductor_labels
+        monkeypatch.setattr(
+            capacitance, "conductor_labels",
+            lambda *args: calls.append(1) or labels(*args))
+        zero = {group.name: np.zeros(group.size)
+                for group in problem.groups}
+        problem.evaluate_samples([zero] * 5)
+        assert problem.solver.nominal_shared
+        assert len(calls) == 1
+
     def test_painting_a_box_drops_the_labels(self):
         structure, _ = _two_plates()
         links = LinkSet(structure.grid)

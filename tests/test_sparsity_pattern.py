@@ -139,7 +139,7 @@ class TestSharedPatterns:
             *problem._sample_inputs(_draws(problem, 1)[0]))
         system.solve(problem.excitations)
         assert np.array_equal(_patterns_built(), before)
-        _, block, coupling = solver._ac_patterns[key]
+        _, block, coupling = solver.nominal_state.ac_patterns[key]
         restricted = system._factor_cache[key]
         assert np.shares_memory(restricted.factor._matrix.indices,
                                 block.indices)
@@ -184,7 +184,7 @@ class TestGuard:
         nominal = solver.system_for()
         nominal.solve(excitations)  # enters its pattern under key
         restricted = nominal._factor_cache[key]
-        patterns = dict(solver._ac_patterns)
+        patterns = dict(solver.nominal_state.ac_patterns)
         wrong = _mismatched(patterns, key, restricted.unknown,
                             restricted.dirichlet_ids)
         fresh = ACSystem(coarse_plug_structure, nominal.geometry,
