@@ -33,6 +33,10 @@ Five claims, each measured:
   inventory (gated as a boolean).  The indexed hit and listing walls
   are gated calibrated: each divided by a numpy reference kernel
   timed beside it (`hit_indexed_calibrated`, `ls_indexed_calibrated`).
+* **a hit writes no file** — a hit stamps `last_used` as its
+  sidecar's mtime, so across every scripted hit (the timed store hits
+  and the 1 + 10 quantile queries) no sidecar file is created or
+  replaced (`hit_sidecar_writes`, gated exactly at 0).
 
 Entries are fabricated through the real `SurrogateStore.save` path
 (valid checksums, 1-D payloads), so the scan side pays its true
@@ -40,6 +44,7 @@ per-sidecar validation cost.
 """
 
 import json
+import os
 import statistics
 import threading
 import time
@@ -137,6 +142,19 @@ def _timed(fn) -> tuple:
     return min(walls), min(walls) / min(kernels)
 
 
+def _sidecar_inodes(root) -> dict:
+    """``name -> inode`` of every sidecar and tmp file in the store."""
+    with os.scandir(root) as scan:
+        return {entry.name: entry.inode() for entry in scan
+                if entry.name.endswith((".json", ".tmp"))}
+
+
+def _sidecar_writes(before: dict, root) -> int:
+    """Sidecar or tmp files created or replaced since ``before``."""
+    return sum(before.get(name) != inode
+               for name, inode in _sidecar_inodes(root).items())
+
+
 def _post_query(url: str, document: dict) -> dict:
     body = json.dumps(document).encode()
     request = urllib.request.Request(
@@ -182,9 +200,11 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
     # first reuses one decode.
     hit_keys = [row["key"] for row in scan_rows[:50]]
     decodes = _decode_count()
+    sidecars = _sidecar_inodes(store_root)
     hit_plain_wall, _ = _hit_wall(scan_store, hit_keys)
     hit_indexed_wall, hit_calibrated = _hit_wall(indexed_store, hit_keys)
     payload_decodes = _decode_count() - decodes
+    hit_sidecar_writes = _sidecar_writes(sidecars, store_root)
 
     # -- K concurrent misses on one spec through the daemon -----------
     daemon = ReproDaemon(store_path=store_root, port=0)
@@ -224,6 +244,7 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
         "queries": [{"kind": "quantiles", "q": QUANTILE_LEVELS}]}
     misses, hits = _bank_count("misses"), _bank_count("hits")
     decodes = _decode_count()
+    sidecars = _sidecar_inodes(store_root)
     quantile_walls, answers = [], []
     for _ in range(1 + QUANTILE_REPEATS):
         start = time.perf_counter()
@@ -233,6 +254,7 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
     bank_draws = int(_bank_count("misses") - misses)
     bank_hits = int(_bank_count("hits") - hits)
     payload_decodes = int(payload_decodes + _decode_count() - decodes)
+    hit_sidecar_writes += _sidecar_writes(sidecars, store_root)
 
     # -- the daemon's listing bytes against the plain store's ---------
     with urllib.request.urlopen(f"{url}/store", timeout=300.0) as response:
@@ -265,6 +287,7 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
         "hit_indexed_wall_s": hit_indexed_wall,
         "hit_indexed_calibrated": hit_calibrated,
         "payload_decodes": payload_decodes,
+        "hit_sidecar_writes": hit_sidecar_writes,
         "concurrent_queries": cfg["concurrent_queries"],
         "singleflight_builds": stats["builds"],
         "singleflight_build_solves": stats["build_solves"],
@@ -288,6 +311,7 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
     assert bank_bitwise
     assert payload["quantile_repeat_speedup"] > 20.0
     assert payload_decodes == 2
+    assert hit_sidecar_writes == 0
     assert listing_bytes_identical
 
     write_bench_json(output_dir, "daemon", payload)
@@ -304,6 +328,7 @@ def test_daemon_singleflight_and_index(profile, output_dir, tmp_path):
         ("hit: indexed store [ms]", f"{hit_indexed_wall * 1e3:.2f}"),
         ("hit: calibrated", f"{payload['hit_indexed_calibrated']:.2f}"),
         ("payloads decoded", str(payload_decodes)),
+        ("sidecars written by hits", str(hit_sidecar_writes)),
         ("concurrent misses", str(cfg["concurrent_queries"])),
         ("solve campaigns run", str(stats["builds"])),
         ("served without build", str(served_without_build)),

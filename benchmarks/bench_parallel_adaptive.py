@@ -7,9 +7,10 @@ bench measures the two follow-ons that make the adaptive path cheap in
 * **Parallel wave evaluation** — every refinement wave's never-seen
   collocation points fan out over the ``analysis.parallel`` process
   pool (``run_sscm_analysis(..., workers=N)``).  Asserted
-  bitwise-identical to the serial build; the measured speedup is
-  recorded (and asserted > 1 only when the machine actually has more
-  than one core).
+  bitwise-identical to the serial build; the measured speedup (each
+  side's fastest of ``TIMED_RUNS`` runs, taken in alternation) is
+  recorded, and asserted > 1.05 only when the machine actually has
+  more than one core.
 * **Warm-started refinement** — a perturbed sibling of a stored spec
   seeds its refinement from the stored accepted index set and, when
   the indicator drift stays small, certifies without re-exploring the
@@ -36,6 +37,10 @@ from repro.serving import SurrogateStore, ensure_surrogate
 from conftest import write_bench_json, write_report
 
 WORKERS = 2
+#: Timed builds per side, serial and pooled in alternation; each
+#: side's fastest counts, so one slow run on a shared host cannot
+#: decide the speedup.
+TIMED_RUNS = 2
 
 #: Cross-test scratch: the parallel test deposits its stats here so
 #: the warm-start test can merge both sections into one BENCH JSON.
@@ -72,19 +77,24 @@ def test_parallel_waves_bitwise_and_fast(profile, output_dir):
     # this problem can produce, so the parallel path gets real work.
     stopping = {"tol": 0.0, "max_level": 2}
     builder = partial(table2_problem, config)
-
-    start = time.perf_counter()
-    serial = run_sscm_analysis(
-        table2_problem(config), max_variables_by_group=caps,
-        refinement=AdaptiveConfig(**stopping))
-    wall_serial = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = run_sscm_analysis(
-        table2_problem(config), max_variables_by_group=caps,
-        refinement=AdaptiveConfig(**stopping), workers=WORKERS,
-        problem_builder=builder)
-    wall_parallel = time.perf_counter() - start
+    builds = {
+        "serial": lambda: run_sscm_analysis(
+            table2_problem(config), max_variables_by_group=caps,
+            refinement=AdaptiveConfig(**stopping)),
+        "parallel": lambda: run_sscm_analysis(
+            table2_problem(config), max_variables_by_group=caps,
+            refinement=AdaptiveConfig(**stopping), workers=WORKERS,
+            problem_builder=builder),
+    }
+    walls = {side: [] for side in builds}
+    results = {side: [] for side in builds}
+    for _ in range(TIMED_RUNS):
+        for side, build in builds.items():
+            start = time.perf_counter()
+            results[side].append(build())
+            walls[side].append(time.perf_counter() - start)
+    wall_serial, wall_parallel = min(walls["serial"]), min(walls["parallel"])
+    serial, parallel = results["serial"][0], results["parallel"][0]
 
     meta = parallel.refinement_metadata()
     stats = {
@@ -95,9 +105,10 @@ def test_parallel_waves_bitwise_and_fast(profile, output_dir):
         "wall_serial_s": wall_serial,
         "wall_parallel_s": wall_parallel,
         "speedup": wall_serial / wall_parallel,
-        "bitwise_identical": bool(
+        "bitwise_identical": all(
             np.array_equal(serial.sscm.pce.coefficients,
-                           parallel.sscm.pce.coefficients)),
+                           result.sscm.pce.coefficients)
+            for side in results for result in results[side]),
         "termination": meta["termination"],
         "grid_points": meta["grid_points"],
         "zero_weight_points": meta["zero_weight_points"],
@@ -105,8 +116,8 @@ def test_parallel_waves_bitwise_and_fast(profile, output_dir):
 
     rows = [
         (f"table2 exhausted level-2 (d={stats['dim']})",
-         f"{stats['num_solves']} solves; serial {wall_serial:.1f}s -> "
-         f"{WORKERS} workers {wall_parallel:.1f}s "
+         f"{stats['num_solves']} solves; fastest of {TIMED_RUNS}: serial "
+         f"{wall_serial:.1f}s -> {WORKERS} workers {wall_parallel:.1f}s "
          f"({stats['speedup']:.2f}x on {stats['cpu_count']} cpus)"),
         ("bitwise identical", str(stats["bitwise_identical"])),
         ("zero-weight grid points",
@@ -117,7 +128,8 @@ def test_parallel_waves_bitwise_and_fast(profile, output_dir):
     _RESULTS["parallel"] = stats
 
     assert stats["bitwise_identical"]
-    assert parallel.num_runs == serial.num_runs
+    assert all(result.num_runs == serial.num_runs
+               for side in results for result in results[side])
     if (os.cpu_count() or 1) >= 2:
         # Only meaningful with real cores underneath; on a single-CPU
         # box the recorded speedup documents the overhead instead.

@@ -2,18 +2,20 @@
 
 ``repro store gc`` bounds a store that a long-lived daemon would
 otherwise grow forever: evict least-recently-used entries (by the
-``last_used`` stamps every cache hit refreshes) until the store fits
-under ``--max-entries`` / ``--max-bytes`` caps.
+``last_used`` stamps every cache hit refreshes: each entry's sidecar
+mtime) until the store fits under ``--max-entries`` / ``--max-bytes``
+caps.
 
 Safety contract — the GC must be runnable against a *live* store:
 
 * Eviction order is strictly LRU, and the most-recently-used entry is
   never evicted, whatever the caps say: a GC bounds a working set, it
   does not empty one.
-* Immediately before each unlink the entry's sidecar is re-read from
-  disk; if its ``last_used`` moved since planning, the entry was hit
-  in the meantime and is skipped (in use beats eligible).  An entry
-  some process holds the build lock on is skipped the same way.
+* Immediately before each unlink the entry is re-read from disk
+  (sidecar and its mtime); if its ``last_used`` moved since planning,
+  the entry was hit in the meantime and is skipped (in use beats
+  eligible).  So is an entry that vanished or was damaged since, and
+  an entry some process holds the build lock on.
 * Deletion removes the sidecar before the payload
   (:meth:`~repro.serving.store.SurrogateStore.delete`), so a reader
   racing the unlink sees a clean miss — worst case one spurious
@@ -28,11 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import (
-    ServingError,
-    StoreCorruptionError,
-    StoreSchemaError,
-)
+from repro.errors import ServingError
 from repro.obs.metrics import counter
 from repro.serving.store import SurrogateStore
 from repro.daemon.singleflight import release_lock, try_build_lock
@@ -147,16 +145,12 @@ def run_gc(store: SurrogateStore, max_entries: int = None,
             skipped.append(key)  # being (re)built right now
             continue
         try:
-            try:
-                sidecar = store.sidecar(key)
-            except (StoreCorruptionError, StoreSchemaError):
-                sidecar = None  # damaged since planning; leave it be
-            if sidecar is None:
+            # Re-read from disk: gone or damaged since planning leaves
+            # it be, and a later stamp means a hit since planning.
+            current = store.summary(key)
+            if current is None or "damaged" in current.row \
+                    or current.row["last_used"] > row["last_used"]:
                 skipped.append(key)
-                continue
-            if float(sidecar.get("last_used", 0.0)) \
-                    > row["last_used"]:
-                skipped.append(key)  # hit since planning: in use
                 continue
             store.delete(key)
             evicted.append(key)

@@ -10,9 +10,11 @@ since the last one, and a listing joins encoded rows.
 
 * **Disk wins.**  :meth:`StoreIndex.refresh` runs before every cached
   read and re-reads exactly the sidecars whose ``(st_ino, st_mtime_ns,
-  st_size)`` moved.  Sidecars are only replaced by a tmp-file rename,
-  so a rewrite brings a new inode even when a coarse clock repeats the
-  mtime.  ``find_warm_start`` re-reads its winner from disk.
+  st_size)`` moved.  ``save`` replaces a sidecar by a tmp-file rename,
+  so new content brings a new inode even when it keeps the size and
+  the stamp.  A hit's ``touch`` moves only the mtime, and a row's
+  ``last_used`` *is* that mtime, so the stamp moves whenever the row
+  does.  ``find_warm_start`` re-reads its winner from disk.
 * **Nothing on disk**, and hits stay O(1): ``save``, ``touch`` and
   ``delete`` never scan; the next refresh picks their changes up.
 """

@@ -265,7 +265,7 @@ def ensure_surrogate(spec: ProblemSpec, store: SurrogateStore,
         if record is None:
             return None
         # Usage bookkeeping for the inventory / LRU eviction: a hit
-        # refreshes the entry's last_used stamp.
+        # moves the entry's last_used stamp, its sidecar's mtime.
         store.touch(key)
         return BuildReport(record=record, built=False, num_solves=0,
                            wall_time=time.perf_counter() - start)

@@ -7,13 +7,13 @@ yield against a spec limit) are surrogate Monte Carlo at millions of
 samples per second.  Sampling is chunked so the design matrix stays
 bounded by ``chunk_size`` rows regardless of the sample count.
 
-A drawn stream is fully determined by the surrogate, the sample count
-and the seed, so a quantile query keeps its draw in the process-level
-:data:`SAMPLE_BANK` as per-output *sorted* columns: repeating the
-query interpolates two order statistics per level instead of drawing
-again, and a yield on a banked stream is a ``searchsorted`` count.  A
-yield on any other stream is accumulated streaming (no sample matrix at
-all) and is not banked.
+A drawn stream is fully determined by the surrogate, the sample count,
+the seed and the chunk size, so a quantile query keeps its draw in the
+process-level :data:`SAMPLE_BANK` as per-output *sorted* columns:
+repeating the query interpolates two order statistics per level
+instead of drawing again, and a yield on a banked stream is a
+``searchsorted`` count.  A yield on any other stream is accumulated
+streaming (no sample matrix at all) and is not banked.
 """
 
 from __future__ import annotations
@@ -115,11 +115,14 @@ class BudgetLRU:
 class SampleBank(BudgetLRU):
     """LRU of sorted sample streams under a fixed byte budget.
 
-    A stream is keyed by ``(digest, num_samples, seed)``, where
-    ``digest`` hashes the surrogate's basis and coefficients, and is
-    held as a read-only ``(output_dim, num_samples)`` array whose rows
-    are sorted.  The key names the content, not the store entry, so a
-    rebuilt surrogate never reads a stale stream.
+    A stream is keyed by ``(digest, num_samples, seed, chunk_size)``,
+    where ``digest`` hashes the surrogate's basis and coefficients, and
+    is held as a read-only ``(output_dim, num_samples)`` array whose
+    rows are sorted.  The key names the content, not the store entry,
+    so a rebuilt surrogate never reads a stale stream.  The chunk size
+    is part of it because the evaluated values may differ in their
+    last bits between chunk sizes (see
+    :meth:`~repro.stochastic.pce.PolynomialChaos.sample_chunks`).
     """
 
     def __init__(self, budget_bytes: int = SAMPLE_BANK_BYTES):
@@ -254,7 +257,7 @@ class QueryEngine:
         buffer, sorts each row in place and banks it, so a miss holds
         one copy of the samples, never two.
         """
-        key = (self._digest, m, s)
+        key = (self._digest, m, s, self.chunk_size)
         columns = SAMPLE_BANK.get(key)
         if columns is None:
             columns = np.empty((self.pce.output_dim, m))
@@ -327,7 +330,7 @@ class QueryEngine:
         limit = np.broadcast_to(
             np.asarray(limit, dtype=float), (self.pce.output_dim,))
         m, s = self._draw(num_samples, seed)
-        columns = SAMPLE_BANK.get((self._digest, m, s))
+        columns = SAMPLE_BANK.get((self._digest, m, s, self.chunk_size))
         if columns is not None:
             # NaNs sort last and are never above a limit.
             counts = np.array([
@@ -360,10 +363,8 @@ class QueryEngine:
         if sigma < 0.0:
             raise ServingError(f"sigma must be >= 0, got {sigma}")
         basis = self.pce.basis
-        linear_rows = [i for i, index in enumerate(basis.indices)
-                       if sum(index) == 1]
+        linear_rows, axes = basis.linear_terms()
         # Row i of `gradients` = d(output)/d(zeta_axis) in axis order.
-        axes = [int(np.argmax(basis.indices[i])) for i in linear_rows]
         gradients = np.zeros((basis.dim, self.pce.output_dim))
         gradients[axes] = self.pce.coefficients[linear_rows]
         norms = np.linalg.norm(gradients, axis=0)

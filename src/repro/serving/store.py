@@ -10,6 +10,10 @@ and the key, so a torn write or a bit flip surfaces as
 :class:`~repro.errors.StoreCorruptionError` instead of silently wrong
 statistics.  Every read verifies; only the decode of payload bytes
 this process has decoded before is reused (:data:`DECODED_PAYLOADS`).
+
+An entry's ``last_used`` is its sidecar's mtime: ``save`` sets it to
+the build's ``created_at`` and every hit's :meth:`SurrogateStore.touch`
+moves it with one ``os.utime``, so a hit writes no file.
 """
 
 from __future__ import annotations
@@ -75,6 +79,21 @@ _PAYLOAD_DECODES = counter(
 #: 64 lowercase hex digits: the form of every cache key and campaign
 #: id (see :func:`is_cache_key`).
 CACHE_KEY_PATTERN = re.compile(r"[0-9a-f]{64}")
+
+
+#: Nanoseconds per second.
+_NS = 1_000_000_000
+
+
+def _stamp_ns(when: float) -> int:
+    """Unix seconds ``when`` as the nearest whole nanosecond.
+
+    The correctly rounded ``ns / _NS`` inverts it: from April 1970 on,
+    a float is coarser than a nanosecond, so a stamp reads back as the
+    float it was written from.
+    """
+    seconds = math.floor(when)
+    return seconds * _NS + round((when - seconds) * _NS)
 
 
 def is_cache_key(name) -> bool:
@@ -153,7 +172,8 @@ class SurrogateStore:
     root : str or pathlib.Path
         Store directory; created (with parents) if missing.  Each
         entry is a ``<key>.npz`` payload plus a ``<key>.json``
-        sidecar, written atomically and verified on read.
+        sidecar, written atomically and verified on read; the
+        sidecar's mtime is the entry's ``last_used``.
     """
 
     def __init__(self, root):
@@ -190,7 +210,8 @@ class SurrogateStore:
 
     # ------------------------------------------------------------------
     def save(self, record: SurrogateRecord) -> str:
-        """Persist a record atomically.
+        """Persist a record atomically, its sidecar's mtime (the
+        entry's ``last_used``) set to its ``created_at``.
 
         Parameters
         ----------
@@ -238,19 +259,25 @@ class SurrogateStore:
             }}
         self._atomic_write(
             sidecar_path,
-            (canonical_json(sidecar) + "\n").encode("utf-8"))
+            (canonical_json(sidecar) + "\n").encode("utf-8"),
+            stamp_ns=_stamp_ns(created_at))
         return key
 
-    def _atomic_write(self, path: Path, data: bytes) -> None:
+    def _atomic_write(self, path: Path, data: bytes,
+                      stamp_ns: int = None) -> None:
         # Unique tmp name: concurrent writers of the same key (two
         # processes building the same miss) never interleave into one
         # tmp file; last rename wins with a complete entry either way.
+        # A stamp is set on the closed tmp file, so the file appears
+        # under its name already carrying it.
         fd, tmp = tempfile.mkstemp(dir=self.root,
                                    prefix=path.name + ".",
                                    suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
+            if stamp_ns is not None:
+                os.utime(tmp, ns=(stamp_ns, stamp_ns))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -340,37 +367,24 @@ class SurrogateStore:
         return self._read_sidecar(key)
 
     def touch(self, key: str, when: float = None) -> None:
-        """Stamp ``last_used`` on an entry's sidecar (atomic).
+        """Stamp an entry's ``last_used``, its sidecar's mtime, with
+        ``when`` (Unix seconds; default now).
 
         Called by the serving layer on every cache hit so the
-        inventory (``repro store ls``) and future LRU eviction know
-        which entries still earn their disk.  Only the timestamp
-        changes — the spec (and hence the integrity rehash) is
-        untouched.  Missing or damaged entries and unwritable stores
-        are silently skipped: usage bookkeeping must never turn a read
-        into an error.
-
-        Concurrency: the sidecar is re-read immediately before the
-        write, but a concurrent ``save`` of the same key (a
-        ``--rebuild`` racing a hit) can still lose its sidecar to
-        this rewrite.  The stale sidecar then mismatches the new
-        payload's checksum, which reads as damage — and damage
-        self-heals into a rebuild at the next ``ensure_surrogate`` —
-        so the race costs a spurious rebuild, never wrong statistics.
+        inventory (``repro store ls``) and LRU eviction (``repro store
+        gc``) know which entries still earn their disk.  One
+        ``os.utime`` on the sidecar: nothing is read, written, created
+        or renamed, so the sidecar keeps its bytes and its inode, and
+        a ``save`` racing the hit cannot lose its sidecar to it.  The
+        stamp keeps the filesystem's timestamp resolution.  A missing
+        entry and a sidecar this process may not stamp (an unwritable
+        store, another user's file) are silently skipped: usage
+        bookkeeping must never turn a read into an error.
         """
-        try:
-            sidecar = self._read_sidecar(key)
-        except (StoreCorruptionError, StoreSchemaError):
-            return
-        if sidecar is None:
-            return
-        sidecar["last_used"] = float(when if when is not None
-                                     else time.time())
         _, sidecar_path = self._paths(key)
+        last_used = time.time_ns() if when is None else _stamp_ns(when)
         with contextlib.suppress(OSError):
-            self._atomic_write(
-                sidecar_path,
-                (canonical_json(sidecar) + "\n").encode("utf-8"))
+            os.utime(sidecar_path, ns=(last_used, last_used))
 
     def summary(self, key: str):
         """The :class:`EntrySummary` of one entry, read from disk.
@@ -378,7 +392,7 @@ class SurrogateStore:
         ``None`` on a clean miss.  Damage is summarized, never raised:
         the summary's row is ``{"key", "damaged"}``.
         """
-        payload_path, _ = self._paths(key)
+        payload_path, sidecar_path = self._paths(key)
         try:
             sidecar = self._read_sidecar(key)
         except (StoreCorruptionError, StoreSchemaError) as exc:
@@ -386,10 +400,14 @@ class SurrogateStore:
         if sidecar is None:
             return None
         try:
+            last_used = sidecar_path.stat().st_mtime_ns / _NS
+        except FileNotFoundError:
+            return None  # deleted since the read
+        try:
             size_bytes = payload_path.stat().st_size
         except OSError:
             size_bytes = 0
-        row = inventory_row(key, sidecar, size_bytes)
+        row = inventory_row(key, sidecar, size_bytes, last_used)
         if not _refined(sidecar):
             return EntrySummary(row)
         spec = sidecar["spec"]
@@ -422,10 +440,10 @@ class SurrogateStore:
         ``"level-N"``), ``basis`` (the stored basis identity; order-2
         total-degree is assumed for entries written before basis
         specs existed), ``size_bytes`` (payload file size),
-        ``num_runs``, ``created_at`` and ``last_used``.  Damaged
-        entries are reported as ``{"key", "damaged"}`` rows instead of
-        raising — an inventory must list the store it has, not the
-        store it wishes it had.
+        ``num_runs``, ``created_at`` and ``last_used`` (the sidecar's
+        mtime).  Damaged entries are reported as ``{"key",
+        "damaged"}`` rows instead of raising — an inventory must list
+        the store it has, not the store it wishes it had.
         """
         entries = [dict(summary.row)
                    for summary in self.summaries().values()]
@@ -601,12 +619,15 @@ class EntrySummary:
     tol: float = None
 
 
-def inventory_row(key: str, sidecar: dict, size_bytes: int) -> dict:
-    """One ``inventory()`` listing row from a validated sidecar."""
+def inventory_row(key: str, sidecar: dict, size_bytes: int,
+                  last_used: float) -> dict:
+    """One ``inventory()`` listing row from a validated sidecar and
+    the sidecar's mtime (``last_used``).  The sidecar's own
+    ``last_used`` field is only the ``created_at`` it was written
+    with, and is not read."""
     spec = sidecar.get("spec") or {}
     reduction = spec.get("reduction") or {}
     adaptive = reduction.get("adaptive")
-    created = float(sidecar.get("created_at", 0.0))
     return {
         "key": key,
         "preset": spec.get("preset"),
@@ -616,8 +637,8 @@ def inventory_row(key: str, sidecar: dict, size_bytes: int) -> dict:
             "kind": "total-degree", "order": 2, "size": None},
         "size_bytes": int(size_bytes),
         "num_runs": int(sidecar.get("num_runs", 0)),
-        "created_at": created,
-        "last_used": float(sidecar.get("last_used", created)),
+        "created_at": float(sidecar.get("created_at", 0.0)),
+        "last_used": float(last_used),
     }
 
 

@@ -24,6 +24,11 @@ import numpy as np
 
 from repro.errors import StochasticError
 
+#: Points per block of :meth:`HermiteBasis.evaluate`.  A block's 1-D
+#: table and transposed design stay ~1 MB at d=7, order 2, so a
+#: 16384-row sampling chunk allocates its design and little else.
+EVALUATE_BLOCK = 4096
+
 
 def hermite_values_upto(order: int, x) -> np.ndarray:
     """All ``He_0 .. He_order`` at ``x``, stacked on a new leading axis.
@@ -145,6 +150,25 @@ def _validated_indices(dim: int, indices) -> list:
     return sorted(out, key=lambda a: (sum(a), a))
 
 
+class _BasisPlan:
+    """What :meth:`HermiteBasis.evaluate` and the corner query derive
+    from one index list, derived once: each row's nonzero
+    ``(order, axis)`` factors in axis order, and the rows of the
+    linear terms with the axis of each."""
+
+    def __init__(self, indices: list):
+        self.indices = list(indices)
+        self.factors = [[(order, axis) for axis, order in enumerate(index)
+                         if order] for index in self.indices]
+        linear = [row for row, index in enumerate(self.indices)
+                  if sum(index) == 1]
+        self.linear_rows = np.array(linear, dtype=np.intp)
+        self.linear_axes = np.array(
+            [self.indices[row].index(1) for row in linear], dtype=np.intp)
+        self.linear_rows.flags.writeable = False
+        self.linear_axes.flags.writeable = False
+
+
 @dataclass
 class HermiteBasis:
     """A multivariate Hermite basis.
@@ -195,6 +219,21 @@ class HermiteBasis:
     def size(self) -> int:
         return len(self.indices)
 
+    def _plan(self) -> _BasisPlan:
+        """The :class:`_BasisPlan` of the current ``indices``, rebuilt
+        only when they no longer equal the copy it was built from."""
+        plan = self.__dict__.get("_cached_plan")
+        if plan is None or plan.indices != self.indices:
+            plan = self._cached_plan = _BasisPlan(self.indices)
+        return plan
+
+    def linear_terms(self) -> tuple:
+        """``(rows, axes)``: the rows of the linear terms
+        ``He_1(zeta_axis)`` and the axis of each, as read-only index
+        arrays."""
+        plan = self._plan()
+        return plan.linear_rows, plan.linear_axes
+
     def describe(self) -> dict:
         """JSON-ready basis identity for sidecars and responses."""
         return {
@@ -214,24 +253,28 @@ class HermiteBasis:
         if points.shape[1] != self.dim:
             raise StochasticError(
                 f"points must have {self.dim} columns, got {points.shape}")
-        # Precompute 1-D values for each order and dimension once, one
-        # contiguous row per (order, axis), and build the design
-        # transposed so every basis function is a contiguous row: the
-        # product of its nonzero-order factors in axis order (1.0 when
-        # there are none), the same products as a per-column loop.
-        per_order = hermite_values_upto(self._max_axis_order,
-                                        np.ascontiguousarray(points.T))
-        out = np.empty((self.size, points.shape[0]))
-        for row, index in enumerate(self.indices):
-            factors = [per_order[order][axis]
-                       for axis, order in enumerate(index) if order]
-            if not factors:
-                out[row] = 1.0
-                continue
-            np.copyto(out[row], factors[0])
-            for factor in factors[1:]:
-                np.multiply(out[row], factor, out=out[row])
-        # C order again: the GEMM of PolynomialChaos.evaluate then sees
-        # the same operand layout, so its sums (and samples) are
-        # bitwise unchanged.
-        return np.ascontiguousarray(out.T)
+        # Block by block, precompute 1-D values for each order and
+        # dimension once, one contiguous row per (order, axis), and
+        # build the block's design transposed so every basis function
+        # is a contiguous row: the product of its nonzero-order factors
+        # in axis order (1.0 when there are none), the same products as
+        # a per-column loop.  Each block lands transposed in the one
+        # C-order output, the operand layout the GEMM of
+        # PolynomialChaos.evaluate has always seen, so its sums (and
+        # samples) are bitwise unchanged.
+        factors = self._plan().factors
+        out = np.empty((points.shape[0], self.size))
+        for start in range(0, points.shape[0], EVALUATE_BLOCK):
+            block = points[start:start + EVALUATE_BLOCK]
+            per_order = hermite_values_upto(
+                self._max_axis_order, np.ascontiguousarray(block.T))
+            design = np.empty((self.size, block.shape[0]))
+            for row, pairs in zip(design, factors):
+                if not pairs:
+                    row[:] = 1.0
+                    continue
+                np.copyto(row, per_order[pairs[0]])
+                for pair in pairs[1:]:
+                    np.multiply(row, per_order[pair], out=row)
+            out[start:start + block.shape[0]] = design.T
+        return out

@@ -138,8 +138,10 @@ class PolynomialChaos:
         draws standard normals and evaluates block by block, so neither
         the design matrix nor the sample matrix is ever materialized.
         Chunked draws from a :class:`numpy.random.Generator` fill the
-        same stream as one big draw, so concatenated blocks are
-        independent of ``chunk_size``.
+        same stream as one big draw, so the normals are independent of
+        ``chunk_size``.  The evaluated values are not promised to be:
+        BLAS may pick another GEMM kernel for another chunk height, so
+        a sample's last bits can depend on ``chunk_size``.
         """
         if num_samples < 1:
             raise StochasticError(

@@ -277,21 +277,39 @@ class TestStoreIndex:
                    for row in SurrogateStore(store.root).inventory()}
         assert ("damaged" in scanned[victim]) and len(scanned) == 4
 
-    def test_touch_with_a_repeated_mtime_is_seen(self, tmp_path):
-        # A hit takes ~2 ms and coarse-clock mtimes tick every few ms,
-        # so a same-size touch can leave mtime and size unchanged.  The
-        # rename gives the sidecar a new inode, which the cache sees.
+    def test_touch_to_a_new_stamp_is_seen(self, tmp_path):
+        # A touch keeps the sidecar's inode and size and moves only its
+        # mtime, which is the row's last_used: the cache sees it move.
         store = self._populated(tmp_path)
         key = store.inventory()[-1]["key"]
         sidecar_path = store.root / f"{key}.json"
         stat = sidecar_path.stat()
-        store.touch(key, when=1.0e9 + 7)  # same width as 1.0e9 + 0
-        os.utime(sidecar_path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        assert sidecar_path.stat().st_size == stat.st_size
-        assert sidecar_path.stat().st_mtime_ns == stat.st_mtime_ns
+        store.inventory()  # cache the row under the old stamp
+        store.touch(key, when=1.0e9 + 7)
+        touched = sidecar_path.stat()
+        assert (touched.st_ino, touched.st_size) \
+            == (stat.st_ino, stat.st_size)
+        assert touched.st_mtime_ns == (1_000_000_000 + 7) * 10**9
         rows = {row["key"]: row for row in store.inventory()}
         assert rows[key]["last_used"] == 1.0e9 + 7
         assert store.inventory() == SurrogateStore(store.root).inventory()
+
+    def test_rewrite_with_a_repeated_stamp_is_seen(self, tmp_path):
+        # A save stamps its sidecar with the record's created_at, so a
+        # same-size rewrite can repeat the mtime; the rename gives the
+        # sidecar a new inode, which the cache sees.
+        store = IndexedSurrogateStore(tmp_path / "store")
+        record = fabricated_record(margin_um=1.0)
+        record.created_at = 1.0e9
+        key = store.save(record)
+        stat = (store.root / f"{key}.json").stat()
+        assert "damaged" not in store.inventory()[0]
+        record.num_runs = 7  # one digit, like the 0 it replaces
+        store.save(record)
+        rewritten = (store.root / f"{key}.json").stat()
+        assert (rewritten.st_mtime_ns, rewritten.st_size) \
+            == (stat.st_mtime_ns, stat.st_size)
+        assert store.inventory()[0]["num_runs"] == 7
 
     def test_indexed_warm_start_matches_scan(self, tmp_path):
         store = IndexedSurrogateStore(tmp_path / "store")
@@ -584,6 +602,20 @@ class TestRunGc:
         assert victim in report["skipped_in_use"]
         assert victim in SurrogateStore(store.root).keys()
 
+    def test_entry_stamped_after_planning_is_skipped(self, tmp_path):
+        # A hit's stamp is its sidecar's mtime, and the recheck before
+        # each unlink reads that from disk.
+        store, keys = self._populated(tmp_path)
+        stale_inventory = store.inventory()
+        victim = keys[0]
+        stamp = 2_000_000_000 * 10**9
+        os.utime(store.root / f"{victim}.json", ns=(stamp, stamp))
+        store.inventory = lambda: stale_inventory
+        report = run_gc(store, max_entries=2)
+        assert report["skipped_in_use"] == [victim]
+        assert report["evicted"] == [keys[1]]
+        assert victim in SurrogateStore(store.root).keys()
+
     def test_gc_against_live_daemon_store(self, tmp_path):
         store, keys = self._populated(tmp_path)
         daemon = ReproDaemon(store_path=store.root, port=0)
@@ -715,8 +747,9 @@ class TestDaemonHTTP:
         record = fabricated_record(margin_um=1.0)
         key = store.save(record)
         sidecar = (store.root / f"{key}.json").read_bytes()
-        monkeypatch.setattr(tempfile, "mkstemp", mock.Mock(
-            side_effect=PermissionError(13, "Permission denied")))
+        for module, name in ((tempfile, "mkstemp"), (os, "utime")):
+            monkeypatch.setattr(module, name, mock.Mock(
+                side_effect=PermissionError(13, "Permission denied")))
         instance = ReproDaemon(store_path=store.root, port=0,
                                build_missing=False, quiet=True)
         instance.start()

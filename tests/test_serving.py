@@ -6,6 +6,7 @@ keys must be stable across processes, and the query engine's sampled
 answers must agree exactly with direct NumPy on the same samples.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -43,7 +44,7 @@ from repro.serving import (
 )
 from repro.stochastic.hermite import HermiteBasis
 from repro.stochastic.montecarlo import run_monte_carlo
-from repro.stochastic.pce import PolynomialChaos
+from repro.stochastic.pce import DEFAULT_CHUNK_SIZE, PolynomialChaos
 
 TINY_PARAMS = {"max_step_um": 2.0, "rdf_nodes": 6}
 TINY_REDUCTION = {"caps": {"doping": 1}, "energy": 0.9}
@@ -276,6 +277,8 @@ class TestStoreRoundTrip:
         (store.root / f"{stale}.npz").write_bytes(
             (store.root / f"{valid}.npz").read_bytes())
         (store.root / f"{stale}.json").write_text(canonical_json(meta))
+        # last_used is the sidecar's mtime: the older entry goes first.
+        os.utime(store.root / f"{stale}.json", (older, older))
 
         listed = {row["key"]: row for row in store.inventory()}
         assert set(listed) == {valid, stale}
@@ -341,6 +344,73 @@ class TestStoreRoundTrip:
         loaded = store.load(key)
         np.testing.assert_array_equal(loaded.pce.coefficients,
                                       synthetic_record.pce.coefficients)
+
+
+class TestLastUsedStamp:
+    """An entry's ``last_used`` is its sidecar's mtime: ``save`` sets it
+    to ``created_at`` and a hit moves it with one ``os.utime``."""
+
+    def test_save_stamps_created_at(self, store, synthetic_record):
+        key = store.save(dataclasses.replace(synthetic_record,
+                                             created_at=1.5e9))
+        stat = (store.root / f"{key}.json").stat()
+        assert stat.st_mtime_ns == 1_500_000_000 * 10**9
+        (row,) = store.inventory()
+        assert row["last_used"] == row["created_at"] == 1.5e9
+
+    def test_hit_writes_no_file(self, store, synthetic_record,
+                                monkeypatch):
+        key = store.save(synthetic_record)
+        sidecar_path = store.root / f"{key}.json"
+        names = sorted(path.name for path in store.root.iterdir())
+        sidecar, stat = sidecar_path.read_bytes(), sidecar_path.stat()
+        mkstemp = mock.Mock(wraps=tempfile.mkstemp)
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        report = ensure_surrogate(tiny_spec(), store)
+        assert (report.cache_key, report.built) == (key, False)
+        hit = sidecar_path.stat()
+        assert sidecar_path.read_bytes() == sidecar
+        assert hit.st_ino == stat.st_ino
+        assert hit.st_mtime_ns >= stat.st_mtime_ns
+        assert not mkstemp.called
+        assert sorted(path.name for path in store.root.iterdir()) == names
+        (row,) = store.inventory()
+        assert row["last_used"] == hit.st_mtime_ns / 10**9
+
+    def test_touch_racing_a_save_keeps_the_new_sidecar(
+            self, store, synthetic_record, monkeypatch):
+        """A hit's stamp, stalled right before its write while a save
+        of the same key lands, never puts the old sidecar back."""
+        key = store.save(synthetic_record)
+        old = synthetic_record.pce
+        rebuilt = dataclasses.replace(synthetic_record, pce=PolynomialChaos(
+            old.basis, old.coefficients + 1.0, output_names=["a", "b"]))
+        reached, saved = threading.Event(), threading.Event()
+        toucher = threading.Thread(target=store.touch, args=(key,))
+
+        def stalled(write):
+            def write_after_the_save(*args, **kwargs):
+                if threading.current_thread() is toucher:
+                    reached.set()
+                    saved.wait(10.0)
+                return write(*args, **kwargs)
+            return write_after_the_save
+
+        # Stall whichever write the stamp makes: an os.utime, or the
+        # sidecar rewrite of a stamp kept inside the JSON.
+        monkeypatch.setattr(os, "utime", stalled(os.utime))
+        monkeypatch.setattr(SurrogateStore, "_atomic_write",
+                            stalled(SurrogateStore._atomic_write))
+        toucher.start()
+        try:
+            assert reached.wait(10.0)
+            store.save(rebuilt)
+        finally:
+            saved.set()
+            toucher.join(10.0)
+        loaded = store.get(key)
+        np.testing.assert_array_equal(loaded.pce.coefficients,
+                                      rebuilt.pce.coefficients)
 
 
 def _decodes() -> float:
@@ -756,6 +826,20 @@ class TestSampleBank:
             new.quantiles([0.3]), 2.0 * old.quantiles([0.3]))
         assert len(draws) == 2
 
+    def test_streams_of_other_chunk_sizes_are_not_shared(self, bank):
+        """GEMM rows are not bitwise independent of the block height, so
+        a stream banked at one chunk size never answers another's
+        query: each answer stays ``np.quantile`` of its own draw."""
+        basis = HermiteBasis(3, order=4)
+        pce = PolynomialChaos(basis, np.random.default_rng(1)
+                              .standard_normal((basis.size, 2)))
+        levels = np.linspace(0.0, 1.0, 41)
+        for chunk_size in (1024, DEFAULT_CHUNK_SIZE):
+            engine = QueryEngine(pce, chunk_size=chunk_size)
+            np.testing.assert_array_equal(
+                engine.quantiles(levels, num_samples=40000, seed=1),
+                np.quantile(engine.sample(40000, 1), levels, axis=0))
+
     def test_lru_eviction_within_budget(self, pce, monkeypatch, draws):
         engine = QueryEngine(pce, num_samples=self.M)
         stream_bytes = self.M * pce.output_dim * 8
@@ -901,11 +985,14 @@ class TestUnwritableStore:
     def test_hits_skip_the_stamp(self, store, synthetic_record,
                                  monkeypatch):
         """A store this process cannot write still answers its hits:
-        the ``last_used`` stamp is skipped, the read is not failed."""
+        the ``last_used`` stamp (the hit's one write, an
+        ``os.utime``) is skipped, the read is not failed."""
         key = store.save(synthetic_record)
-        sidecar = (store.root / f"{key}.json").read_bytes()
-        monkeypatch.setattr(tempfile, "mkstemp", mock.Mock(
-            side_effect=PermissionError(13, "Permission denied")))
+        sidecar_path = store.root / f"{key}.json"
+        sidecar, stat = sidecar_path.read_bytes(), sidecar_path.stat()
+        utime = mock.Mock(
+            side_effect=PermissionError(13, "Permission denied"))
+        monkeypatch.setattr(os, "utime", utime)
         request = {"spec": tiny_spec().to_dict(),
                    "queries": [{"kind": "mean"}]}
         (response,) = serve_batch(request, store,
@@ -916,7 +1003,9 @@ class TestUnwritableStore:
         report = ensure_surrogate(tiny_spec(), store)
         assert (report.cache_key, report.built,
                 report.num_solves) == (key, False, 0)
-        assert (store.root / f"{key}.json").read_bytes() == sidecar
+        assert utime.call_count == 2
+        assert sidecar_path.read_bytes() == sidecar
+        assert sidecar_path.stat().st_mtime_ns == stat.st_mtime_ns
 
 
 class TestMonteCarloPreallocation:

@@ -16,7 +16,7 @@ from repro.stochastic import (
     smolyak_sparse_grid,
     tensor_grid,
 )
-from repro.stochastic.hermite import hermite_values_upto
+from repro.stochastic.hermite import EVALUATE_BLOCK, hermite_values_upto
 from repro.stochastic.pce import PolynomialChaos
 from repro.stochastic.sparse_grid import smolyak_point_count
 
@@ -137,11 +137,14 @@ class TestDesignBitwise:
     @pytest.mark.parametrize("name", sorted(_BITWISE_BASES))
     def test_evaluate_matches_column_loop(self, name):
         basis = _BITWISE_BASES[name]()
-        points = np.random.default_rng(3).standard_normal(
-            (1001, basis.dim))
-        design = basis.evaluate(points)
-        assert design.flags.c_contiguous
-        assert np.array_equal(design, _column_loop_design(basis, points))
+        # One evaluation block, then two full blocks and a partial one.
+        for num_points in (1001, 2 * EVALUATE_BLOCK + 5):
+            points = np.random.default_rng(3).standard_normal(
+                (num_points, basis.dim))
+            design = basis.evaluate(points)
+            assert design.flags.c_contiguous
+            assert np.array_equal(design,
+                                  _column_loop_design(basis, points))
         assert np.array_equal(basis.evaluate(points[0]),
                               _column_loop_design(basis, points[0]))
 
@@ -160,6 +163,25 @@ class TestDesignBitwise:
         reference = pce.sample_values(np.random.default_rng(5), 25_000,
                                       chunk_size=10_000)
         assert np.array_equal(drawn, reference)
+
+
+class TestBasisPlan:
+    """``evaluate`` and ``linear_terms`` derive their per-row plan once
+    per index list; a changed list gets a plan of its own."""
+
+    def test_changed_indices_are_seen(self):
+        basis = HermiteBasis(3)
+        points = np.random.default_rng(6).standard_normal((50, 3))
+        basis.evaluate(points)
+        rows, axes = basis.linear_terms()
+        assert rows.tolist() == [1, 2, 3] and axes.tolist() == [0, 1, 2]
+        assert not rows.flags.writeable and not axes.flags.writeable
+        basis.indices[1], basis.indices[2] = (basis.indices[2],
+                                              basis.indices[1])
+        basis.indices[-1] = (1, 1, 1)
+        assert basis.linear_terms()[1].tolist() == [1, 0, 2]
+        assert np.array_equal(basis.evaluate(points),
+                              _column_loop_design(basis, points))
 
 
 class TestGaussHermite:
