@@ -15,22 +15,23 @@ store:
   solves) instead of repeating the campaign.
 
 Stdlib-only and free of any ``repro`` import so the serving layer can
-use the lock without a circular dependency.  Locks are advisory:
-readers never take them, and a crashed holder's lock dies with its
-file descriptor (``flock``), so no stale-lock cleanup is ever needed.
+use the lock without a circular dependency.  POSIX-only, like the
+solver that builds under the lock: importing the module fails where
+``fcntl`` is missing.  Locks are advisory: readers never take them,
+and a crashed holder's lock dies with its file descriptor (``flock``),
+so no stale-lock cleanup is ever needed.  A lock file is a zero-byte
+anchor that is never written, so RL301 (store writes go through the
+atomic helper) passes :func:`_open_lock_anchor` by contract
+(``repro.lint.contracts.RAW_FILE_HELPERS``).
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-
-try:  # Linux/macOS.  Without fcntl (Windows) build_lock does not lock.
-    import fcntl
-except ImportError:  # pragma: no cover - not reachable on POSIX CI
-    fcntl = None
 
 #: Subdirectory of a store root holding the per-key build locks.
 #: Lives apart from the entries, so ``SurrogateStore.keys()`` (which
@@ -110,10 +111,11 @@ class SingleFlight:
             return len(self._flights)
 
 
-def _lock_path(store_root, key: str) -> Path:
+def _open_lock_anchor(store_root, key: str) -> int:
+    """Open (creating if needed) the lock file of ``key``; its fd."""
     lock_dir = Path(store_root) / LOCK_DIR_NAME
     lock_dir.mkdir(parents=True, exist_ok=True)
-    return lock_dir / f"{key}.lock"
+    return os.open(lock_dir / f"{key}.lock", os.O_RDWR | os.O_CREAT, 0o644)
 
 
 @contextmanager
@@ -134,18 +136,12 @@ def build_lock(store_root, key: str):
     key : str
         The cache key being built.
     """
-    path = _lock_path(store_root, key)
-    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)  # repro-lint: disable=RL301 -- lock files are zero-byte flock anchors, never written; a torn write is impossible
+    fd = _open_lock_anchor(store_root, key)
     try:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_EX)
+        fcntl.flock(fd, fcntl.LOCK_EX)
         yield
     finally:
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
+        release_lock(fd)
 
 
 def try_build_lock(store_root, key: str):
@@ -155,10 +151,7 @@ def try_build_lock(store_root, key: str):
     (re)building — never evict what is being written.  Release with
     :func:`release_lock`.
     """
-    path = _lock_path(store_root, key)
-    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)  # repro-lint: disable=RL301 -- lock files are zero-byte flock anchors, never written; a torn write is impossible
-    if fcntl is None:  # pragma: no cover - POSIX CI always has fcntl
-        return fd
+    fd = _open_lock_anchor(store_root, key)
     try:
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except OSError:
@@ -170,7 +163,6 @@ def try_build_lock(store_root, key: str):
 def release_lock(fd: int) -> None:
     """Release a lock handed out by :func:`try_build_lock`."""
     try:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_UN)
+        fcntl.flock(fd, fcntl.LOCK_UN)
     finally:
         os.close(fd)

@@ -287,10 +287,6 @@ class Structure:
             raise GeometryError(f"no contact named {name!r}; defined: "
                                 f"{sorted(self.contacts)}") from exc
 
-    def material_of_cells(self) -> np.ndarray:
-        """Copy of the per-cell material-id array."""
-        return self.cell_materials.copy()
-
     def summary(self) -> str:
         """One-line inventory used by examples and benchmarks."""
         kinds = self.node_kinds()

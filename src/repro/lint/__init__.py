@@ -10,8 +10,7 @@ the scientific stack.
 
 Rule families (full catalog in ``docs/LINT.md``):
 
-- **RL0xx** meta: parse errors and suppression hygiene (reasons are
-  mandatory, stale suppressions are flagged).
+- **RL000** meta: a file that does not parse.
 - **RL1xx** canonical hashing: hash-fed ``json.dumps`` must sort
   keys.
 - **RL2xx** determinism: no wall clocks / global RNG state outside
@@ -30,19 +29,14 @@ Rule families (full catalog in ``docs/LINT.md``):
   failures fall back to the direct LU; no cache key carries a
   tolerance.
 
-Suppress a deliberate exception inline, with a reason::
-
-    thing()  # repro-lint: disable=RL201 -- why this one is safe
+Every finding fails the run.  A deliberate exception to a rule is an
+entry in :mod:`repro.lint.contracts` (the timestamp fields, the
+clock-reading modules, the raw-file helpers, ...); comments silence
+nothing.
 """
 
-from repro.lint.diagnostics import (
-    ERROR,
-    WARNING,
-    Diagnostic,
-    counts,
-    format_text,
-)
-from repro.lint.registry import all_rules, get_rule, is_registered
+from repro.lint.diagnostics import Diagnostic, format_text
+from repro.lint.registry import all_rules, get_rule
 
 # Importing the rule modules registers every rule; the engine then
 # discovers them through the registry.
@@ -60,15 +54,11 @@ from repro.lint.engine import (
 )
 
 __all__ = [
-    "ERROR",
-    "WARNING",
     "Diagnostic",
     "FileContext",
     "all_rules",
-    "counts",
     "format_text",
     "get_rule",
-    "is_registered",
     "lint_files",
     "lint_paths",
     "lint_source",

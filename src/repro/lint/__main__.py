@@ -5,8 +5,8 @@ Usage::
     python -m repro.lint [paths ...]    # default: src/repro
     python -m repro.lint --list-rules
 
-Exit codes: 0 clean (warnings allowed), 1 when an error finding fails
-the run, 2 on usage errors or unreadable paths.
+Exit codes: 0 clean, 1 on any finding, 2 on usage errors or
+unreadable paths.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint import ERROR, all_rules, counts, format_text
+from repro.lint import all_rules, format_text
 from repro.lint.engine import lint_paths
 
 
@@ -23,8 +23,8 @@ def _list_rules() -> str:
     lines = []
     for rule in all_rules():
         kind = "meta" if rule.check is None else "file"
-        lines.append(f"{rule.id}  {rule.severity:7}  {kind:7}  "
-                     f"{rule.name}: {rule.description}")
+        lines.append(f"{rule.id}  {kind:4}  {rule.name}: "
+                     f"{rule.description}")
     return "\n".join(lines)
 
 
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
         print(format_text(diagnostics))
     else:
         print("repro.lint: clean")
-    return 1 if counts(diagnostics)[ERROR] else 0
+    return 1 if diagnostics else 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Parsing and rule-execution engine for :mod:`repro.lint`.
 
-One :class:`FileContext` per file: source, AST (with parent links),
-comment map, import-alias table and the parsed suppression directives.
-:func:`run` executes every registered rule per context, then filters
-findings through the suppression tables and appends the
-suppression-hygiene meta diagnostics.
+One :class:`FileContext` per file: source, AST (with parent links)
+and import-alias table.  :func:`run` executes every registered rule
+per context and reports a file that does not parse as :data:`RL000`.
+Comments are not read: an exception to a rule is an entry in
+:mod:`repro.lint.contracts`, never a comment at the call site.
 
 Everything here is stdlib-only on purpose: the CI lint job runs
 ``python -m repro.lint`` without installing the scientific stack.
@@ -13,13 +13,14 @@ Everything here is stdlib-only on purpose: the CI lint job runs
 from __future__ import annotations
 
 import ast
-import io
-import tokenize
 from pathlib import Path
 
-from repro.lint.diagnostics import ERROR, Diagnostic
-from repro.lint.registry import all_rules
-from repro.lint.suppress import RL000, parse_suppressions
+from repro.lint.diagnostics import Diagnostic
+from repro.lint.registry import all_rules, meta_rule
+
+RL000 = meta_rule(
+    "RL000", "parse-error",
+    "file could not be parsed; nothing else was checked").id
 
 # ----------------------------------------------------------------------
 # AST helpers shared by the rule modules
@@ -103,24 +104,6 @@ def enclosing_functions(node: ast.AST) -> list:
                                    ast.AsyncFunctionDef))]
 
 
-def collect_comments(source: str) -> dict:
-    """``{line: comment_text}`` for every comment token.
-
-    Tokenization failures (the file already failed ``ast.parse`` or
-    uses something exotic) degrade to an empty map rather than
-    erroring: suppressions are then simply not honored for that file.
-    """
-    comments = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type == tokenize.COMMENT:
-                comments[token.start[0]] = token.string
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        return {}
-    return comments
-
-
 # ----------------------------------------------------------------------
 
 
@@ -131,7 +114,6 @@ class FileContext:
         self.source = source
         self.path = path
         self.module = module
-        self.lines = source.splitlines()
         self.parse_error = None
         try:
             self.tree = ast.parse(source, filename=path)
@@ -139,13 +121,9 @@ class FileContext:
             self.tree = ast.Module(body=[], type_ignores=[])
             self.parse_error = Diagnostic(
                 file=path, line=getattr(exc, "lineno", 1) or 1, col=0,
-                rule=RL000, severity=ERROR,
-                message=f"could not parse file: {exc}")
+                rule=RL000, message=f"could not parse file: {exc}")
         attach_parents(self.tree)
         self.import_aliases = collect_import_aliases(self.tree)
-        self.comments = collect_comments(source)
-        self.suppressions = parse_suppressions(
-            self.comments, self.lines, path)
 
 
 def derive_module(path) -> str:
@@ -170,29 +148,18 @@ def derive_module(path) -> str:
 
 def run(contexts: list) -> list:
     """Run every registered rule over the parsed contexts."""
-    raw = []
+    diagnostics = []
     for ctx in contexts:
         if ctx.parse_error is not None:
-            raw.append(ctx.parse_error)
+            diagnostics.append(ctx.parse_error)
             continue
         for rule in all_rules():
             if rule.check is None:
                 continue
             if rule.scope is not None and not rule.scope(ctx.module):
                 continue
-            raw.extend(rule.check(ctx))
-
-    by_path = {ctx.path: ctx for ctx in contexts}
-    kept = []
-    for diagnostic in raw:
-        ctx = by_path.get(diagnostic.file)
-        if ctx is not None and ctx.suppressions.suppresses(diagnostic):
-            continue
-        kept.append(diagnostic)
-    for ctx in contexts:
-        kept.extend(ctx.suppressions.meta_diagnostics)
-        kept.extend(ctx.suppressions.unused(ctx.path))
-    return sorted(kept)
+            diagnostics.extend(rule.check(ctx))
+    return sorted(diagnostics)
 
 
 def lint_source(source: str, path: str = "<snippet>",

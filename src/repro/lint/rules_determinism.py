@@ -105,7 +105,7 @@ def check_nondeterministic_call(ctx):
             continue
         yield Diagnostic(
             file=ctx.path, line=node.lineno, col=node.col_offset,
-            rule=rule.id, severity=rule.severity,
+            rule=rule.id,
             message=f"nondeterministic call: {reason}; identical "
                     f"builds must be bitwise-identical (wall-clock "
                     f"is allowed only when stamping "
@@ -146,7 +146,7 @@ def check_unordered_set_iteration(ctx):
         seen.add(key)
         yield Diagnostic(
             file=ctx.path, line=node.lineno, col=node.col_offset,
-            rule=rule.id, severity=rule.severity,
+            rule=rule.id,
             message="iteration over a set follows hash order, which "
                     "is not stable across processes (PYTHONHASHSEED) "
                     "or value provenance; wrap the set in sorted() "

@@ -52,7 +52,7 @@ def check_unsorted_hash_json(ctx):
         flagged.add(key)
         yield Diagnostic(
             file=ctx.path, line=call.lineno, col=call.col_offset,
-            rule=rule.id, severity=rule.severity,
+            rule=rule.id,
             message="json.dumps feeding a hash/identity path must "
                     "pass sort_keys=True: dict insertion order is an "
                     "accident of construction, and two processes "

@@ -61,7 +61,7 @@ def check_obs_in_identity_module(ctx):
     for node, imported in _obs_imports(ctx.tree):
         yield Diagnostic(
             file=ctx.path, line=node.lineno, col=node.col_offset,
-            rule=rule.id, severity=rule.severity,
+            rule=rule.id,
             message=f"identity module {ctx.module} imports {imported}; "
                     f"{OBS_PACKAGE} is execution-only and must stay "
                     f"out of modules that define cache-key identity")
@@ -96,7 +96,7 @@ def check_obs_in_identity_function(ctx):
             return
         yield Diagnostic(
             file=ctx.path, line=node.lineno, col=node.col_offset,
-            rule=rule.id, severity=rule.severity,
+            rule=rule.id,
             message=f"{what} inside {function}(); identity forms feed "
                     f"cache keys, and {OBS_PACKAGE} is execution-only "
                     f"— instrument the call site, not the identity")

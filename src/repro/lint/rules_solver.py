@@ -54,7 +54,7 @@ def check_iterative_solver_confinement(ctx):
     for node, name in _iterative_imports(ctx.tree):
         yield Diagnostic(
             file=ctx.path, line=node.lineno, col=node.col_offset,
-            rule=rule.id, severity=rule.severity,
+            rule=rule.id,
             message=f"import of {_SPARSE_LINALG}.{name} outside the "
                     f"backend seam; iterative solves must go through "
                     f"repro.solver.backends, where the residual is "
@@ -66,7 +66,7 @@ def check_iterative_solver_confinement(ctx):
                 yield Diagnostic(
                     file=ctx.path, line=node.lineno,
                     col=node.col_offset,
-                    rule=rule.id, severity=rule.severity,
+                    rule=rule.id,
                     message=f"call to {qual}() outside the backend "
                             f"seam; iterative solves must go through "
                             f"repro.solver.backends, where the "

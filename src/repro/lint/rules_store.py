@@ -7,17 +7,15 @@ as corruption at best and as silently wrong statistics at worst.  The
 family patrols ``repro.serving``, ``repro.daemon`` and
 ``repro.campaign`` — the pipeline, service, daemon, gc and catalog
 layers must hand bytes to the store, never touch disk themselves
-(RL301).
+(RL301).  The helpers named in
+:data:`repro.lint.contracts.RAW_FILE_HELPERS` are the exceptions.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.lint.contracts import (
-    ATOMIC_WRITER_NAMES,
-    STORE_LAYER_PREFIXES,
-)
+from repro.lint.contracts import RAW_FILE_HELPERS, STORE_LAYER_PREFIXES
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import call_qual, dotted_name, enclosing_functions
 from repro.lint.registry import file_rule, get_rule
@@ -34,9 +32,9 @@ _NP_SAVERS = frozenset({
 _STDOUT_STREAMS = frozenset({"sys.stdout", "sys.stderr"})
 
 
-def _in_atomic_writer(node) -> bool:
+def _in_raw_file_helper(node) -> bool:
     return any(
-        any(marker in func.name for marker in ATOMIC_WRITER_NAMES)
+        any(marker in func.name for marker in RAW_FILE_HELPERS)
         for func in enclosing_functions(node))
 
 
@@ -75,7 +73,7 @@ def check_nonatomic_store_write(ctx):
     def flag(node, what):
         return Diagnostic(
             file=ctx.path, line=node.lineno, col=node.col_offset,
-            rule=rule.id, severity=rule.severity,
+            rule=rule.id,
             message=f"{what} bypasses the atomic unique-tmp+rename "
                     f"helper; a crash mid-write leaves a torn store "
                     f"entry (route the bytes through "
@@ -94,7 +92,7 @@ def check_nonatomic_store_write(ctx):
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        if _in_atomic_writer(node):
+        if _in_raw_file_helper(node):
             continue
         qual = call_qual(ctx, node)
         func = node.func

@@ -1,12 +1,15 @@
-"""Docs health: intra-repo links resolve, CLI docs track --help, and
-the public API documents itself.
+"""Docs health: intra-repo links resolve, CLI docs track --help, the
+lint catalog tracks the registered rules, and the public API documents
+itself.
 
 Cheap structural checks, not prose review: every relative link in
 README.md and docs/*.md must point at a file that exists,
 ``docs/CLI.md`` must mention every subcommand and every long flag the
-argument parser actually exposes, and every name a package exports
-through ``__all__`` must resolve and carry documentation — so the docs
-fail loudly the moment the CLI or the API drifts.
+argument parser actually exposes, ``docs/LINT.md`` must catalog
+exactly the rules ``python -m repro.lint --list-rules`` prints, and
+every name a package exports through ``__all__`` must resolve and
+carry documentation — so the docs fail loudly the moment the CLI, the
+lint rules or the API drift.
 """
 
 import ast
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.lint.__main__ import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -29,6 +33,7 @@ API_PACKAGES = sorted(
     for init in (SRC_ROOT / "repro").rglob("__init__.py")
     if "__all__" in init.read_text())
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+RULE_ID = re.compile(r"\bRL\d{3}\b")
 SUBCOMMANDS = ("info", "structures", "solve", "build", "query",
                "serve", "store", "campaign")
 #: Every parser whose flags the CLI docs must track — the nested
@@ -121,6 +126,45 @@ class TestCliDocsDrift:
         stale = documented - real
         assert not stale, f"docs/CLI.md documents removed flags: " \
                           f"{sorted(stale)}"
+
+
+def _lint_doc_sections():
+    """``{heading: body}`` for each ``## `` section of docs/LINT.md."""
+    text = (REPO_ROOT / "docs" / "LINT.md").read_text()
+    intro, *chunks = re.split(r"^## ", text, flags=re.MULTILINE)
+    sections = {"(intro)": intro}
+    for chunk in chunks:
+        heading, _, body = chunk.partition("\n")
+        sections[heading.strip()] = body
+    return sections
+
+
+class TestLintDocsDrift:
+    @pytest.fixture
+    def live_rules(self, capsys):
+        assert lint_main(["--list-rules"]) == 0
+        return {line.split()[0]
+                for line in capsys.readouterr().out.splitlines()}
+
+    def test_catalog_names_every_live_rule(self, live_rules):
+        catalog = _lint_doc_sections()["Rule catalog"]
+        assert set(RULE_ID.findall(catalog)) == live_rules
+
+    def test_retired_ids_appear_only_under_retired_rules(self,
+                                                         live_rules):
+        sections = _lint_doc_sections()
+        # Each retired rule is a bullet opening with its bold id; the
+        # prose after it may name live rules.
+        retired = set(re.findall(r"\*\*(RL\d{3})\b",
+                                 sections.pop("Retired rules")))
+        assert retired, "docs/LINT.md lists no retired rules"
+        revived = sorted(retired & live_rules)
+        assert not revived, f"retired ids still registered: {revived}"
+        for heading, body in sections.items():
+            stray = set(RULE_ID.findall(body)) - live_rules
+            assert not stray, \
+                f"docs/LINT.md '{heading}' names {sorted(stray)}, " \
+                f"which --list-rules does not print"
 
 
 def _doc_comment_flags(name, value):
