@@ -20,15 +20,30 @@ Measured and gated:
   the process, and its four members, which share one structure,
   solve it once: ``nominal_solves_chained`` (1) and the LUs of the
   whole campaign, ``factorizations_chained`` (8: six Newton steps and
-  the DC and AC references), are exact fields.
+  the DC and AC references), are exact fields.  The campaign runs on
+  the default worker count, and pool workers report the counters
+  they move, so both hold for a pooled campaign too.
+* **the default pool** — the chained campaign is timed serially
+  (``workers=1``) and on the default workers, the two sides in
+  alternation, each keeping its fastest of ``TIMED_RUNS`` runs, so
+  host drift cannot fake the gain.  Every member payload must be the
+  same bytes on both sides; ``pool_speedup > 1.05`` is asserted only
+  when the process may run on at least 2 CPUs.  Recorded beside it:
+  ``affinity_cpu_count`` (usable CPUs), ``pool_cpu_count`` (the
+  resolved default worker count) and ``worker_peak_rss_mb``, the
+  largest worker's peak RSS, which the building process's own RSS
+  does not show.
 
 Results land in ``output/BENCH_campaign.json``.
 """
 
+import os
+import resource
 import time
 
 import numpy as np
 
+from repro.analysis.parallel import resolve_workers
 from repro.campaign import run_campaign
 from repro.experiments import table2_spec
 from repro.reporting import format_kv_block
@@ -43,6 +58,10 @@ from conftest import write_bench_json, write_report
 SIGMA_M_VALUES = (0.1, 0.101, 0.102, 0.103)
 #: Adaptive tolerance of every member build (PR 4's warm-start tol).
 TOL = 1e-5
+#: Timed campaigns per side, serial and pooled in alternation; each
+#: side's fastest counts, so one slow run on a shared host cannot
+#: decide the speedup.
+TIMED_RUNS = 2
 
 
 def _table2_caps(problem, serving):
@@ -61,6 +80,26 @@ def _member_spec(profile, caps, sigma_m):
     params = dict(profile["serving"]["params"])
     return table2_spec(sigma_m=sigma_m, reduction={"caps": caps},
                        adaptive={"tol": TOL, "max_level": 2}, **params)
+
+
+def _timed_campaigns(grid, root):
+    """Serial and default-worker campaigns in alternation: each
+    side's fastest wall and its member payload bytes by key."""
+    walls = {"serial": [], "pooled": []}
+    payloads = {}
+    for run in range(TIMED_RUNS):
+        for side, workers in (("serial", 1), ("pooled", None)):
+            NOMINAL_SLOT.clear()
+            store = SurrogateStore(root / f"{side}{run}")
+            start = time.perf_counter()
+            catalog = run_campaign(grid, store, workers=workers)
+            walls[side].append(time.perf_counter() - start)
+            assert catalog["totals"]["failed"] == 0
+            payloads.setdefault(side, {
+                row["key"]: (store.root / f"{row['key']}.npz").read_bytes()
+                for row in catalog["members"]})
+    return ({side: min(values) for side, values in walls.items()},
+            payloads)
 
 
 def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
@@ -99,6 +138,22 @@ def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
     factorizations = int(_FACTORIZATIONS.value() - factorizations)
     nominal_solves = int(_NOMINAL_SOLVES.value() - nominal_solves)
 
+    walls, payloads = _timed_campaigns(grid, tmp_path)
+    affinity = len(os.sched_getaffinity(0))
+    pool = {
+        "affinity_cpu_count": affinity,
+        "pool_cpu_count": resolve_workers(
+            None, _member_spec(profile, caps, SIGMA_M_VALUES[0])
+            .build_problem),
+        "wall_serial_s": walls["serial"],
+        "wall_pooled_s": walls["pooled"],
+        "pool_speedup": walls["serial"] / walls["pooled"],
+        "pool_bitwise_identical": payloads["pooled"] == payloads["serial"],
+        # ru_maxrss of RUSAGE_CHILDREN: the largest reaped child's peak.
+        "worker_peak_rss_mb": resource.getrusage(
+            resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
+    }
+
     solves_independent = sum(r.num_solves for r in cold.values())
     totals = catalog["totals"]
     members = {}
@@ -132,6 +187,7 @@ def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
         "wall_independent_s": wall_independent,
         "wall_chained_s": wall_chained,
         "members": members,
+        **pool,
     }
 
     rows = [
@@ -144,6 +200,13 @@ def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
          f"{stats['warm_started']} warm-started)"),
         ("chained campaign's nominal",
          f"{nominal_solves} nominal solve(s), {factorizations} LUs"),
+        (f"chained campaign, fastest of {TIMED_RUNS}",
+         f"serial {walls['serial']:.2f}s -> {pool['pool_cpu_count']} "
+         f"default workers {walls['pooled']:.2f}s "
+         f"({pool['pool_speedup']:.2f}x on {affinity} cpus; largest "
+         f"worker peak RSS {pool['worker_peak_rss_mb']:.0f} MB)"),
+        ("pooled member payloads", "bitwise identical"
+         if pool["pool_bitwise_identical"] else "DIFFER"),
     ]
     for label in sorted(members, key=float):
         member = members[label]
@@ -172,3 +235,9 @@ def test_campaign_vs_independent_builds(profile, output_dir, tmp_path):
     for member in members.values():
         assert member["mean_scaled_gap"] <= 1e-4
         assert member["std_scaled_gap"] <= 1e-3
+    assert pool["pool_bitwise_identical"]
+    if affinity >= 2:
+        # Only meaningful with real cores underneath; on a single-CPU
+        # box the default resolves to serial and the field documents
+        # that instead.
+        assert pool["pool_speedup"] > 1.05

@@ -33,7 +33,8 @@ the snapshot:
   per-process scheduler/layout noise (±3% on millisecond-scale warm
   paths); the exact <2% bound is asserted noise-free inside the bench
   itself from component costs.
-* **ignored fields** — raw wall times, CPU counts, timestamps.
+* **ignored fields** — raw wall times, CPU counts, peak RSS (a
+  process's memory follows its host and allocator), timestamps.
 * other floats fall back to a tight relative tolerance.
 
 Fields missing from a fresh document, or whole missing documents, are
@@ -57,7 +58,7 @@ import sys
 from pathlib import Path
 
 #: Substrings marking fields that are never compared.
-IGNORE_TOKENS = ("wall", "cpu_count", "created")
+IGNORE_TOKENS = ("wall", "cpu_count", "rss", "created")
 #: Substrings marking accuracy fields (smaller is better).
 ERROR_TOKENS = ("rel_err", "gap", "drift", "mismatch", "error")
 #: Accuracy fields may grow to this multiple of the baseline ...

@@ -523,7 +523,10 @@ def main(argv=None) -> int:
                               "processes — refinement waves and the "
                               "fixed level-2 grid alike "
                               "(bitwise-identical result; a build "
-                              "argument, never part of the spec)")
+                              "argument, never part of the spec); "
+                              "default: every usable CPU where a fork "
+                              "is safe and BLAS runs one thread, else "
+                              "1; 1 forces a serial build")
     p_build.add_argument("--no-warm-start", action="store_true",
                          help="adaptive: refine from the root index "
                               "even when a stored sibling surrogate "
@@ -624,12 +627,15 @@ def main(argv=None) -> int:
     p_campaign_run.add_argument(
         "--workers", type=int, default=None,
         help="collocation worker processes for every member build "
-             "(a build argument, never part of the grid or any spec)")
+             "(a build argument, never part of the grid or any spec); "
+             "default: resolved per build as for 'repro build'; 1 "
+             "forces serial builds")
     p_campaign_run.add_argument(
         "--segment-workers", type=int, default=None,
         help="fan independent chain segments over up to N threads; "
              "builds inside a segment stay sequential so every "
-             "chained warm start finds its predecessor on disk")
+             "chained warm start finds its predecessor on disk, and "
+             "run serially by default")
     p_campaign_run.add_argument(
         "--no-warm-start", action="store_true",
         help="build every member cold (the chain degenerates to a "

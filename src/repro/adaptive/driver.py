@@ -8,7 +8,7 @@ global error estimate drops under ``tol`` or the solve budget runs
 out.  Each accepted index opens a *wave* of admissible neighbors; the
 wave's new collocation points are collected and handed to the
 ``solve_many`` hook in a single call when one is supplied (a build
-run with ``workers=N`` fans exactly that call over the
+whose workers resolve above 1 fans exactly that call over the
 ``analysis.parallel`` process pool — see
 :class:`~repro.analysis.parallel.ParallelWaveEvaluator`), falling back
 to a per-point loop in which every solve still rides the
@@ -503,7 +503,8 @@ def run_adaptive_sscm(solve_fn, dim: int, config: AdaptiveConfig = None,
         Stopping controls; defaults to :class:`AdaptiveConfig`.
         Pass a parallel ``solve_many`` (e.g. a
         :class:`~repro.analysis.parallel.ParallelWaveEvaluator`) to
-        fan waves out; the runner wires one in for ``workers > 1``.
+        fan waves out; the runner wires one in when the build's
+        workers resolve above 1.
     output_names:
         QoI component labels.
     solve_many:

@@ -5,67 +5,197 @@ for the "several hours" a typical variational run costs.  Collocation
 is embarrassingly parallel over samples, so the adaptive engine hands
 each refinement wave's batch of points to
 :class:`ParallelWaveEvaluator`, which fans the deterministic solves out
-over a persistent worker pool.  Fixed-grid builds go through the same
-evaluator (one wave holding the whole Smolyak grid).
+over a worker pool.  Fixed-grid builds go through the same evaluator
+(one wave holding the whole Smolyak grid).
 
 Workers receive a *picklable problem builder* (e.g.
 ``functools.partial(table1_problem, "both", config)``) rather than the
 problem itself: each worker builds its own solver once, amortizing the
 mesh/structure setup over its whole chunk — the natural layout for the
-paper's per-sample independence.  The per-worker problem also carries
-the solver's nominal factors, so every sample of a chunk chords
-through them, ``AC_BATCH`` samples to a lockstep AC block (see
-:meth:`AVSolver.solve_samples`).
+paper's per-sample independence.  A forked worker also inherits the
+parent's nominal state (``NOMINAL_SLOT``), so every sample of a chunk
+chords through the nominal factors, ``AC_BATCH`` samples to a lockstep
+AC block (see :meth:`AVSolver.solve_samples`).
+
+How many workers a build gets is :func:`resolve_workers`: an explicit
+count as given, else every usable CPU where a fork is safe and fast,
+else one.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from repro.errors import StochasticError
-from repro.obs.trace import get_tracer
+from repro.obs.metrics import REGISTRY
+from repro.obs.trace import NULL_TRACER, Tracer, activate, get_tracer
+from repro.solver.avsolver import AC_BATCH
+
+#: The thread-count getter an OpenBLAS exports, by build: numpy's
+#: 64-bit-integer one, scipy's, then a plain OpenBLAS.
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
+                 "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads")
+#: ``prctl`` option that signals a child when its parent dies.
+_PR_SET_PDEATHSIG = 1
 
 _WORKER_STATE = {}
 
 
-def _wave_worker_init(problem_builder, reduced_space):
-    problem = problem_builder()
-    _WORKER_STATE["problem"] = problem
+def _blas_threads(path: str):
+    """Threads of the loaded OpenBLAS at ``path``, or ``None`` when it
+    cannot be queried."""
+    import ctypes  # only builds need it: keeps the cold import small
+
+    try:
+        library = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    except OSError:
+        return None
+    for name in _BLAS_GETTERS:
+        getter = getattr(library, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
+
+
+def _blas_single_threaded() -> bool:
+    """True when every OpenBLAS mapped into this process runs one
+    thread.  A BLAS that cannot be queried counts as threaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps
+                     if "openblas" in line.lower()}
+    except OSError:
+        return False
+    return all(_blas_threads(path) == 1 for path in paths)
+
+
+def resolve_workers(workers, problem_builder) -> int:
+    """A build's worker count.
+
+    An explicit ``workers`` is returned as given.  ``None`` resolves to
+    every CPU this process may run on, but only when a fork is known
+    to be safe and fast: a ``problem_builder`` is given, there are at
+    least 2 CPUs, this is the process's only live thread (a fork
+    copies only the forking thread, so a lock another thread holds,
+    such as a metric's, would stay held in the child), the pool would
+    start its workers with ``fork`` (so they inherit the nominal
+    state), and every OpenBLAS runs one thread (forked workers with
+    one BLAS thread per core each starve the cores).  Otherwise 1.
+    """
+    if workers is not None:
+        return workers
+    if problem_builder is None or threading.active_count() != 1:
+        return 1
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    if method != "fork" or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2 or not _blas_single_threaded():
+        return 1
+    return cpus
+
+
+def evaluate_wave(problem, reduced_space, points) -> np.ndarray:
+    """``problem``'s rows at the reduced-space ``points``, in
+    lockstep AC blocks (:meth:`VariationalProblem.evaluate_samples`).
+
+    A sample's row does not depend on the block it shares, so any
+    split of a wave into chunks gives bitwise the rows of the whole.
+    """
+    return problem.evaluate_samples(
+        reduced_space.split(zeta) for zeta in points)
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """Have the kernel kill this worker when its parent dies, so a
+    killed build leaves no worker holding its inherited descriptors
+    (among them the build's lock file)."""
+    import ctypes
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)  # None: not Linux
+    if prctl is not None:
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent_pid:
+        # The parent died before the request took effect.
+        os._exit(1)
+
+
+def _wave_worker_init(problem_builder, reduced_space, parent_pid):
+    _die_with_parent(parent_pid)
+    _WORKER_STATE["problem"] = problem_builder()
     _WORKER_STATE["reduced_space"] = reduced_space
 
 
-def _worker_wave_chunk(points):
-    # The chunk's rows plus its perf_counter window, which the parent
-    # ingests as a span: perf_counter is system-wide on our platforms.
+def _worker_wave_chunk(points, traced):
+    # The chunk's rows plus what the parent folds into its own books:
+    # the chunk's perf_counter window (system-wide on our platforms),
+    # the counters it moved and, when the parent traces, its spans.
     start = time.perf_counter()
-    problem = _WORKER_STATE["problem"]
-    reduced_space = _WORKER_STATE["reduced_space"]
-    # Exactly the serial driver's path (reduced_space.split then
-    # evaluate_samples): a sample's row does not depend on the block
-    # it shares, so chunks of any size are bitwise-identical to the
-    # serial evaluation.
-    values = problem.evaluate_samples(
-        reduced_space.split(zeta) for zeta in points)
+    before = REGISTRY.counter_values()
+    # A fresh tracer per chunk: a forked worker also inherits the
+    # forking thread's active tracer, a copy the parent never reads.
+    tracer = Tracer() if traced else NULL_TRACER
+    with activate(tracer):
+        values = evaluate_wave(_WORKER_STATE["problem"],
+                           _WORKER_STATE["reduced_space"], points)
     end = time.perf_counter()
-    return values, {"start": start, "end": end, "pid": os.getpid(),
-                    "points": int(points.shape[0])}
+    counts = {key: value - before.get(key, 0.0)
+              for key, value in REGISTRY.counter_values().items()
+              if value != before.get(key, 0.0)}
+    return values, {
+        "start": start, "end": end, "pid": os.getpid(),
+        "tid": threading.get_ident(), "points": int(points.shape[0]),
+        "counts": counts,
+        "spans": [node.to_dict() for node in tracer.spans]
+        if traced else [],
+    }
+
+
+def _ingest(tracer, wave_id, info) -> None:
+    """Hang one chunk's window, and the spans it traced, under the
+    ``parallel_wave`` span ``wave_id``."""
+    chunk = tracer.add_span(
+        "worker_chunk", info["start"], info["end"], parent_id=wave_id,
+        pid=info["pid"], tid=info["tid"],
+        attrs={"points": info["points"]})
+    ids = {None: chunk.span_id}
+    # A span is recorded when it closes, after all of its children:
+    # in reverse every parent comes before its children.
+    for node in reversed(info["spans"]):
+        ids[node["span_id"]] = tracer.add_span(
+            node["name"], node["start"], node["end"],
+            parent_id=ids[node["parent_id"]], pid=node["pid"],
+            tid=node["tid"], attrs=node["attrs"]).span_id
 
 
 class ParallelWaveEvaluator:
-    """Persistent-pool ``solve_many`` hook for adaptive wave batches.
+    """Worker-pool ``solve_many`` hook for collocation waves.
 
     The adaptive driver hands each refinement wave's never-seen
     collocation points to its ``solve_many`` hook in one call; this
-    class is that hook backed by a long-lived
-    :class:`~concurrent.futures.ProcessPoolExecutor`.  Workers build
-    the problem once (amortizing mesh/solver setup over the whole
-    refinement run, and keeping the per-sample factorization caches
-    warm within a chunk) and evaluate points with *exactly* the serial
-    driver's arithmetic — ``reduced_space.split`` followed by
+    class is that hook backed by a
+    :class:`~concurrent.futures.ProcessPoolExecutor`.  A wave is split
+    into ``min(num_workers, points // AC_BATCH)`` contiguous chunks,
+    one per worker; a wave with fewer than two full AC blocks runs in
+    the calling process.  The pool starts at the first wave that
+    splits, with no more workers than that wave can use, and a later
+    wave that can use more replaces it with a bigger one.  Workers
+    build the problem once and evaluate points with *exactly* the
+    serial driver's arithmetic — ``reduced_space.split`` followed by
     ``evaluate_samples`` — so the fan-out is bitwise-identical to the
     serial path, merely faster.
 
@@ -82,7 +212,11 @@ class ParallelWaveEvaluator:
         (the reduction is *not* recomputed per worker — every process
         maps collocation points through the same matrices).
     num_workers:
-        Process count (the build's ``workers`` argument).
+        Most worker processes (the build's resolved ``workers``).
+    problem:
+        The parent's problem, which evaluates the waves too small to
+        split; built from ``problem_builder`` on first need when
+        omitted.
 
     Notes
     -----
@@ -91,55 +225,76 @@ class ParallelWaveEvaluator:
     evaluator.
     """
 
-    def __init__(self, problem_builder, reduced_space, num_workers: int):
+    def __init__(self, problem_builder, reduced_space, num_workers: int,
+                 problem=None):
         if num_workers < 1:
             raise StochasticError(
                 f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = int(num_workers)
+        self.problem_builder = problem_builder
         self.reduced_space = reduced_space
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            initializer=_wave_worker_init,
-            initargs=(problem_builder, reduced_space))
+        self.problem = problem
+        self._pool = None
+        self._pool_size = 0
+
+    def _pool_for(self, size: int) -> ProcessPoolExecutor:
+        if self._pool_size < size:
+            self.close()
+            self._pool = ProcessPoolExecutor(
+                max_workers=size, initializer=_wave_worker_init,
+                initargs=(self.problem_builder, self.reduced_space,
+                          os.getpid()))
+            self._pool_size = size
+        return self._pool
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate ``(n, dim)`` points; returns ``(n, outputs)`` rows.
 
-        Points are split into at most ``num_workers`` contiguous
-        chunks; per-point results are order-preserving, so the stacked
-        block is bitwise-identical to a serial row loop.  An empty
-        batch returns shape ``(0, 0)`` — the output width is unknown
-        until a point has been solved, and the driver never forwards
-        empty waves anyway.
+        Per-point results are order-preserving, so the stacked block
+        is bitwise-identical to a serial row loop.  An empty batch
+        returns shape ``(0, 0)`` — the output width is unknown until a
+        point has been solved, and the driver never forwards empty
+        waves anyway.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.reduced_space.dim:
             raise StochasticError(
                 f"points must be (n, {self.reduced_space.dim}), "
                 f"got {points.shape}")
-        if points.shape[0] == 0:
+        total = int(points.shape[0])
+        if total == 0:
             return np.zeros((0, 0))
-        chunks = [chunk for chunk in
-                  np.array_split(points,
-                                 min(self.num_workers, points.shape[0]))
-                  if chunk.shape[0]]
+        count = min(self.num_workers, total // AC_BATCH)
+        if count < 2:
+            if self.problem is None:
+                self.problem = self.problem_builder()
+            return evaluate_wave(self.problem, self.reduced_space, points)
+        pool = self._pool_for(count)
         # One ingested span per worker chunk, parented under this
         # call's span, so the Chrome trace shows real per-worker lanes.
         # With no tracer active both are no-ops.
         tracer = get_tracer()
-        with tracer.span("parallel_wave", chunks=len(chunks),
-                         points=int(points.shape[0])) as parent:
-            results = list(self._pool.map(_worker_wave_chunk, chunks))
+        with tracer.span("parallel_wave", chunks=count,
+                         points=total) as parent:
+            try:
+                results = list(pool.map(
+                    _worker_wave_chunk, np.array_split(points, count),
+                    [tracer.enabled] * count))
+            except BrokenProcessPool as exc:
+                raise StochasticError(
+                    f"a worker process died evaluating a {total}-point "
+                    f"wave on {self._pool_size} workers") from exc
             for _, info in results:
-                tracer.add_span(
-                    "worker_chunk", info["start"], info["end"],
-                    parent_id=parent.span_id, pid=info["pid"], tid=0,
-                    attrs={"points": info["points"]})
+                REGISTRY.add_counts(info["counts"])
+                _ingest(tracer, parent.span_id, info)
         return np.vstack([block for block, _ in results])
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        self._pool.shutdown()
+        if self._pool is not None:
+            self._pool.shutdown()
+        self._pool = None
+        self._pool_size = 0
 
     def __enter__(self) -> "ParallelWaveEvaluator":
         return self

@@ -11,6 +11,7 @@ they matter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +26,8 @@ from repro.stochastic.montecarlo import MonteCarloResult, run_monte_carlo
 from repro.stochastic.reduction import ReducedSpace, reduce_groups
 from repro.stochastic.sscm import SSCMResult, run_sscm
 from repro.variation.random_field import stable_cholesky
-from repro.analysis.parallel import ParallelWaveEvaluator
+from repro.analysis.parallel import (
+    ParallelWaveEvaluator, evaluate_wave, resolve_workers)
 from repro.analysis.problem import VariationalProblem
 from repro.analysis.weights import nominal_weights
 
@@ -138,7 +140,8 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
     problem_builder : callable, optional
         Zero-argument *picklable* callable rebuilding ``problem`` in
         worker processes (e.g. ``functools.partial`` over a preset, or
-        ``spec.build_problem``).  Only consulted when ``workers > 1``.
+        ``spec.build_problem``).  Only consulted when ``workers``
+        resolves above 1, which without it never happens by default.
     warm_start : WarmStart, optional
         Seed the adaptive build from a previous build's accepted index
         set (see :class:`~repro.adaptive.driver.WarmStart`); requires
@@ -149,9 +152,12 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         — for *both* collocation modes: each refinement wave, or the
         whole fixed level-``level`` grid, is one
         :class:`~repro.analysis.parallel.ParallelWaveEvaluator` call
-        (bitwise-identical to the serial loop).  Pure execution
-        policy, so it is an argument here and never part of a spec;
-        above 1 it requires ``problem_builder``.
+        (bitwise-identical to the serial loop).  ``None`` resolves
+        once per build (:func:`~repro.analysis.parallel.resolve_workers`):
+        every usable CPU where a fork is safe and fast, else 1; ``1``
+        forces serial.  Pure execution policy, so it is an argument
+        here and never part of a spec; above 1 it requires
+        ``problem_builder``.
 
     Returns
     -------
@@ -198,17 +204,16 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
         xi_by_group = reduced_space.split(zeta)
         return problem.evaluate_sample(xi_by_group)
 
-    def solve_wave(points):
-        # A wave's points in lockstep AC blocks (evaluate_samples),
-        # bitwise-identical to solve_fn point by point.
-        return problem.evaluate_samples(
-            reduced_space.split(zeta) for zeta in points)
-
     evaluator = None
-    solve_many = solve_wave
-    if workers is not None and workers > 1:
+    # Bitwise-identical to solve_fn point by point.
+    solve_many = partial(evaluate_wave, problem, reduced_space)
+    with span("resolve_workers") as node:
+        workers = node.attrs["workers"] = resolve_workers(
+            workers, problem_builder)
+    if workers > 1:
         evaluator = solve_many = ParallelWaveEvaluator(
-            problem_builder, reduced_space, num_workers=workers)
+            problem_builder, reduced_space, num_workers=workers,
+            problem=problem)
     try:
         if refinement is not None:
             sscm = run_adaptive_sscm(solve_fn, reduced_space.dim,
@@ -225,7 +230,8 @@ def run_sscm_analysis(problem: VariationalProblem, method: str = "wpfa",
                             fit=fit, solve_many=solve_many)
     finally:
         if evaluator is not None:
-            evaluator.close()
+            with span("pool_shutdown"):
+                evaluator.close()
     return AnalysisResult(sscm=sscm, reduced_space=reduced_space)
 
 

@@ -151,10 +151,13 @@ def run_campaign(grid, store, workers: int = None,
         Collocation worker processes for every member build, handed
         to :func:`~repro.serving.pipeline.ensure_surrogate` (execution
         policy: member specs and keys are the same for every value).
+        ``None`` lets each build resolve its own count.
     segment_workers : int, optional
         Fan independent chain segments over up to this many threads.
         Members *within* a segment always run sequentially — chained
-        warm starts need the predecessor on disk.
+        warm starts need the predecessor on disk — and, with more
+        than one thread alive, a ``None`` worker count resolves to a
+        serial build.
     warm_start : bool, default True
         Allow warm-started builds; ``False`` runs every member cold
         (the chain degenerates to a plain ordered sweep).

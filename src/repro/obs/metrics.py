@@ -285,6 +285,27 @@ class MetricsRegistry:
             metrics = sorted(self._metrics.items())
         return [metric.snapshot() for _, metric in metrics]
 
+    def counter_values(self) -> dict:
+        """Every counter series' total, keyed ``(name, labels)`` with
+        ``labels`` the series' sorted ``(label, value)`` pairs.  A
+        worker process diffs two of these to report what it counted;
+        :meth:`add_counts` adds the difference in the parent."""
+        with self._lock:
+            counters = [metric for metric in self._metrics.values()
+                        if metric.kind == "counter"]
+        values = {}
+        for metric in counters:
+            with metric._lock:
+                for key, cell in metric._series.items():
+                    values[(metric.name, key)] = cell[0]
+        return values
+
+    def add_counts(self, counts: dict) -> None:
+        """Add ``{(name, labels): amount}``, keyed as
+        :meth:`counter_values` keys it, onto this registry's counters."""
+        for (name, labels), amount in counts.items():
+            self.counter(name).inc(amount, **dict(labels))
+
 
 #: Process-global default registry used by library instrumentation
 #: (solver counters, pipeline build metrics, GC evictions).

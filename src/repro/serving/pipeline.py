@@ -167,8 +167,10 @@ def build_surrogate(spec: ProblemSpec, store: SurrogateStore = None,
         ``find_warm_start`` search is the fallback.  Ignored when
         ``warm_start`` is ``False``.
     workers : int, optional
-        Collocation worker processes (``None`` or 1: serial).  The
-        surrogate is bitwise the same for every value.
+        Collocation worker processes; ``None`` resolves per build
+        (:func:`~repro.analysis.parallel.resolve_workers`) and 1
+        forces serial.  The surrogate is bitwise the same for every
+        value.
 
     Returns
     -------

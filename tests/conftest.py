@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread per process, set before numpy loads it.  Pool
-# workers are forked from this process and inherit its BLAS: with one
-# thread per core each, a 2-worker pool on a 2-core host runs four
-# spin-waiting BLAS threads, and a pool build ran 2-26x slower than
-# with one.  Pinning only the workers would break the bitwise
-# serial/pool tests: results agree only at equal thread counts.
+# One BLAS thread per process, set before numpy loads it.  A build
+# with default workers forks a pool only when every OpenBLAS reports
+# one thread, so with this pin a test's default build pools wherever
+# the process may run on two CPUs and no other thread is alive.  An
+# explicit pool inherits the same BLAS: with one thread per core
+# each, a 2-worker pool on a 2-core host runs four spin-waiting BLAS
+# threads and ran 2-26x slower, and serial and pool results agree
+# bitwise only at equal thread counts.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
               "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")

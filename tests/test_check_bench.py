@@ -66,6 +66,14 @@ class TestGatePasses:
         _write(fresh, {**BASE, "wall_adaptive_s": 400.0})
         assert _run(baseline, fresh) == 0
 
+    def test_host_memory_and_cpu_counts_ignored(self, dirs):
+        baseline, fresh = dirs
+        _write(baseline, {**BASE, "worker_peak_rss_mb": 69.4,
+                          "pool_cpu_count": 2})
+        _write(fresh, {**BASE, "worker_peak_rss_mb": 91.0,
+                       "pool_cpu_count": 4})
+        assert _run(baseline, fresh) == 0
+
     def test_error_jitter_within_slack_passes(self, dirs):
         baseline, fresh = dirs
         _write(baseline, BASE)

@@ -919,6 +919,26 @@ class TestWireCannotSizeAPool:
         assert pools == []
         assert instance.stats()["builds"] == 0
 
+    def test_in_process_daemon_build_forks_nothing(self, daemon, pools,
+                                                   monkeypatch):
+        """A build on a handler thread runs serially by default: a fork
+        copies only the forking thread, and a lock another thread holds
+        at that moment would stay held in the child."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        instance, url = daemon
+        # One 17-point wave: a build on the only thread would pool it.
+        spec = table1_spec("doping",
+                           reduction={"caps": {"doping": 2},
+                                      "energy": 1.0}, **TINY_PARAMS)
+        status, payload = _post(url + "/query",
+                                {"spec": spec.to_dict(),
+                                 "queries": [{"kind": "mean"}]})
+        assert status == 200
+        (response,) = payload["responses"]
+        assert response["built"] is True, response
+        assert pools == []
+        assert instance.stats()["builds"] == 1
+
 
 # ----------------------------------------------------------------------
 # Observability: /metrics, latency stats, access log

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.experiments import table1_spec
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     EventLog,
@@ -43,7 +44,7 @@ from repro.obs import (
 from repro.serving import SurrogateStore, ensure_surrogate
 from repro.solver.avsolver import AC_BATCH
 
-from test_daemon import tiny_spec
+from test_daemon import TINY_PARAMS, tiny_spec
 
 
 class TestMetricsRegistry:
@@ -356,9 +357,10 @@ class TestPoolSpans:
 
         tracer = Tracer()
         with activate(tracer):
-            # d=1: the smallest grid that still splits over two workers.
+            # d=2: the smallest grid whose one wave (17 points) holds
+            # the two full AC blocks per worker a split needs.
             run_sscm_analysis(_builder(), energy=1.0,
-                              max_variables_by_group={"doping": 1},
+                              max_variables_by_group={"doping": 2},
                               workers=2, problem_builder=_builder)
         waves = [node for node in tracer.spans
                  if node.name == "parallel_wave"]
@@ -374,34 +376,104 @@ class TestPoolSpans:
             == sum(node.attrs["points"] for node in waves)
 
 
-class TestBuildInstrumentation:
-    def test_profiled_build_covers_the_wall(self, tmp_path):
-        """>= 95% of the build root span is covered by child spans —
-        the acceptance bar for the span taxonomy staying honest."""
-        tracer = Tracer()
-        with activate(tracer):
-            report = ensure_surrogate(tiny_spec(),
-                                      SurrogateStore(tmp_path / "s"))
-        assert report.built
-        root = find_root(tracer, "build")
-        assert root is not None
-        assert span_coverage(tracer, root=root) >= 0.95
+def pooled_spec():
+    """A spec whose one wave (17 points, d=2) splits over two workers."""
+    return table1_spec("doping",
+                       reduction={"caps": {"doping": 2}, "energy": 1.0},
+                       **TINY_PARAMS)
 
-    def test_build_traces_its_lockstep_chord_blocks(self, tmp_path):
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host: default builds then pool
+    (the conftest pins BLAS to one thread)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestBuildInstrumentation:
+    def test_profiled_build_covers_the_wall(self, tmp_path, two_cpus):
+        """>= 95% of the build root span is covered by child spans —
+        the acceptance bar for the span taxonomy staying honest — for
+        a serial build and a pooled one."""
+        for name, spec in (("serial", tiny_spec()),
+                           ("pooled", pooled_spec())):
+            tracer = Tracer()
+            with activate(tracer):
+                report = ensure_surrogate(spec,
+                                          SurrogateStore(tmp_path / name))
+            assert report.built
+            pooled = any(node.name == "parallel_wave"
+                         for node in tracer.spans)
+            assert pooled == (name == "pooled")
+            root = find_root(tracer, "build")
+            assert root is not None
+            assert span_coverage(tracer, root=root) >= 0.95
+
+    def test_build_traces_its_lockstep_chord_blocks(self, tmp_path,
+                                                    two_cpus):
         """Every collocation sample solves its AC system inside one
-        ``chord_batch`` span of at most ``AC_BATCH`` samples."""
-        tracer = Tracer()
-        with activate(tracer):
-            report = ensure_surrogate(tiny_spec(),
-                                      SurrogateStore(tmp_path / "s"))
-        blocks = [span.attrs for span in tracer.spans
-                  if span.name == "chord_batch"]
-        assert sum(block["samples"] for block in blocks) \
-            == report.record.num_runs
-        for block in blocks:
-            assert 1 <= block["samples"] <= AC_BATCH
-            assert block["columns"] == block["samples"]
-            assert block["steps"] >= 1
+        ``chord_batch`` span of at most ``AC_BATCH`` samples, in the
+        building process or in a pool worker."""
+        for name, spec in (("serial", tiny_spec()),
+                           ("pooled", pooled_spec())):
+            tracer = Tracer()
+            with activate(tracer):
+                report = ensure_surrogate(spec,
+                                          SurrogateStore(tmp_path / name))
+            blocks = [node for node in tracer.spans
+                      if node.name == "chord_batch"]
+            assert sum(node.attrs["samples"] for node in blocks) \
+                == report.record.num_runs
+            for block in blocks:
+                assert 1 <= block.attrs["samples"] <= AC_BATCH
+                assert block.attrs["columns"] == block.attrs["samples"]
+                assert block.attrs["steps"] >= 1
+            workers = {node.pid for node in blocks} - {os.getpid()}
+            assert bool(workers) == (name == "pooled")
+
+    def test_pooled_build_counts_what_a_serial_build_counts(
+            self, tmp_path, two_cpus):
+        """A pool worker reports the counters it moved, and the parent
+        adds them: a default-pooled build moves every counter by what
+        a serial build moves it, except the lockstep AC chord steps
+        and the back-substitutions they make, which follow how the
+        samples fall into blocks."""
+        from repro.obs.metrics import REGISTRY
+        from repro.solver.avsolver import NOMINAL_SLOT
+
+        def build(name, workers):
+            NOMINAL_SLOT.clear()
+            before = REGISTRY.counter_values()
+            tracer = Tracer()
+            with activate(tracer):
+                report = ensure_surrogate(
+                    pooled_spec(), SurrogateStore(tmp_path / name),
+                    workers=workers)
+            assert report.built
+            after = REGISTRY.counter_values()
+            moved = {key: value - before.get(key, 0.0)
+                     for key, value in after.items()
+                     if value != before.get(key, 0.0)}
+            waves = [node for node in tracer.spans
+                     if node.name == "parallel_wave"]
+            return moved, waves
+
+        serial, serial_waves = build("serial", 1)
+        pooled, pooled_waves = build("pooled", None)
+        assert not serial_waves
+        assert pooled_waves
+        assert all(node.attrs["points"] >= 2 * AC_BATCH
+                   for node in pooled_waves)
+        blocked = {("repro_solver_ac_chord_steps_total", ()),
+                   ("repro_solver_solves_total", ())}
+        assert {key: value for key, value in serial.items()
+                if key not in blocked} \
+            == {key: value for key, value in pooled.items()
+                if key not in blocked}
+        # One back-substitution per lockstep step: the two move alike.
+        steps, solves = sorted(blocked)
+        assert pooled[steps] - serial[steps] \
+            == pooled[solves] - serial[solves]
 
     def test_cold_build_reports_timings_warm_hit_does_not(self,
                                                           tmp_path):

@@ -8,8 +8,15 @@ the tolerance at strictly fewer solves than a cold build.
 
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,7 +367,7 @@ class TestParallelWaveEvaluator:
                                       "energy": 1.0},
                            max_step_um=2.0, rdf_nodes=8)
         digests = []
-        for name, workers in (("serial", None), ("pool", 2)):
+        for name, workers in (("serial", 1), ("pool", 2)):
             store = SurrogateStore(tmp_path / name)
             report = ensure_surrogate(spec, store, workers=workers)
             assert report.built
@@ -368,6 +375,281 @@ class TestParallelWaveEvaluator:
             assert store.keys() == [spec.cache_key()]
             digests.append(store.sidecar(spec.cache_key())["npz_sha256"])
         assert digests[0] == digests[1]
+
+
+#: The test process; a forked pool worker inherits this value.
+_TEST_PID = os.getpid()
+
+
+class _RowSums:
+    """A stand-in problem: a sample's row is the sum of its point."""
+
+    def evaluate_samples(self, xis):
+        return np.array([[float(np.sum(xi))] for xi in xis])
+
+
+class _DiesInWorker(_RowSums):
+    """A stand-in problem whose pool workers die on their first chunk."""
+
+    def evaluate_samples(self, xis):
+        if os.getpid() != _TEST_PID:
+            os._exit(1)
+        return super().evaluate_samples(xis)
+
+
+class _PlainSpace:
+    """A stand-in reduced space: points are their own samples."""
+
+    dim = 2
+
+    def split(self, zeta):
+        return zeta
+
+
+def _traced_grid_build(**kwargs):
+    """The d=2 level-2 grid (one 17-point wave) under a tracer:
+    ``(result, parallel_wave spans)``."""
+    from repro.analysis import run_sscm_analysis
+    from repro.obs import Tracer, activate
+
+    tracer = Tracer()
+    with activate(tracer):
+        result = run_sscm_analysis(_builder(), energy=1.0,
+                                   max_variables_by_group={"doping": 2},
+                                   **kwargs)
+    return result, [node for node in tracer.spans
+                    if node.name == "parallel_wave"]
+
+
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host (the conftest pins BLAS to one
+    thread): every other condition of the default pool holds."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestDefaultWorkers:
+    """``workers=None`` pools only where a fork is safe and fast; each
+    test below flips exactly one condition of that rule."""
+
+    def test_default_build_pools_and_keeps_the_serial_bits(self,
+                                                           two_cpus):
+        serial, serial_waves = _traced_grid_build(
+            problem_builder=_builder, workers=1)
+        pooled, waves = _traced_grid_build(problem_builder=_builder)
+        assert not serial_waves
+        assert [node.attrs["chunks"] for node in waves] == [2]
+        assert np.array_equal(pooled.sscm.pce.coefficients,
+                              serial.sscm.pce.coefficients)
+
+    def test_explicit_count_is_kept(self):
+        from repro.analysis.parallel import resolve_workers
+
+        assert resolve_workers(3, None) == 3
+        assert resolve_workers(1, _builder) == 1
+
+    def test_one_cpu_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _, waves = _traced_grid_build(problem_builder=_builder)
+        assert waves == []
+
+    def test_a_live_thread_stays_serial(self, two_cpus):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            _, waves = _traced_grid_build(problem_builder=_builder)
+        finally:
+            release.set()
+            thread.join()
+        assert waves == []
+
+    @pytest.mark.parametrize("threads", [2, None])
+    def test_threaded_or_unknown_blas_stays_serial(self, two_cpus,
+                                                   monkeypatch, threads):
+        monkeypatch.setattr("repro.analysis.parallel._blas_threads",
+                            lambda path: threads)
+        _, waves = _traced_grid_build(problem_builder=_builder)
+        assert waves == []
+
+    def test_spawn_start_method_stays_serial(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_start_method",
+                            lambda allow_none=False: "spawn")
+        _, waves = _traced_grid_build(problem_builder=_builder)
+        assert waves == []
+
+    def test_no_problem_builder_stays_serial(self, two_cpus):
+        _, waves = _traced_grid_build()
+        assert waves == []
+
+    def test_default_build_stores_the_serial_bytes(self, tmp_path,
+                                                   two_cpus):
+        from repro.experiments import table1_spec
+        from repro.obs import Tracer, activate
+        from repro.serving import SurrogateStore, ensure_surrogate
+
+        spec = table1_spec("doping",
+                           reduction={"caps": {"doping": 2},
+                                      "energy": 1.0},
+                           max_step_um=2.0, rdf_nodes=8)
+        key = spec.cache_key()
+        payloads = {}
+        for name, workers in (("serial", 1), ("default", None)):
+            store = SurrogateStore(tmp_path / name)
+            tracer = Tracer()
+            with activate(tracer):
+                assert ensure_surrogate(spec, store,
+                                        workers=workers).built
+            pooled = any(node.name == "parallel_wave"
+                         for node in tracer.spans)
+            assert pooled == (workers is None)
+            payloads[name] = (store.root / f"{key}.npz").read_bytes()
+        assert payloads["default"] == payloads["serial"]
+
+
+class TestWaveChunking:
+    def test_pool_holds_no_more_workers_than_a_wave_can_use(
+            self, monkeypatch):
+        """A wave splits into ``min(workers, points // AC_BATCH)``
+        chunks; one with fewer than two full blocks stays in-process,
+        and only a wave that can use more workers grows the pool."""
+        sizes = []
+
+        def recording(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr("repro.analysis.parallel.ProcessPoolExecutor",
+                            recording)
+        from repro.analysis import ParallelWaveEvaluator
+        from repro.obs import Tracer, activate
+
+        rng = np.random.default_rng(7)
+        tracer = Tracer()
+        with activate(tracer), ParallelWaveEvaluator(
+                _RowSums, _PlainSpace(), num_workers=3,
+                problem=_RowSums()) as evaluate:
+            for count in (7, 8, 4, 12, 8):
+                points = rng.standard_normal((count, 2))
+                assert np.array_equal(
+                    evaluate(points), _RowSums().evaluate_samples(points))
+        assert sizes == [2, 3]
+        assert [node.attrs["chunks"] for node in tracer.spans
+                if node.name == "parallel_wave"] == [2, 3, 2]
+
+    def test_dead_worker_is_a_stochastic_error(self):
+        from repro.analysis import ParallelWaveEvaluator
+
+        with ParallelWaveEvaluator(_DiesInWorker, _PlainSpace(),
+                                   num_workers=2,
+                                   problem=_RowSums()) as evaluate:
+            with pytest.raises(StochasticError,
+                               match="8-point wave on 2 workers"):
+                evaluate(np.zeros((8, 2)))
+
+
+#: A pooled build whose workers stall in their first chunk, marking
+#: their pids in a directory: run as ``script spec store marks``.
+_STALLED_BUILD = """
+import json, os, sys, time
+from repro.analysis.problem import VariationalProblem
+from repro.serving import ProblemSpec, SurrogateStore, ensure_surrogate
+
+os.sched_getaffinity = lambda pid: {0, 1}
+parent = os.getpid()
+evaluate = VariationalProblem.evaluate_samples
+
+def stalled(self, xis):
+    if os.getpid() != parent:
+        open(os.path.join(sys.argv[3], str(os.getpid())), "w").close()
+        time.sleep(120)
+    return evaluate(self, xis)
+
+VariationalProblem.evaluate_samples = stalled
+ensure_surrogate(ProblemSpec.from_dict(json.loads(sys.argv[1])),
+                 SurrogateStore(sys.argv[2]))
+"""
+
+
+class TestPoolFailures:
+    def _spec(self, **params):
+        from repro.experiments import table1_spec
+
+        return table1_spec("doping",
+                           reduction={"caps": {"doping": 2},
+                                      "energy": 1.0},
+                           max_step_um=2.0, rdf_nodes=6, **params)
+
+    def test_killed_build_leaves_no_worker_holding_its_lock(
+            self, tmp_path):
+        """Forked workers inherit the build's lock descriptor; they
+        die with the build, so the next build of the key can start."""
+        import repro
+        from repro.daemon import release_lock, try_build_lock
+
+        spec = self._spec()
+        store, marks = tmp_path / "store", tmp_path / "marks"
+        marks.mkdir()
+        source = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(source))
+        build = subprocess.Popen(
+            [sys.executable, "-c", _STALLED_BUILD,
+             json.dumps(spec.to_dict()), str(store), str(marks)],
+            env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 120.0
+            while len(os.listdir(marks)) < 2:
+                assert build.poll() is None, "the build ended early"
+                assert time.monotonic() < deadline, "no pool started"
+                time.sleep(0.05)
+            workers = [int(name) for name in os.listdir(marks)]
+            build.kill()
+            build.wait()
+            deadline = time.monotonic() + 10.0
+            while (held := try_build_lock(store, spec.cache_key())) \
+                    is None:
+                assert time.monotonic() < deadline, \
+                    "a pool worker outlived its build and holds the lock"
+                time.sleep(0.05)
+            release_lock(held)
+        finally:
+            build.kill()
+            build.wait()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+    def test_dead_worker_fails_only_its_campaign_member(
+            self, tmp_path, monkeypatch, two_cpus):
+        from repro.campaign import run_campaign
+        from repro.serving import ProblemSpec, SurrogateStore
+
+        build_problem = ProblemSpec.build_problem
+
+        def dying(spec):
+            problem = build_problem(spec)
+            if os.getpid() != _TEST_PID \
+                    and spec.params["sigma_m"] == 0.102:
+                problem.evaluate_samples = _DiesInWorker().evaluate_samples
+            return problem
+
+        monkeypatch.setattr(ProblemSpec, "build_problem", dying)
+        grid = {"preset": "table1",
+                "base_params": {"variant": "doping", "max_step_um": 2.0,
+                                "rdf_nodes": 6},
+                "axes": {"sigma_m": [0.1, 0.102, 0.104]},
+                "reduction": {"caps": {"doping": 2}, "energy": 1.0},
+                "name": "dying-worker"}
+        catalog = run_campaign(grid, SurrogateStore(tmp_path / "store"))
+        status = {row["params"]["sigma_m"]: row for row in
+                  catalog["members"]}
+        assert status[0.102]["status"] == "failed"
+        assert "worker" in status[0.102]["error"]
+        assert status[0.1]["status"] == status[0.104]["status"] \
+            == "built"
 
 
 class TestCliOverlay:
