@@ -44,8 +44,14 @@ from repro.solver.avsolver import AC_BATCH
 _BLAS_GETTERS = ("scipy_openblas_get_num_threads64_",
                  "scipy_openblas_get_num_threads",
                  "openblas_get_num_threads")
+#: Where the process lists what it has mapped, shared libraries
+#: among them.
+_MAPS = "/proc/self/maps"
 #: ``prctl`` option that signals a child when its parent dies.
 _PR_SET_PDEATHSIG = 1
+#: Start methods under which a worker is a child of the building
+#: process; a fork server's workers are the server's children.
+_CHILD_START_METHODS = ("fork", "spawn")
 
 _WORKER_STATE = {}
 
@@ -69,15 +75,18 @@ def _blas_threads(path: str):
 
 
 def _blas_single_threaded() -> bool:
-    """True when every OpenBLAS mapped into this process runs one
-    thread.  A BLAS that cannot be queried counts as threaded."""
+    """True when at least one OpenBLAS is mapped into this process and
+    every one runs one thread.  A BLAS that cannot be queried counts
+    as threaded, and so does one that is not an OpenBLAS (MKL, BLIS):
+    none is then found to ask."""
     try:
-        with open("/proc/self/maps") as maps:
+        with open(_MAPS) as maps:
             paths = {line.split(None, 5)[-1].strip() for line in maps
                      if "openblas" in line.lower()}
     except OSError:
         return False
-    return all(_blas_threads(path) == 1 for path in paths)
+    return bool(paths) and all(_blas_threads(path) == 1
+                               for path in paths)
 
 
 def resolve_workers(workers, problem_builder) -> int:
@@ -135,7 +144,9 @@ def _die_with_parent(parent_pid: int) -> None:
 
 
 def _wave_worker_init(problem_builder, reduced_space, parent_pid):
-    _die_with_parent(parent_pid)
+    # ``parent_pid`` is None when the worker's parent is a fork server.
+    if parent_pid is not None:
+        _die_with_parent(parent_pid)
     _WORKER_STATE["problem"] = problem_builder()
     _WORKER_STATE["reduced_space"] = reduced_space
 
@@ -191,9 +202,8 @@ class ParallelWaveEvaluator:
     :class:`~concurrent.futures.ProcessPoolExecutor`.  A wave is split
     into ``min(num_workers, points // AC_BATCH)`` contiguous chunks,
     one per worker; a wave with fewer than two full AC blocks runs in
-    the calling process.  The pool starts at the first wave that
-    splits, with no more workers than that wave can use, and a later
-    wave that can use more replaces it with a bigger one.  Workers
+    the calling process.  The pool of ``num_workers`` starts at the
+    first wave that splits and serves every later one.  Workers
     build the problem once and evaluate points with *exactly* the
     serial driver's arithmetic — ``reduced_space.split`` followed by
     ``evaluate_samples`` — so the fan-out is bitwise-identical to the
@@ -215,8 +225,7 @@ class ParallelWaveEvaluator:
         Most worker processes (the build's resolved ``workers``).
     problem:
         The parent's problem, which evaluates the waves too small to
-        split; built from ``problem_builder`` on first need when
-        omitted.
+        split.
 
     Notes
     -----
@@ -226,7 +235,7 @@ class ParallelWaveEvaluator:
     """
 
     def __init__(self, problem_builder, reduced_space, num_workers: int,
-                 problem=None):
+                 problem):
         if num_workers < 1:
             raise StochasticError(
                 f"num_workers must be >= 1, got {num_workers}")
@@ -235,17 +244,18 @@ class ParallelWaveEvaluator:
         self.reduced_space = reduced_space
         self.problem = problem
         self._pool = None
-        self._pool_size = 0
 
-    def _pool_for(self, size: int) -> ProcessPoolExecutor:
-        if self._pool_size < size:
-            self.close()
-            self._pool = ProcessPoolExecutor(
-                max_workers=size, initializer=_wave_worker_init,
-                initargs=(self.problem_builder, self.reduced_space,
-                          os.getpid()))
-            self._pool_size = size
-        return self._pool
+    def _start_pool(self) -> ProcessPoolExecutor:
+        context = multiprocessing.get_context()
+        # The kernel can tie a worker only to the process that forked
+        # it.  Under a fork server that is the server, not this build;
+        # its workers inherit none of the build's descriptors either.
+        parent = (os.getpid() if context.get_start_method()
+                  in _CHILD_START_METHODS else None)
+        return ProcessPoolExecutor(
+            max_workers=self.num_workers, mp_context=context,
+            initializer=_wave_worker_init,
+            initargs=(self.problem_builder, self.reduced_space, parent))
 
     def __call__(self, points) -> np.ndarray:
         """Evaluate ``(n, dim)`` points; returns ``(n, outputs)`` rows.
@@ -266,10 +276,9 @@ class ParallelWaveEvaluator:
             return np.zeros((0, 0))
         count = min(self.num_workers, total // AC_BATCH)
         if count < 2:
-            if self.problem is None:
-                self.problem = self.problem_builder()
             return evaluate_wave(self.problem, self.reduced_space, points)
-        pool = self._pool_for(count)
+        if self._pool is None:
+            self._pool = self._start_pool()
         # One ingested span per worker chunk, parented under this
         # call's span, so the Chrome trace shows real per-worker lanes.
         # With no tracer active both are no-ops.
@@ -277,13 +286,13 @@ class ParallelWaveEvaluator:
         with tracer.span("parallel_wave", chunks=count,
                          points=total) as parent:
             try:
-                results = list(pool.map(
+                results = list(self._pool.map(
                     _worker_wave_chunk, np.array_split(points, count),
                     [tracer.enabled] * count))
             except BrokenProcessPool as exc:
                 raise StochasticError(
                     f"a worker process died evaluating a {total}-point "
-                    f"wave on {self._pool_size} workers") from exc
+                    f"wave on {self.num_workers} workers") from exc
             for _, info in results:
                 REGISTRY.add_counts(info["counts"])
                 _ingest(tracer, parent.span_id, info)
@@ -294,7 +303,6 @@ class ParallelWaveEvaluator:
         if self._pool is not None:
             self._pool.shutdown()
         self._pool = None
-        self._pool_size = 0
 
     def __enter__(self) -> "ParallelWaveEvaluator":
         return self

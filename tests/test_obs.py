@@ -358,7 +358,7 @@ class TestPoolSpans:
         tracer = Tracer()
         with activate(tracer):
             # d=2: the smallest grid whose one wave (17 points) holds
-            # the two full AC blocks per worker a split needs.
+            # the two full AC blocks a split needs.
             run_sscm_analysis(_builder(), energy=1.0,
                               max_variables_by_group={"doping": 2},
                               workers=2, problem_builder=_builder)

@@ -15,7 +15,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -286,7 +285,8 @@ class TestParallelWaveEvaluator:
         from repro.analysis import ParallelWaveEvaluator
 
         with pytest.raises(StochasticError):
-            ParallelWaveEvaluator(_builder, object(), num_workers=0)
+            ParallelWaveEvaluator(_builder, object(), num_workers=0,
+                                  problem=_RowSums())
 
     def test_fixed_grid_workers_require_problem_builder(self):
         from repro.analysis import run_sscm_analysis
@@ -304,27 +304,31 @@ class TestParallelWaveEvaluator:
                 run_sscm_analysis(_builder(), workers=bad,
                                   problem_builder=_builder)
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize("start_method",
+                             ["fork", "spawn", "forkserver"])
     def test_parallel_fixed_grid_bitwise_equals_serial(
-            self, start_method, monkeypatch):
+            self, start_method):
         """ROADMAP item: the level-2 grid is one big wave for the
         existing evaluator — identical bits, just more processes.
-        Spawn (and forkserver, Python 3.14's Linux default) pickles
-        the initializer, its arguments and every mapped callable, so a
-        closure anywhere on the pool path fails the spawn case."""
+        Spawn and forkserver (Python 3.14's Linux default) pickle the
+        initializer, its arguments and every mapped callable, so a
+        closure anywhere on the pool path fails those cases.  A
+        forkserver worker is the server's child, not the build's, so
+        a worker that ties its life to the build fails that case."""
         from repro.analysis import run_sscm_analysis
 
-        monkeypatch.setattr(
-            "repro.analysis.parallel.ProcessPoolExecutor",
-            partial(ProcessPoolExecutor,
-                    mp_context=multiprocessing.get_context(start_method)))
-        serial = run_sscm_analysis(
-            _builder(), energy=1.0,
-            max_variables_by_group={"doping": 3})
-        parallel = run_sscm_analysis(
-            _builder(), energy=1.0,
-            max_variables_by_group={"doping": 3},
-            workers=2, problem_builder=_builder)
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(start_method, force=True)
+        try:
+            serial = run_sscm_analysis(
+                _builder(), energy=1.0,
+                max_variables_by_group={"doping": 3})
+            parallel = run_sscm_analysis(
+                _builder(), energy=1.0,
+                max_variables_by_group={"doping": 3},
+                workers=2, problem_builder=_builder)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
         assert parallel.num_runs == serial.num_runs
         assert np.array_equal(parallel.sscm.pce.coefficients,
                               serial.sscm.pce.coefficients)
@@ -472,6 +476,20 @@ class TestDefaultWorkers:
         _, waves = _traced_grid_build(problem_builder=_builder)
         assert waves == []
 
+    def test_no_openblas_mapped_stays_serial(self, two_cpus, monkeypatch,
+                                             tmp_path):
+        """An MKL or BLIS numpy maps no OpenBLAS, so there is no getter
+        to ask: its thread count is unknown, which counts as threaded."""
+        maps = tmp_path / "maps"
+        maps.write_text(
+            "55d0c1a00000-55d0c1a2c000 r--p 00000000 08:01 1311 "
+            "/usr/bin/python3.11\n"
+            "7f1c2e000000-7f1c2e3c1000 r-xp 00000000 08:01 2622 "
+            "/opt/conda/lib/libmkl_rt.so.2\n")
+        monkeypatch.setattr("repro.analysis.parallel._MAPS", str(maps))
+        _, waves = _traced_grid_build(problem_builder=_builder)
+        assert waves == []
+
     def test_spawn_start_method_stays_serial(self, two_cpus, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_start_method",
                             lambda allow_none=False: "spawn")
@@ -508,11 +526,11 @@ class TestDefaultWorkers:
 
 
 class TestWaveChunking:
-    def test_pool_holds_no_more_workers_than_a_wave_can_use(
-            self, monkeypatch):
+    def test_waves_split_by_full_ac_blocks(self, monkeypatch):
         """A wave splits into ``min(workers, points // AC_BATCH)``
-        chunks; one with fewer than two full blocks stays in-process,
-        and only a wave that can use more workers grows the pool."""
+        chunks; one with fewer than two full blocks stays in-process.
+        One pool of every worker starts at the first wave that splits
+        and serves the later ones."""
         sizes = []
 
         def recording(max_workers, **kwargs):
@@ -533,7 +551,7 @@ class TestWaveChunking:
                 points = rng.standard_normal((count, 2))
                 assert np.array_equal(
                     evaluate(points), _RowSums().evaluate_samples(points))
-        assert sizes == [2, 3]
+        assert sizes == [3]
         assert [node.attrs["chunks"] for node in tracer.spans
                 if node.name == "parallel_wave"] == [2, 3, 2]
 
